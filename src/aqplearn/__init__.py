@@ -38,7 +38,7 @@ from .metrics import (
     nrmse,
     rmse,
 )
-from .nnet import LstmModel, ModelConfig, TrainReport, mse_loss
+from .nnet import LstmModel, ModelConfig, TrainReport
 from .queries import (
     AggregationFunction,
     AggregationTarget,

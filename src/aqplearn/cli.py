@@ -19,13 +19,12 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import encoder, executor, metrics, nnet, querygen, store
+from .artifacts import atomic_open
 from .errors import AqpError, HashMismatch, InvalidTarget, ShapeMismatch
 
 
@@ -37,22 +36,10 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-class _atomic:
-    """Write to <path>.tmp and rename into place on success."""
-
-    def __init__(self, path):
-        self.path = Path(path)
-        self.tmp = Path(str(path) + ".tmp")
-
-    def __enter__(self) -> Path:
-        return self.tmp
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            os.replace(self.tmp, self.path)
-        elif self.tmp.exists():
-            self.tmp.unlink()
-        return False
+def _write_json(path, doc: dict) -> None:
+    with atomic_open(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _load_dataset(args) -> store.Dataset:
@@ -118,13 +105,11 @@ def cmd_generate(args) -> int:
         "template": template.to_record(),
         "generation": dataclasses.asdict(report),
     }
-    with _atomic(args.out) as tmp:
-        querygen.write_workload(tmp, queries, meta)
+    querygen.write_workload(args.out, queries, meta)
     if args.sql:
-        with _atomic(str(args.out) + ".sql") as tmp:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for q in queries:
-                    fh.write(q.to_sql() + ";\n")
+        with atomic_open(str(args.out) + ".sql") as fh:
+            for q in queries:
+                fh.write(q.to_sql() + ";\n")
     print(
         f"generated {report.n_queries} queries "
         f"({report.n_targets} targets x {report.n_between_sets} windows "
@@ -146,8 +131,7 @@ def cmd_label(args) -> int:
         "template": header.get("template"),
         "labeling": dataclasses.asdict(report),
     }
-    with _atomic(args.out) as tmp:
-        querygen.write_workload(tmp, labeled, meta)
+    querygen.write_workload(args.out, labeled, meta)
     print(
         f"labeled {report.labeled}/{report.total} queries "
         f"({report.zero_filled} zero-support kept, "
@@ -168,13 +152,11 @@ def cmd_encode(args) -> int:
     y = np.array([lq.label for lq in records], dtype=np.float64)
     support = np.array([lq.support for lq in records], dtype=np.int64)
     workload_hash = _sha256_file(args.workload)
-    with _atomic(args.out_vocab) as tmp:
-        encoder.save_vocabulary(vocab, tmp, meta={"workload_sha256": workload_hash})
-    with _atomic(args.out_encoded) as tmp:
-        encoder.save_encoded(
-            tmp, X, y, support,
-            meta={"workload_sha256": workload_hash, "vocab_content_hash": vocab.content_hash()},
-        )
+    encoder.save_vocabulary(vocab, args.out_vocab, meta={"workload_sha256": workload_hash})
+    encoder.save_encoded(
+        args.out_encoded, X, y, support,
+        meta={"workload_sha256": workload_hash, "vocab_content_hash": vocab.content_hash()},
+    )
     print(
         f"encoded {len(records)} queries as {X.shape[1]}x{X.shape[2]} matrices "
         f"({vocab.size} tokens, {vocab.bit_width} payload bits) "
@@ -237,8 +219,7 @@ def cmd_train(args) -> int:
         config, vocab.sequence_length, vocab.row_width, vocab_hash=vocab.content_hash()
     )
     report = model.fit(X[tr], y[tr], X[va], y[va])
-    with _atomic(args.out) as tmp:
-        model.save(tmp)
+    model.save(args.out)
     sidecar = {
         "target": args.target,
         "split_seed": args.split_seed,
@@ -247,10 +228,7 @@ def cmd_train(args) -> int:
         "n_test": len(te),
         "train_report": report.to_record(),
     }
-    with _atomic(str(args.out) + ".report.json") as tmp:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_json(str(args.out) + ".report.json", sidecar)
     print(
         f"trained {report.epochs_run} epochs (best epoch {report.best_epoch}, "
         f"validation MSE {report.best_val_mse:.6g}, {report.wall_seconds:.1f}s) -> {args.out}"
@@ -264,19 +242,18 @@ def cmd_predict(args) -> int:
     header, records = querygen.read_workload(args.workload)
     X = encoder.encode_workload(records, vocab)
     preds = model.predict_batch(X, n_workers=args.workers)
-    with _atomic(args.out) as tmp:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            head = {
-                "kind": "predictions",
-                "version": 1,
-                "count": len(records),
-                "checkpoint_sha256": _sha256_file(args.checkpoint),
-            }
-            fh.write(json.dumps(head, sort_keys=True) + "\n")
-            for rec, p in zip(records, preds):
-                fq = rec.query if hasattr(rec, "query") else rec
-                row = {"query": fq.to_record(), "prediction": float(p)}
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+    with atomic_open(args.out) as fh:
+        head = {
+            "kind": "predictions",
+            "version": 1,
+            "count": len(records),
+            "checkpoint_sha256": _sha256_file(args.checkpoint),
+        }
+        fh.write(json.dumps(head, sort_keys=True) + "\n")
+        for rec, p in zip(records, preds):
+            fq = rec.query if hasattr(rec, "query") else rec
+            row = {"query": fq.to_record(), "prediction": float(p)}
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
     print(f"predicted {len(records)} queries -> {args.out}")
     return 0
 
@@ -309,10 +286,7 @@ def cmd_eval(args) -> int:
     if args.out:
         doc = report.to_record()
         doc.update(split=args.split, split_seed=args.split_seed, target=args.target)
-        with _atomic(args.out) as tmp:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        _write_json(args.out, doc)
     print(report.to_text())
     return 0
 
@@ -334,10 +308,7 @@ def cmd_bench(args) -> int:
         "workers": args.workers,
     }
     if args.out:
-        with _atomic(args.out) as tmp:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        _write_json(args.out, doc)
     print(
         f"QL {ql.mean_ms:.3f} ms/query (max {ql.max_ms:.3f}, n={ql.n})  "
         f"QT {qt.qps:.0f} queries/s ({qt.queries} queries, {args.workers} workers)"

@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import atomic_open, parsing
 from .errors import MalformedMatrix, NumericOverflow, UnknownToken, VersionMismatch
 from .queries import (
     AggregationFunction,
@@ -332,7 +333,7 @@ def save_encoded(path, X: np.ndarray, y: np.ndarray, support: np.ndarray,
     """Store an encoded workload: inputs, labels, supports and metadata."""
     doc = {"kind": "encoded", "version": ENCODED_VERSION, "count": int(len(X))}
     doc.update(meta or {})
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         np.savez(
             fh,
             X=np.asarray(X, dtype=np.uint8),
@@ -343,7 +344,7 @@ def save_encoded(path, X: np.ndarray, y: np.ndarray, support: np.ndarray,
 
 
 def load_encoded(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    with np.load(path) as data:
+    with parsing(path, "encoded workload"), np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta.get("kind") != "encoded" or meta.get("version") != ENCODED_VERSION:
             raise VersionMismatch(f"{path} is not a version-{ENCODED_VERSION} encoded workload")
@@ -357,17 +358,17 @@ def save_vocabulary(vocab: TokenVocabulary, path: str | Path, meta: dict | None 
     doc.update(meta or {})
     doc.update(vocab.to_record())
     doc["content_hash"] = vocab.content_hash()
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def load_vocabulary(path: str | Path) -> tuple[TokenVocabulary, dict]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, parsing(path, "vocabulary"):
         doc = json.load(fh)
-    if doc.get("kind") != "vocabulary" or doc.get("version") != VOCAB_VERSION:
-        raise VersionMismatch(f"{path} is not a version-{VOCAB_VERSION} vocabulary file")
-    vocab = TokenVocabulary.from_record(doc)
+        if doc.get("kind") != "vocabulary" or doc.get("version") != VOCAB_VERSION:
+            raise VersionMismatch(f"{path} is not a version-{VOCAB_VERSION} vocabulary file")
+        vocab = TokenVocabulary.from_record(doc)
     if doc.get("content_hash") != vocab.content_hash():
         raise VersionMismatch(f"{path}: content hash does not match the vocabulary")
     return vocab, doc

@@ -83,7 +83,11 @@ class VocabularyMismatch(AqpError):
     """Checkpoint was trained against a different vocabulary."""
 
 
-# --- cli -------------------------------------------------------------------
+# --- artifacts and cli -----------------------------------------------------
+
+class CorruptArtifact(AqpError):
+    """An input file is truncated or otherwise cannot be parsed."""
+
 
 class HashMismatch(AqpError):
     """Artifact was produced from a different upstream file than the one given."""

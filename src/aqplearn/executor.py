@@ -221,7 +221,10 @@ def label_workload(
         if not in_attrs:
             for i in idxs:
                 q = queries[i]
-                value, support = execute_flat(ds, q)
+                try:
+                    value, support = execute_flat(ds, q)
+                except EmptyAggregate:
+                    support = 0
                 if support == 0:
                     out.append(handle_zero(i, q))
                 else:

@@ -10,11 +10,12 @@ statistics travel with the checkpoint so predictions always come back in
 label units. Early stopping watches validation MSE with a patience
 counter and the best parameters seen are restored at the end.
 
-Gate parameters are kept separate (W_x*, W_h*, b_* for the input, forget,
-cell and output gates) and only stacked transiently so each timestep is a
-single matrix product. Forget-gate biases start at 1 so early training
-does not flush the cell state; all other biases start at 0 and weights use
-Xavier uniform initialization.
+The gates are stored fused, in the layout torch.nn.LSTM uses: W_x (D, 4H),
+W_h (H, 4H) and b (4H,) hold one column block per gate in the order input,
+forget, cell, output, so each timestep is a single matrix product. Each
+block is drawn as its own Xavier uniform matrix. Forget-gate biases start
+at 1 so early training does not flush the cell state; all other biases
+start at 0.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .artifacts import atomic_open, parsing
 from .errors import (
     DivergedLoss,
     EmptyList,
@@ -35,7 +37,7 @@ from .errors import (
     VocabularyMismatch,
 )
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 GATES = ("i", "f", "g", "o")
 PREDICT_CHUNK = 1024
 
@@ -82,38 +84,20 @@ class TrainReport:
         return asdict(self)
 
 
-def mse_loss(predictions, labels) -> float:
-    """Mean squared error between two equal-length vectors."""
-    p = np.asarray(predictions, dtype=np.float64).ravel()
-    y = np.asarray(labels, dtype=np.float64).ravel()
-    if p.size != y.size:
-        raise LengthMismatch(f"{p.size} predictions vs {y.size} labels")
-    if p.size == 0:
-        raise EmptyList("cannot compute MSE of zero pairs")
-    return float(np.mean((p - y) ** 2))
-
-
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # Equal to 1 / (1 + exp(-x)), without overflow for large negative x.
+    return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
 class LstmModel:
     """From-scratch LSTM regressor mapping (L, D) binary matrices to scalars."""
 
-    PARAM_KEYS = tuple(
-        [k for g in GATES for k in (f"W_x{g}", f"W_h{g}", f"b_{g}")]
-        + ["W_d", "b_d", "W_y", "b_y"]
-    )
+    PARAM_KEYS = ("W_x", "W_h", "b", "W_d", "b_d", "W_y", "b_y")
 
     def __init__(self, config: ModelConfig, sequence_length: int, row_width: int,
                  vocab_hash: str | None = None):
@@ -125,11 +109,12 @@ class LstmModel:
         self.label_std = 1.0
         self._rng = np.random.default_rng(config.seed)
         H, Dd, D = config.lstm_units, config.dense_units, self.row_width
-        self.params: dict[str, np.ndarray] = {}
-        for g in GATES:
-            self.params[f"W_x{g}"] = _xavier(self._rng, D, H, (D, H))
-            self.params[f"W_h{g}"] = _xavier(self._rng, H, H, (H, H))
-            self.params[f"b_{g}"] = np.ones(H) if g == "f" else np.zeros(H)
+        W_x, W_h, b = np.empty((D, 4 * H)), np.empty((H, 4 * H)), np.zeros(4 * H)
+        for j in range(len(GATES)):
+            W_x[:, j * H : (j + 1) * H] = _xavier(self._rng, D, H, (D, H))
+            W_h[:, j * H : (j + 1) * H] = _xavier(self._rng, H, H, (H, H))
+        b[H : 2 * H] = 1.0  # forget gate
+        self.params: dict[str, np.ndarray] = {"W_x": W_x, "W_h": W_h, "b": b}
         self.params["W_d"] = _xavier(self._rng, H, Dd, (H, Dd))
         self.params["b_d"] = np.zeros(Dd)
         self.params["W_y"] = _xavier(self._rng, Dd, 1, (Dd, 1))
@@ -140,24 +125,17 @@ class LstmModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _stacked(self):
-        Wx = np.concatenate([self.params[f"W_x{g}"] for g in GATES], axis=1)
-        Wh = np.concatenate([self.params[f"W_h{g}"] for g in GATES], axis=1)
-        b = np.concatenate([self.params[f"b_{g}"] for g in GATES])
-        return Wx, Wh, b
-
     def _forward(self, X: np.ndarray, want_cache: bool):
         """Run the network on a (N, L, D) batch; returns normalized outputs."""
         N, L, D = X.shape
         H = self.config.lstm_units
-        Wx, Wh, b = self._stacked()
-        pre_x = X.reshape(N * L, D) @ Wx + b
+        pre_x = X.reshape(N * L, D) @ self.params["W_x"] + self.params["b"]
         pre_x = pre_x.reshape(N, L, 4 * H)
         h = np.zeros((N, H))
         c = np.zeros((N, H))
         steps = []
         for t in range(L):
-            a = pre_x[:, t, :] + h @ Wh
+            a = pre_x[:, t, :] + h @ self.params["W_h"]
             i = _sigmoid(a[:, :H])
             f = _sigmoid(a[:, H : 2 * H])
             g = np.tanh(a[:, 2 * H : 3 * H])
@@ -175,36 +153,31 @@ class LstmModel:
         cache = (X, steps, h, pre_d, dense) if want_cache else None
         return yhat, cache
 
-    def _forward_chunks(self, X: np.ndarray) -> np.ndarray:
-        """Fixed-size chunked forward pass so results do not depend on how
-        the caller batches the input."""
-        outs = [
-            self._forward(X[s : s + PREDICT_CHUNK], want_cache=False)[0]
-            for s in range(0, len(X), PREDICT_CHUNK)
-        ]
+    def _forward_chunks(self, X: np.ndarray, n_workers: int = 1) -> np.ndarray:
+        """Normalized outputs, computed in fixed-size chunks so results do
+        not depend on how the caller batches the input or on n_workers.
+        More than one worker fans the chunks out over a thread pool."""
+        chunks = [X[s : s + PREDICT_CHUNK] for s in range(0, len(X), PREDICT_CHUNK)]
+
+        def run(chunk):
+            return self._forward(chunk, want_cache=False)[0]
+
+        if n_workers > 1:
+            with ThreadPoolExecutor(max_workers=n_workers) as pool:
+                outs = list(pool.map(run, chunks))
+        else:
+            outs = [run(ch) for ch in chunks]
         return np.concatenate(outs) if outs else np.zeros(0)
 
-    def predict(self, X) -> np.ndarray:
-        """Estimate labels for encoded queries, in original label units."""
-        X = self._check_input(X)
-        return self._forward_chunks(X) * self.label_std + self.label_mean
-
-    def predict_batch(self, X, n_workers: int = 1) -> np.ndarray:
-        """predict() with the fixed-size chunks fanned out over a thread
-        pool. Chunk boundaries are independent of n_workers, so results are
-        bit-identical for every worker count."""
+    def predict(self, X, n_workers: int = 1) -> np.ndarray:
+        """Estimate labels for encoded queries, in original label units.
+        Results are bit-identical for every worker count."""
         X = self._check_input(X)
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        chunks = [X[s : s + PREDICT_CHUNK] for s in range(0, len(X), PREDICT_CHUNK)]
-        if not chunks:
-            return np.zeros(0)
-        if n_workers == 1:
-            outs = [self._forward(ch, want_cache=False)[0] for ch in chunks]
-        else:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                outs = list(pool.map(lambda ch: self._forward(ch, want_cache=False)[0], chunks))
-        return np.concatenate(outs) * self.label_std + self.label_mean
+        return self._forward_chunks(X, n_workers) * self.label_std + self.label_mean
+
+    predict_batch = predict
 
     def _check_input(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -235,7 +208,7 @@ class LstmModel:
         grads["W_d"] = hL.T @ dpre_d
         grads["b_d"] = dpre_d.sum(axis=0)
 
-        Wh = np.concatenate([self.params[f"W_h{g}"] for g in GATES], axis=1)
+        Wh = self.params["W_h"]
         dWh = np.zeros_like(Wh)
         db = np.zeros(4 * H)
         da_all = np.zeros((N, len(steps), 4 * H))
@@ -257,13 +230,9 @@ class LstmModel:
             dWh += h_prev.T @ da
             db += da.sum(axis=0)
             dh = da @ Wh.T
-        D = self.row_width
-        dWx = X.reshape(-1, D).T @ da_all.reshape(-1, 4 * H)
-        for j, g in enumerate(GATES):
-            sl = slice(j * H, (j + 1) * H)
-            grads[f"W_x{g}"] = dWx[:, sl]
-            grads[f"W_h{g}"] = dWh[:, sl]
-            grads[f"b_{g}"] = db[sl]
+        grads["W_x"] = X.reshape(-1, self.row_width).T @ da_all.reshape(-1, 4 * H)
+        grads["W_h"] = dWh
+        grads["b"] = db
         return loss, grads
 
     def _adam_step(self, grads: dict) -> None:
@@ -375,24 +344,31 @@ class LstmModel:
                        step: float = 1e-5, seed: int = 0) -> dict:
         """Compare analytic gradients against central differences.
 
-        Returns the worst relative error per parameter tensor, where the
+        Returns the worst relative error per parameter group, where the
         error of one coordinate is |ga - gn| / max(|ga| + |gn|, 1e-12).
-        samples_per_param=None checks every coordinate.
+        Each gate's column block of W_x, W_h and b is its own group
+        ("W_x:i" ... "b:o"), followed by the four head tensors; each group
+        samples samples_per_param coordinates, and None checks every one.
         """
         X = self._check_input(X)
         y = np.asarray(y, dtype=np.float64).ravel()
         z = self._normalize(y)
         _, grads = self._loss_and_grads(X, z)
+        H = self.config.lstm_units
+        groups = []
+        for gi, g in enumerate(GATES):
+            for k in ("W_x", "W_h", "b"):
+                coords = np.arange(self.params[k].size).reshape(self.params[k].shape)
+                groups.append((f"{k}:{g}", k, coords[..., gi * H : (gi + 1) * H].ravel()))
+        groups += [(k, k, np.arange(self.params[k].size)) for k in ("W_d", "b_d", "W_y", "b_y")]
         rng = np.random.default_rng(seed)
         errors = {}
-        for k in self.PARAM_KEYS:
+        for name, k, coords in groups:
             flat = self.params[k].reshape(-1)
-            if samples_per_param is None or samples_per_param >= flat.size:
-                idx = np.arange(flat.size)
-            else:
-                idx = rng.choice(flat.size, size=samples_per_param, replace=False)
+            if samples_per_param is not None and samples_per_param < coords.size:
+                coords = coords[rng.choice(coords.size, size=samples_per_param, replace=False)]
             worst = 0.0
-            for j in idx:
+            for j in coords:
                 orig = flat[j]
                 flat[j] = orig + step
                 up, _ = self._forward(X, want_cache=False)
@@ -405,14 +381,14 @@ class LstmModel:
                 ga = grads[k].reshape(-1)[j]
                 err = abs(ga - gn) / max(abs(ga) + abs(gn), 1e-12)
                 worst = max(worst, err)
-            errors[k] = worst
+            errors[name] = worst
         return errors
 
     # -- persistence -------------------------------------------------------
 
     def save(self, path) -> None:
         """Write a self-contained checkpoint (parameters, optimizer moments,
-        label statistics, config, vocabulary hash)."""
+        shuffle RNG state, label statistics, config, vocabulary hash)."""
         meta = {
             "version": CHECKPOINT_VERSION,
             "config": asdict(self.config),
@@ -422,17 +398,18 @@ class LstmModel:
             "label_std": self.label_std,
             "adam_t": self.adam_t,
             "vocab_hash": self.vocab_hash,
+            "rng_state": self._rng.bit_generator.state,
         }
         arrays = {f"param_{k}": v for k, v in self.params.items()}
         arrays.update({f"m_{k}": v for k, v in self.adam_m.items()})
         arrays.update({f"v_{k}": v for k, v in self.adam_v.items()})
         arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-        with open(path, "wb") as fh:
+        with atomic_open(path, "wb") as fh:
             np.savez(fh, **arrays)
 
     @classmethod
     def load(cls, path, expected_vocab_hash: str | None = None) -> "LstmModel":
-        with np.load(path) as data:
+        with parsing(path, "checkpoint"), np.load(path) as data:
             meta = json.loads(bytes(data["meta"]).decode())
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise VersionMismatch(
@@ -452,6 +429,7 @@ class LstmModel:
             model.label_mean = float(meta["label_mean"])
             model.label_std = float(meta["label_std"])
             model.adam_t = int(meta["adam_t"])
+            model._rng.bit_generator.state = meta["rng_state"]
             for k in cls.PARAM_KEYS:
                 model.params[k] = data[f"param_{k}"].copy()
                 model.adam_m[k] = data[f"m_{k}"].copy()

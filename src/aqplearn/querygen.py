@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import executor
+from .artifacts import atomic_open, parsing
 from .errors import EmptyCombos, InvalidTarget, ShapeMismatch, TooFewQueries, WrongKind
 from .queries import (
     AggregationFunction,
@@ -379,7 +380,7 @@ def write_workload(
         "count": len(records),
     }
     header.update(meta or {})
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for r in records:
             rec = r.to_record()
@@ -391,7 +392,7 @@ def write_workload(
 
 def read_workload(path: str | Path) -> tuple[dict, list]:
     """Read a workload file back into FlatQuery or LabeledQuery objects."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, parsing(path, "workload"):
         header = json.loads(fh.readline())
         if header.get("kind") != "workload" or header.get("version") != WORKLOAD_VERSION:
             raise ShapeMismatch(f"{path} is not a version-{WORKLOAD_VERSION} workload file")

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import parsing
 from .errors import (
     EmptyDataset,
     MalformedRow,
@@ -79,7 +80,7 @@ def make_schema(columns: list[tuple[str, Kind]]) -> list[AttributeSchema]:
 
 def load_schema(path: str | Path) -> list[AttributeSchema]:
     """Read a schema declaration file: a JSON list of {name, kind}."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, parsing(path, "schema"):
         raw = json.load(fh)
     if not isinstance(raw, list):
         raise ParseError(f"schema file {path} must hold a JSON list")

@@ -284,7 +284,9 @@ def test_a4_gradient_check_all_parameter_groups():
         X = rng.integers(0, 2, (batch, L, D)).astype(np.uint8)
         y = rng.normal(0.0, 1.0, batch)
         errs = model.gradient_check(X, y, samples_per_param=samples)
-        assert set(errs) == set(LstmModel.PARAM_KEYS)
+        # One group per gate block of the fused LSTM tensors, plus the head.
+        assert set(errs) == {f"{k}:{g}" for k in ("W_x", "W_h", "b") for g in "ifgo"} | {
+            "W_d", "b_d", "W_y", "b_y"}
         for k, e in errs.items():
             worst[k] = max(worst.get(k, 0.0), e)
     max_err = max(worst.values())

@@ -1,0 +1,110 @@
+"""Atomic artifact writes and named errors for unreadable artifacts."""
+
+import json
+
+import numpy as np
+import pytest
+
+from aqplearn import (
+    AggregationFunction,
+    AggregationTarget,
+    BetweenFilter,
+    FlatQuery,
+    Kind,
+    LstmModel,
+    ModelConfig,
+    build_vocabulary,
+    encode_workload,
+    load_schema,
+    load_vocabulary,
+    read_workload,
+    save_vocabulary,
+    write_workload,
+)
+from aqplearn.artifacts import atomic_open
+from aqplearn.encoder import load_encoded, save_encoded
+from aqplearn.errors import CorruptArtifact
+from aqplearn.querygen import QueryTemplate
+from aqplearn.store import dump_schema, make_schema
+from conftest import build_transactions
+
+
+def queries(n=4):
+    target = AggregationTarget(AggregationFunction.AVG, "sales")
+    return [FlatQuery(target, (BetweenFilter("sales", 60.0, 60.0 + 10 * k),)) for k in range(n)]
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "w.jsonl"
+        write_workload(path, queries())
+        before = path.read_bytes()
+        with pytest.raises(AttributeError):
+            write_workload(path, queries() + ["not a query"])  # raises mid-write
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["w.jsonl"]
+
+    def test_failed_checkpoint_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        model = LstmModel(ModelConfig(lstm_units=4, dense_units=4), 3, 5)
+        path = tmp_path / "model.npz"
+        model.save(path)
+        before = path.read_bytes()
+
+        def half_write(fh, **arrays):
+            fh.write(b"PK\x03\x04 partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", half_write)
+        with pytest.raises(OSError):
+            model.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+
+    def test_concurrent_writers_do_not_share_a_temp_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with atomic_open(path) as first, atomic_open(path) as second:
+            first.write("first")
+            second.write("second")
+        assert path.read_text() == "first"  # the outer writer finishes last
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def truncated(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    return path
+
+
+class TestTruncatedArtifacts:
+    def test_schema(self, tmp_path):
+        path = tmp_path / "schema.json"
+        dump_schema(make_schema([("a", Kind.CONTINUOUS), ("b", Kind.NOMINAL)]), path)
+        with pytest.raises(CorruptArtifact):
+            load_schema(truncated(path))
+
+    def test_workload(self, tmp_path):
+        path = tmp_path / "w.jsonl"
+        write_workload(path, queries())
+        with pytest.raises(CorruptArtifact):
+            read_workload(truncated(path))
+
+    def test_vocabulary_and_encoded_workload(self, tmp_path):
+        ds = build_transactions()
+        template = QueryTemplate.build(
+            ds, targets=[AggregationTarget(AggregationFunction.AVG, "sales")],
+            cont_filter_attrs=["sales"], nom_filter_attrs=[], n_cont_samples=4, seed=1,
+        )
+        vocab = build_vocabulary(queries(), template)
+        X = encode_workload(queries(), vocab)
+        save_vocabulary(vocab, tmp_path / "vocab.json")
+        save_encoded(tmp_path / "e.npz", X, np.zeros(len(X)), np.ones(len(X), dtype=np.int64))
+        with pytest.raises(CorruptArtifact):
+            load_vocabulary(truncated(tmp_path / "vocab.json"))
+        with pytest.raises(CorruptArtifact):
+            load_encoded(truncated(tmp_path / "e.npz"))
+
+    def test_edited_vocabulary_missing_a_field(self, tmp_path):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps({"kind": "vocabulary", "version": 1}))
+        with pytest.raises(CorruptArtifact):
+            load_vocabulary(path)

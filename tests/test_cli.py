@@ -149,6 +149,23 @@ class TestFailureModes:
         err = json.loads(capsys.readouterr().err)
         assert "nope" in err["message"]
 
+    def test_truncated_schema_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys):
+        text = (pipeline / "schema.json").read_text()
+        (tmp_path / "schema.json").write_text(text[: len(text) // 2])
+        code = run("profile", "--data", pipeline / "data.csv", "--schema", tmp_path / "schema.json")
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "CorruptArtifact"
+
+    def test_truncated_checkpoint_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys):
+        data = (pipeline / "model.npz").read_bytes()
+        (tmp_path / "model.npz").write_bytes(data[: len(data) // 2])
+        code = run("bench", "--checkpoint", tmp_path / "model.npz", "--encoded",
+                   pipeline / "encoded.npz", "--vocab", pipeline / "vocab.json")
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "CorruptArtifact"
+
     def test_stale_dataset_aborts_labeling(self, pipeline, tmp_path, capsys):
         for name in ("data.csv", "schema.json", "workload.jsonl"):
             shutil.copy(pipeline / name, tmp_path / name)

@@ -10,13 +10,16 @@ from aqplearn import (
     AggregationFunction,
     AggregationTarget,
     BetweenFilter,
+    Dataset,
     FlatQuery,
     GroupByQuery,
     InFilter,
+    Kind,
     execute_flat,
     execute_groupby,
     extract_member_combinations,
     label_workload,
+    make_schema,
 )
 from aqplearn.errors import EmptyAggregate, WrongKind
 from conftest import TRANSACTION_ROWS, build_transactions
@@ -251,6 +254,26 @@ class TestLabelWorkload:
         assert [(lq.query.target.func, lq.label, lq.support) for lq in labeled] == [
             (COUNT, 0.0, 0),
             (SUM, 0.0, 0),
+        ]
+
+    def test_empty_window_without_in_filter_is_excluded(self):
+        # Window-only queries take the one-scan-per-query path; an empty
+        # window must be excluded there too, not abort the batch.
+        ds = Dataset.from_columns(
+            make_schema([("x", Kind.CONTINUOUS), ("v", Kind.CONTINUOUS)]),
+            {"x": [1.0, 2.0, 3.0], "v": [10.0, 20.0, 30.0]},
+        )
+        empty = (BetweenFilter("x", 1.5, 1.5),)
+        queries = [FlatQuery(AggregationTarget(f, "v"), empty)
+                   for f in (COUNT, SUM, AVG, MEDIAN, MIN, MAX)]
+        queries.append(FlatQuery(AggregationTarget(AVG, "v"), (BetweenFilter("x", 1.5, 3.0),)))
+        labeled, report = label_workload(ds, queries)
+        assert report.total == 7
+        assert report.zero_filled == 2 and report.excluded_empty == 4
+        assert [(lq.query.target.func, lq.label, lq.support) for lq in labeled] == [
+            (COUNT, 0.0, 0),
+            (SUM, 0.0, 0),
+            (AVG, 25.0, 2),
         ]
 
     def test_output_preserves_input_order(self, transactions):

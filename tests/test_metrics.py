@@ -1,8 +1,6 @@
 """Accuracy, latency, throughput, entropy and tensor-shape measurements."""
 
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +15,6 @@ from aqplearn import (
     mean_entropy,
     measure_ql,
     measure_qt,
-    mse_loss,
     nrmse,
     rmse,
 )
@@ -35,7 +32,7 @@ class TestRmse:
     def test_equals_sqrt_of_mse(self):
         rng = np.random.default_rng(0)
         p, y = rng.normal(size=50), rng.normal(size=50)
-        assert rmse(p, y) == math.sqrt(mse_loss(p, y))
+        assert rmse(p, y) == math.sqrt(np.mean((p - y) ** 2))
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -104,19 +101,21 @@ class TestThroughput:
         assert report.queries == 500
 
     def test_workers_divide_wall_time_with_a_sleeping_stub(self):
+        # The stub advances a fake clock by 1/1024 s per query, divided
+        # among its workers; the times are exact in binary floating point,
+        # so 8 workers must give exactly 8 * 1024 queries/s.
+        now = [0.0]
+        seen_workers = []
+
         def sleepy_batch(batch, n_workers):
-            chunks = [batch[s : s + 10] for s in range(0, len(batch), 10)]
-
-            def work(ch):
-                time.sleep(0.001 * len(ch))
-                return ch
-
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                list(pool.map(work, chunks))
+            seen_workers.append(n_workers)
+            now[0] += len(batch) / n_workers / 1024
 
         X = np.zeros((80, 1, 1))
-        report = measure_qt(sleepy_batch, X, n_workers=8)
-        assert report.qps == pytest.approx(8000.0, rel=0.25)
+        report = measure_qt(sleepy_batch, X, n_workers=8, clock=lambda: now[0])
+        assert seen_workers == [8, 8]  # warmup call, then the timed call
+        assert report.queries == 80 and report.n_workers == 8
+        assert report.qps == 8 * 1024
 
 
 class TestEntropy:

@@ -5,14 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from aqplearn import LstmModel, ModelConfig, mse_loss
+from aqplearn import LstmModel, ModelConfig
 from aqplearn.errors import (
+    CorruptArtifact,
     DivergedLoss,
     EmptyList,
     LengthMismatch,
     VersionMismatch,
     VocabularyMismatch,
 )
+from aqplearn.nnet import _sigmoid
 
 L, D = 5, 7
 
@@ -30,33 +32,42 @@ def random_batch(n, seed=0, l=L, d=D):
     return X, y
 
 
-class TestLoss:
-    def test_hand_values(self):
-        assert mse_loss([0.0, 0.0], [2.0, 4.0]) == 10.0
-        assert mse_loss([3.0], [1.0]) == 4.0
-        assert mse_loss([1.0, 2.0], [1.0, 2.0]) == 0.0
+def two_branch_sigmoid(x):
+    """The overflow-safe logistic function written out branch by branch."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            mse_loss([1.0], [1.0, 2.0])
 
-    def test_empty(self):
-        with pytest.raises(EmptyList):
-            mse_loss([], [])
+class TestSigmoid:
+    def test_matches_the_two_branch_form(self):
+        x = np.linspace(-50.0, 50.0, 200_001)
+        assert np.max(np.abs(_sigmoid(x) - two_branch_sigmoid(x))) <= 1e-15
+
+    def test_saturates_without_overflow(self):
+        with np.errstate(all="raise"):
+            np.testing.assert_array_equal(_sigmoid(np.array([-1e4, 0.0, 1e4])), [0.0, 0.5, 1.0])
 
 
 class TestInitialization:
     def test_xavier_variance(self):
+        # Each gate block is Xavier over (D, H), not over the fused (D, 4H).
         m = LstmModel(ModelConfig(lstm_units=60, dense_units=8, seed=0), L, 40)
-        W = m.params["W_xi"]
+        W = m.params["W_x"]
+        assert W.shape == (40, 4 * 60)
         expected = 2.0 / (40 + 60)  # variance of U(-limit, limit)
         assert abs(np.var(W) - expected) / expected < 0.20
         assert np.max(np.abs(W)) <= np.sqrt(6.0 / (40 + 60))
 
     def test_forget_bias_is_one_others_zero(self):
         m = small_model()
-        np.testing.assert_array_equal(m.params["b_f"], np.ones(6))
-        for key in ("b_i", "b_g", "b_o", "b_d", "b_y"):
+        b = m.params["b"].reshape(4, 6)  # gate blocks i, f, g, o
+        np.testing.assert_array_equal(b[1], np.ones(6))
+        assert not b[[0, 2, 3]].any()
+        for key in ("b_d", "b_y"):
             assert not m.params[key].any()
 
     def test_same_seed_same_weights(self):
@@ -120,7 +131,7 @@ class TestGradients:
         # undefined; nudging b_g keeps the state generic while the input
         # still contributes nothing.
         m = small_model()
-        m.params["b_g"][:] = 0.1
+        m.params["b"][12:18] = 0.1  # the cell-input gate block of H=6
         X = np.zeros((4, L, D))
         y = np.array([1.0, -1.0, 0.5, 2.0])
         errors = m.gradient_check(X, y, samples_per_param=None)
@@ -251,6 +262,25 @@ class TestConfigValidation:
             ModelConfig(learning_rate=0.0)
 
 
+def rewrite_meta(path, **fields):
+    """Change fields of a saved checkpoint's JSON metadata in place."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    meta.update(fields)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def assert_same_state(a: LstmModel, b: LstmModel):
+    for k in LstmModel.PARAM_KEYS:
+        np.testing.assert_array_equal(a.params[k], b.params[k])
+        np.testing.assert_array_equal(a.adam_m[k], b.adam_m[k])
+        np.testing.assert_array_equal(a.adam_v[k], b.adam_v[k])
+    assert a.adam_t == b.adam_t
+
+
 class TestPersistence:
     def test_checkpoint_round_trip_is_bit_exact(self, tmp_path):
         X, y = counting_task(80, seed=18)
@@ -262,8 +292,9 @@ class TestPersistence:
         back = LstmModel.load(path, expected_vocab_hash="abc123")
         probe, _ = random_batch(50, seed=20)
         np.testing.assert_array_equal(m.predict(probe), back.predict(probe))
-        assert back.adam_t == m.adam_t
+        assert_same_state(m, back)
         assert back.config == m.config
+        assert back._rng.bit_generator.state == m._rng.bit_generator.state
 
     def test_vocabulary_mismatch(self, tmp_path):
         m = small_model()
@@ -277,15 +308,29 @@ class TestPersistence:
         m = small_model()
         path = tmp_path / "model.npz"
         m.save(path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        meta = json.loads(bytes(arrays["meta"]).decode())
-        meta["version"] = 99
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
+        rewrite_meta(path, version=99)
         with pytest.raises(VersionMismatch):
             LstmModel.load(path)
+
+    def test_v1_checkpoint_rejected(self, tmp_path):
+        # Version 1 stored twelve per-gate tensors; the version check comes
+        # before any tensor is read.
+        m = small_model()
+        path = tmp_path / "model.npz"
+        m.save(path)
+        rewrite_meta(path, version=1)
+        with pytest.raises(VersionMismatch, match="version 1 "):
+            LstmModel.load(path)
+
+    def test_truncated_checkpoint_rejected(self, tmp_path):
+        m = small_model()
+        path = tmp_path / "model.npz"
+        m.save(path)
+        data = path.read_bytes()
+        for cut in (0, 10, len(data) // 2, len(data) - 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(CorruptArtifact):
+                LstmModel.load(path)
 
     def test_resume_after_reload_continues_training(self, tmp_path):
         X, y = counting_task(100, seed=21)
@@ -297,3 +342,17 @@ class TestPersistence:
         report = back.fit(X, y)
         assert back.adam_t > m.adam_t
         assert report.train_history[-1] <= m.fit(X, y).train_history[0]
+
+    def test_fit_save_load_fit_equals_one_longer_fit(self, tmp_path):
+        # The checkpoint carries the shuffle RNG state, so a resumed run
+        # draws the same batches as an uninterrupted one.
+        X, y = counting_task(100, seed=23)
+        straight = small_model(max_epochs=2, seed=24)
+        straight.fit(X, y)
+        first = small_model(max_epochs=1, seed=24)
+        first.fit(X, y)
+        path = tmp_path / "model.npz"
+        first.save(path)
+        resumed = LstmModel.load(path)
+        resumed.fit(X, y)
+        assert_same_state(straight, resumed)
