@@ -28,11 +28,11 @@ print(f"rows: {ds.row_count}")
 print(f"attributes: {[a.name for a in ds.schema]}")
 
 # Round-trip it through CSV to show the on-disk form.
-workdir = Path(tempfile.mkdtemp(prefix="aqp_demo_"))
-csv_path = workdir / "transactions.csv"
-dump_csv(ds, csv_path)
-ds = load_csv(csv_path, ds.schema)
-print(f"reloaded from {csv_path}")
+with tempfile.TemporaryDirectory(prefix="aqp_demo_") as workdir:
+    csv_path = Path(workdir) / "transactions.csv"
+    dump_csv(ds, csv_path)
+    ds = load_csv(csv_path, ds.schema)
+    print(f"reloaded from {csv_path}")
 
 # Quartiles drive the BETWEEN-filter sampler: query bounds are drawn from
 # the (min, q1), (q1, median), (median, q3), (q3, max) intervals.

@@ -78,8 +78,9 @@ assert np.array_equal(model.predict_batch(X, n_workers=1),
 print("predict_batch outputs identical across worker counts")
 
 # Checkpoints capture parameters, optimizer state, and label scaling.
-ckpt = Path(tempfile.mkdtemp(prefix="aqp_demo_")) / "model.npz"
-model.save(ckpt)
-restored = LstmModel.load(ckpt, expected_vocab_hash=vocab.content_hash())
+with tempfile.TemporaryDirectory(prefix="aqp_demo_") as workdir:
+    ckpt = Path(workdir) / "model.npz"
+    model.save(ckpt)
+    restored = LstmModel.load(ckpt, expected_vocab_hash=vocab.content_hash())
 assert np.array_equal(model.predict_batch(X), restored.predict_batch(X))
 print(f"checkpoint round trip through {ckpt} is bit-exact")

@@ -12,14 +12,17 @@ from .errors import CorruptArtifact
 
 
 @contextmanager
-def atomic_open(path, mode: str = "w"):
+def atomic_open(path, mode: str = "w", newline: str | None = None):
     """Open a temporary file next to `path` and rename it onto `path` when
     the block succeeds; on failure remove it and leave `path` untouched.
-    The temporary name is unique, so concurrent writers never collide."""
+    The temporary name is unique, so concurrent writers never collide.
+    `newline` is passed to open() for text modes."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    text = "b" not in mode
     try:
-        with open(tmp, mode.replace("w", "x"), encoding=None if "b" in mode else "utf-8") as fh:
+        with open(tmp, mode.replace("w", "x"), encoding="utf-8" if text else None,
+                  newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -24,8 +24,8 @@ import sys
 import numpy as np
 
 from . import encoder, executor, metrics, nnet, querygen, store
-from .artifacts import atomic_open
-from .errors import AqpError, HashMismatch, InvalidTarget, ShapeMismatch
+from .artifacts import atomic_open, parsing
+from .errors import AqpError, HashMismatch, InvalidConfig, InvalidTarget, ShapeMismatch
 
 
 def _sha256_file(path) -> str:
@@ -180,8 +180,17 @@ def _select_target_rows(X, vocab, target: str | None) -> np.ndarray:
 def _model_config(args) -> nnet.ModelConfig:
     fields = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            fields.update(json.load(fh))
+        with open(args.config, encoding="utf-8") as fh, parsing(args.config, "model config"):
+            raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ValueError("expected a JSON object of model settings")
+            fields.update(raw)
+        known = {f.name for f in dataclasses.fields(nnet.ModelConfig)}
+        unknown = sorted(set(fields) - known)
+        if unknown:
+            raise InvalidConfig(
+                f"{args.config}: unknown model settings {unknown}; known: {sorted(known)}"
+            )
     for name, value in (
         ("lstm_units", args.lstm_units),
         ("dense_units", args.dense_units),
@@ -193,7 +202,10 @@ def _model_config(args) -> nnet.ModelConfig:
     ):
         if value is not None:
             fields[name] = value
-    return nnet.ModelConfig(**fields)
+    try:
+        return nnet.ModelConfig(**fields)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"bad model settings: {exc}") from None
 
 
 def _load_vocab_and_check(vocab_path, encoded_meta) -> encoder.TokenVocabulary:

@@ -18,7 +18,14 @@ to the same shape and decoding is unambiguous.
 
 Continuous literals are stored as k = round(value * scale) using the
 attribute's quantization scale; decoding returns k / scale. Literals must
-fit in B bits and be non-negative, otherwise NumericOverflow.
+fit in B bits and be non-negative, otherwise NumericOverflow; B is at most
+63, so every payload fits an int64.
+
+encode_workload is the one encoder: a Python pass over the query fields
+fills an (n, L) payload array, and array operations scale and range-check
+the literals and expand the payloads to bits. encode() is its one-query
+case, and decode() and row_token_ids() read payloads back with the same
+bit weights.
 """
 
 from __future__ import annotations
@@ -177,70 +184,80 @@ def build_vocabulary(queries: list, template) -> TokenVocabulary:
     )
 
 
-def _payload_bits(value: int, bit_width: int) -> np.ndarray:
-    bits = np.zeros(bit_width, dtype=np.uint8)
-    for pos in range(bit_width):
-        bits[bit_width - 1 - pos] = (value >> pos) & 1
-    return bits
+def _payload_weights(bit_width: int) -> np.ndarray:
+    """Place value of each payload bit, most significant first."""
+    return 1 << np.arange(bit_width - 1, -1, -1, dtype=np.int64)
 
 
-def _token_row(token_id: int, bit_width: int) -> np.ndarray:
-    return np.concatenate(([0], _payload_bits(token_id, bit_width))).astype(np.uint8)
-
-
-def _literal_row(k: int, bit_width: int, context: str) -> np.ndarray:
-    if k < 0 or k >= (1 << bit_width):
-        raise NumericOverflow(
-            f"literal {k} for {context} does not fit in {bit_width} unsigned bits"
-        )
-    return np.concatenate(([1], _payload_bits(k, bit_width))).astype(np.uint8)
+# Queries per np.unpackbits call; bounds the transient bit arrays.
+_UNPACK_CHUNK = 8192
 
 
 def encode(query: FlatQuery, vocab: TokenVocabulary) -> np.ndarray:
     """Encode one flat query as an (L, 1+B) uint8 matrix."""
-    B = vocab.bit_width
-    rows = [_token_row(vocab.token_id(query.target.token()), B)]
-    between = {f.attr: f for f in query.between_filters}
-    in_by_attr = {f.attr: f for f in query.in_filters}
-    for attr in set(between) - set(vocab.cont_attrs):
-        raise UnknownToken(f"BETWEEN filter on {attr!r} not covered by the vocabulary")
-    for attr in set(in_by_attr) - set(vocab.nom_attrs):
-        raise UnknownToken(f"IN filter on {attr!r} not covered by the vocabulary")
-    for attr in vocab.cont_attrs:
-        f = between.get(attr)
-        if f is None:
-            rows.extend(np.zeros(vocab.row_width, dtype=np.uint8) for _ in range(3))
-            continue
-        s = vocab.scale(attr)
-        rows.append(_token_row(vocab.token_id(attr), B))
-        rows.append(_literal_row(int(np.rint(f.lower * s)), B, f"{attr} lower bound"))
-        rows.append(_literal_row(int(np.rint(f.upper * s)), B, f"{attr} upper bound"))
-    for attr in vocab.nom_attrs:
-        f = in_by_attr.get(attr)
-        if f is None:
-            rows.extend(np.zeros(vocab.row_width, dtype=np.uint8) for _ in range(2))
-            continue
-        rows.append(_token_row(vocab.token_id(attr), B))
-        rows.append(_token_row(vocab.token_id(member_token(attr, f.member)), B))
-    return np.stack(rows)
+    return encode_workload([query], vocab)[0]
 
 
 def encode_workload(queries: list, vocab: TokenVocabulary) -> np.ndarray:
-    """Encode a list of (optionally labeled) queries into an (n, L, 1+B) tensor."""
-    mats = []
+    """Encode a list of (optionally labeled) queries into an (n, L, 1+B) tensor.
+
+    One pass over the query fields fills an (n, L) array of payloads: token
+    IDs, and filter bounds that are then scaled and rounded to literals in
+    one step. A BETWEEN block is present where its attribute token is
+    non-zero, which gives the literal-flag plane. One range check covers
+    every literal, and np.unpackbits of the big-endian payloads gives the
+    bits. Raises UnknownToken and NumericOverflow like a per-query encoder
+    would; B may be at most 63.
+    """
+    L, B = vocab.sequence_length, vocab.bit_width
+    if B > 63:
+        raise NumericOverflow(f"payload width {B} exceeds 63 bits")
+    n_cont = len(vocab.cont_attrs)
+    cont_slots = {a: (1 + 3 * k, vocab.token_id(a)) for k, a in enumerate(vocab.cont_attrs)}
+    nom_slots = {a: (1 + 3 * n_cont + 2 * k, vocab.token_id(a)) for k, a in enumerate(vocab.nom_attrs)}
+
+    rows = []
     for q in queries:
         fq = q.query if isinstance(q, LabeledQuery) else q
-        mats.append(encode(fq, vocab))
-    if not mats:
-        return np.zeros((0, vocab.sequence_length, vocab.row_width), dtype=np.uint8)
-    return np.stack(mats)
+        row = [0] * L
+        row[0] = vocab.token_id(fq.target.token())
+        for f in fq.between_filters:
+            if f.attr not in cont_slots:
+                raise UnknownToken(f"BETWEEN filter on {f.attr!r} not covered by the vocabulary")
+            j, attr_id = cont_slots[f.attr]
+            row[j : j + 3] = attr_id, f.lower, f.upper
+        for f in fq.in_filters:
+            if f.attr not in nom_slots:
+                raise UnknownToken(f"IN filter on {f.attr!r} not covered by the vocabulary")
+            j, attr_id = nom_slots[f.attr]
+            row[j : j + 2] = attr_id, vocab.token_id(member_token(f.attr, f.member))
+        rows.append(row)
+    payload = np.array(rows, dtype=np.float64).reshape(len(rows), L)
 
+    # Columns of the lower and upper bound of each BETWEEN block, in order.
+    attr_cols = [j for j, _ in cont_slots.values() for _ in (1, 2)]
+    lit_cols = [j + k for j, _ in cont_slots.values() for k in (1, 2)]
+    scales = [vocab.scale(a) for a in vocab.cont_attrs for _ in (1, 2)]
+    lits = np.rint(payload[:, lit_cols] * scales)
+    bad = ~((lits >= 0) & (lits < (1 << B)))
+    if bad.any():
+        i, c = np.argwhere(bad)[0]
+        raise NumericOverflow(
+            f"literal {lits[i, c]:.0f} for {vocab.cont_attrs[c // 2]} "
+            f"{('lower', 'upper')[c % 2]} bound does not fit in {B} unsigned bits"
+        )
+    payload[:, lit_cols] = lits
+    is_literal = np.zeros(payload.shape, dtype=bool)
+    is_literal[:, lit_cols] = payload[:, attr_cols] != 0
 
-def _payload_value(row: np.ndarray) -> int:
-    value = 0
-    for bit in row[1:]:
-        value = (value << 1) | int(bit)
-    return value
+    out = np.empty((len(rows), L, 1 + B), dtype=np.uint8)
+    out[:, :, 0] = is_literal
+    size = next(s for s in (1, 2, 4, 8) if 8 * s >= B)
+    for start in range(0, len(rows), _UNPACK_CHUNK):
+        chunk = payload[start : start + _UNPACK_CHUNK].astype(f">u{size}")
+        bits = np.unpackbits(chunk[..., None].view(np.uint8), axis=-1)
+        out[start : start + _UNPACK_CHUNK, :, 1:] = bits[..., 8 * size - B :]
+    return out
 
 
 def decode(matrix: np.ndarray, vocab: TokenVocabulary) -> FlatQuery:
@@ -253,6 +270,7 @@ def decode(matrix: np.ndarray, vocab: TokenVocabulary) -> FlatQuery:
     if not np.isin(mat, (0, 1)).all():
         raise MalformedMatrix("matrix contains values other than 0 and 1")
     mat = mat.astype(np.uint8)
+    payloads = mat[:, 1:].astype(np.int64) @ _payload_weights(vocab.bit_width)
 
     def is_padding(row):
         return not row.any()
@@ -261,7 +279,7 @@ def decode(matrix: np.ndarray, vocab: TokenVocabulary) -> FlatQuery:
         row = mat[r]
         if row[0] != 0:
             raise MalformedMatrix(f"row {r}: expected a token row for {what}, got a literal")
-        token_id = _payload_value(row)
+        token_id = int(payloads[r])
         if token_id == PADDING_ID:
             raise MalformedMatrix(f"row {r}: unexpected padding where {what} should be")
         return vocab.token_of(token_id)
@@ -270,7 +288,7 @@ def decode(matrix: np.ndarray, vocab: TokenVocabulary) -> FlatQuery:
         row = mat[r]
         if row[0] != 1:
             raise MalformedMatrix(f"row {r}: expected a numeric literal for {what}")
-        return _payload_value(row)
+        return int(payloads[r])
 
     target_token = token_at(0, "the aggregation target")
     if target_token not in vocab.targets:
@@ -319,8 +337,7 @@ def row_token_ids(X: np.ndarray, row: int = 0) -> np.ndarray:
     """Token IDs stored at one sequence row across a whole encoded tensor."""
     X = np.asarray(X)
     payload = X[:, row, 1:].astype(np.int64)
-    weights = 1 << np.arange(payload.shape[1] - 1, -1, -1, dtype=np.int64)
-    return payload @ weights
+    return payload @ _payload_weights(payload.shape[1])
 
 
 # -- encoded tensor files -----------------------------------------------------

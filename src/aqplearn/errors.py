@@ -89,6 +89,10 @@ class CorruptArtifact(AqpError):
     """An input file is truncated or otherwise cannot be parsed."""
 
 
+class InvalidConfig(AqpError):
+    """A model setting is unknown or out of range."""
+
+
 class HashMismatch(AqpError):
     """Artifact was produced from a different upstream file than the one given."""
 

@@ -1,9 +1,17 @@
 """Exact aggregation engine over the columnar store.
 
-Evaluates flat and group-by queries by full scan (boolean masks, no
-indexes) and supplies the training labels. It doubles as the correctness
-oracle for the learned model, so exactness and determinism matter more
-than speed here.
+Flat queries are evaluated by a full scan with boolean masks. Group-by
+queries go through a group index, built once per (Dataset, tuple of
+nominal attributes) and shared by every query that groups by that tuple:
+the stable argsort of the composite group code over all rows, the start
+of each group in that order, each group's member tuple, and permuted
+copies of the columns queries ask for, made on first use. A query then
+costs one BETWEEN mask over the permuted columns, one binary search of
+the matched positions for the group supports, one gather per target
+column and the aggregation kernel on contiguous slices. The executor
+supplies the training labels and doubles as the correctness oracle for
+the learned model, so exactness and determinism matter more than speed
+here.
 
 Filter semantics: BETWEEN is inclusive on both bounds; IN binds a nominal
 attribute to exactly one member. Median of an even-sized multiset is the
@@ -11,12 +19,14 @@ mean of the two middle order statistics.
 
 Every aggregate, whether reached through execute_flat or through a
 group-by cell, goes through the same kernel on the same row-ordered value
-sequence, so flattened group-by cells reproduce execute_flat results
-bit-for-bit.
+sequence: a stable sort keeps dataset row order inside each group, and a
+masked subset of it keeps that order, so flattened group-by cells
+reproduce execute_flat results bit-for-bit.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -97,7 +107,7 @@ def _target_column(ds: Dataset, target: AggregationTarget) -> np.ndarray:
 def _filter_mask(
     ds: Dataset,
     between: tuple[BetweenFilter, ...],
-    in_filters: tuple[InFilter, ...] = (),
+    in_filters: tuple[InFilter, ...],
 ) -> np.ndarray:
     mask = np.ones(ds.row_count, dtype=bool)
     for f in between:
@@ -126,12 +136,49 @@ def execute_flat(ds: Dataset, q: FlatQuery) -> tuple[float, int]:
     return value, int(len(values))
 
 
-def _group_codes(ds: Dataset, attrs: tuple[str, ...], rows: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Composite group code per row, plus the dictionary shape for decoding."""
-    id_arrays = [ds.nominal_id_values(a)[rows] for a in attrs]
-    dims = tuple(max(len(ds.members(a)), 1) for a in attrs)
-    codes = np.ravel_multi_index(id_arrays, dims)
-    return codes, dims
+class _GroupIndex:
+    """The rows of one Dataset grouped by one tuple of nominal attributes.
+
+    `order` is the stable argsort of the composite group code over all
+    rows, so each group's rows are contiguous in it and keep dataset row
+    order; group g starts at order[starts[g]]. Groups are numbered in code
+    order; `lex` lists them by member tuple. Columns are permuted into
+    `order` on first use and kept.
+    """
+
+    def __init__(self, ds: Dataset, attrs: tuple[str, ...]):
+        dims = tuple(max(len(ds.members(a)), 1) for a in attrs)
+        codes = np.ravel_multi_index([ds.nominal_id_values(a) for a in attrs], dims)
+        self.order = np.argsort(codes, kind="stable")
+        sorted_codes = codes[self.order]
+        first = np.ones(len(sorted_codes), dtype=bool)
+        first[1:] = sorted_codes[1:] != sorted_codes[:-1]
+        self.starts = np.flatnonzero(first)
+        member_lists = [ds.members(a) for a in attrs]
+        ids = np.unravel_index(sorted_codes[self.starts], dims)
+        self.members = [
+            tuple(member_lists[k][i] for k, i in enumerate(combo))
+            for combo in zip(*(axis.tolist() for axis in ids))
+        ]
+        self.lex = sorted(range(len(self.members)), key=self.members.__getitem__)
+        self._columns: dict[str, np.ndarray] = {}
+        self._lock = threading.Lock()
+
+    def column(self, name: str, values: np.ndarray) -> np.ndarray:
+        """`values` (the dataset column `name`) in group order."""
+        with self._lock:
+            if name not in self._columns:
+                self._columns[name] = values[self.order]
+            return self._columns[name]
+
+
+def _group_index(ds: Dataset, attrs: tuple[str, ...]) -> _GroupIndex:
+    """The Dataset's group index for `attrs`, built on first use; the
+    Dataset never changes, so the index stays valid for its lifetime."""
+    for a in attrs:
+        if ds.kind_of(a) is not Kind.NOMINAL:
+            raise WrongKind(f"GROUP BY attribute {a!r} must be nominal")
+    return ds.derived(("group_index", attrs), lambda: _GroupIndex(ds, attrs))
 
 
 def execute_groupby(ds: Dataset, gq: GroupByQuery) -> GroupByResult:
@@ -140,29 +187,23 @@ def execute_groupby(ds: Dataset, gq: GroupByQuery) -> GroupByResult:
     Only member tuples observed among the matched rows appear (support is
     always >= 1), one row per tuple, sorted lexicographically.
     """
-    for a in gq.groupby_attrs:
-        if ds.kind_of(a) is not Kind.NOMINAL:
-            raise WrongKind(f"GROUP BY attribute {a!r} must be nominal")
-    columns = [_target_column(ds, t) for t in gq.targets]
-    mask = _filter_mask(ds, gq.between_filters)
-    matched = np.flatnonzero(mask)
+    index = _group_index(ds, gq.groupby_attrs)
+    columns = {t.attr: _target_column(ds, t) for t in gq.targets}
+    mask = np.ones(ds.row_count, dtype=bool)
+    for f in gq.between_filters:
+        v = index.column(f.attr, ds.continuous_values(f.attr))
+        mask &= (v >= f.lower) & (v <= f.upper)
+    positions = np.flatnonzero(mask)
+    # Group g's matched rows are positions[bounds[g]:bounds[g + 1]].
+    bounds = np.searchsorted(positions, np.append(index.starts, ds.row_count)).tolist()
+    matched = {attr: index.column(attr, col)[positions] for attr, col in columns.items()}
 
     rows: list[GroupByRow] = []
-    if len(matched):
-        codes, dims = _group_codes(ds, gq.groupby_attrs, matched)
-        order = np.argsort(codes, kind="stable")  # keeps row order within groups
-        sorted_codes = codes[order]
-        sorted_rows = matched[order]
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_codes)) + 1))
-        ends = np.concatenate((starts[1:], [len(sorted_codes)]))
-        member_lists = [ds.members(a) for a in gq.groupby_attrs]
-        for s, e in zip(starts, ends):
-            group_rows = sorted_rows[s:e]
-            ids = np.unravel_index(int(sorted_codes[s]), dims)
-            members = tuple(member_lists[k][int(i)] for k, i in enumerate(ids))
-            values = tuple(_aggregate(t.func, col[group_rows]) for t, col in zip(gq.targets, columns))
-            rows.append(GroupByRow(members, values, int(e - s)))
-    rows.sort(key=lambda r: r.members)
+    for g in index.lex:
+        s, e = bounds[g], bounds[g + 1]
+        if e > s:
+            values = tuple(_aggregate(t.func, matched[t.attr][s:e]) for t in gq.targets)
+            rows.append(GroupByRow(index.members[g], values, e - s))
     return GroupByResult(tuple(gq.groupby_attrs), tuple(gq.targets), tuple(rows))
 
 
@@ -170,20 +211,8 @@ def extract_member_combinations(ds: Dataset, nominal_attrs: list[str]) -> list[t
     """Distinct member tuples observed in the data, lexicographically sorted."""
     if not nominal_attrs:
         raise WrongKind("at least one nominal attribute required")
-    for a in nominal_attrs:
-        if ds.kind_of(a) is not Kind.NOMINAL:
-            raise WrongKind(f"attribute {a!r} must be nominal")
-    if ds.row_count == 0:
-        return []
-    all_rows = np.arange(ds.row_count)
-    codes, dims = _group_codes(ds, tuple(nominal_attrs), all_rows)
-    member_lists = [ds.members(a) for a in nominal_attrs]
-    combos = []
-    for code in np.unique(codes):
-        ids = np.unravel_index(int(code), dims)
-        combos.append(tuple(member_lists[k][int(i)] for k, i in enumerate(ids)))
-    combos.sort()
-    return combos
+    index = _group_index(ds, tuple(nominal_attrs))
+    return [index.members[g] for g in index.lex]
 
 
 def label_workload(
@@ -194,12 +223,14 @@ def label_workload(
     """Label a batch of flat queries against the dataset.
 
     Queries sharing the same BETWEEN filters and nominal attributes are
-    evaluated through one group-by scan each, which is what makes labeling
-    hundreds of thousands of generated queries tractable; the per-group
-    aggregation kernel is the one execute_flat uses, so the shortcut is
-    exact. Zero-support queries get label 0 for counting aggregates
-    (Count/CountDistinct/Sum) and are excluded otherwise. Output order
-    matches input order minus exclusions.
+    evaluated through one execute_groupby call each, over the group index
+    of their nominal attributes, which is what makes labeling hundreds of
+    thousands of generated queries tractable; the per-group aggregation
+    kernel is the one execute_flat uses, so the shortcut is exact. Queries
+    without IN filters take one execute_flat scan each. Zero-support
+    queries get label 0 for counting aggregates (Count/CountDistinct/Sum)
+    and are excluded otherwise. Output order matches input order minus
+    exclusions.
     """
     results: list[LabeledQuery | None] = [None] * len(queries)
     zero_filled = 0
@@ -249,6 +280,8 @@ def label_workload(
         return out
 
     if threads > 1 and len(groups) > 1:
+        for in_attrs in {attrs for _, attrs in groups if attrs}:
+            _group_index(ds, in_attrs)  # built once, before the workers share it
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = pool.map(lambda kv: run_group(*kv), groups.items())
             resolved = [item for chunk in chunks for item in chunk]

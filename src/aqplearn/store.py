@@ -13,13 +13,14 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import parsing
+from .artifacts import atomic_open, parsing
 from .errors import (
     EmptyDataset,
     MalformedRow,
@@ -95,9 +96,15 @@ def load_schema(path: str | Path) -> list[AttributeSchema]:
 
 def dump_schema(schema: list[AttributeSchema], path: str | Path) -> None:
     payload = [{"name": a.name, "kind": a.kind.value} for a in schema]
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def _first_nonfinite(values: np.ndarray) -> int | None:
+    """Index of the first NaN or infinite value, or None if all are finite."""
+    finite = np.isfinite(values)
+    return None if finite.all() else int(np.argmin(finite))
 
 
 class Dataset:
@@ -122,6 +129,8 @@ class Dataset:
         self._nominal_ids = nominal_ids
         self._nominal_members = nominal_members
         self.row_count = int(row_count)
+        self._derived: dict = {}
+        self._derived_lock = threading.Lock()
         for arr in (*continuous.values(), *nominal_ids.values()):
             if len(arr) != self.row_count:
                 raise MalformedRow(
@@ -137,7 +146,8 @@ class Dataset:
 
         Continuous columns take any float-convertible sequence; nominal
         columns take sequences of strings, dictionary-encoded here in
-        first-occurrence order.
+        first-occurrence order. A NaN or infinite continuous value raises
+        ParseError.
         """
         missing = [a.name for a in schema if a.name not in columns]
         if missing:
@@ -153,7 +163,13 @@ class Dataset:
         for attr in schema:
             vals = columns[attr.name]
             if attr.kind is Kind.CONTINUOUS:
-                continuous[attr.name] = np.asarray(vals, dtype=np.float64).copy()
+                values = continuous[attr.name] = np.asarray(vals, dtype=np.float64).copy()
+                i = _first_nonfinite(values)
+                if i is not None:
+                    raise ParseError(
+                        f"non-finite value {float(values[i])} at index {i} of continuous "
+                        f"column {attr.name!r}"
+                    )
             else:
                 members: dict[str, int] = {}
                 ids = np.empty(n, dtype=np.int32)
@@ -194,6 +210,15 @@ class Dataset:
         self.nominal_id_values(name)  # kind check
         return self._nominal_members[name]
 
+    def derived(self, key, build):
+        """build(), computed on the first call for `key` and kept for the
+        life of this Dataset. Only for data derived from its columns, which
+        never change."""
+        with self._derived_lock:
+            if key not in self._derived:
+                self._derived[key] = build()
+            return self._derived[key]
+
     def member_id(self, name: str, member: str) -> int | None:
         """Id of a member string, or None if it never occurs in the column."""
         members = self.members(name)
@@ -214,13 +239,13 @@ def load_csv(
 
     Every column must be declared in `schema` (same order as the file).
     Empty cells are nulls: under DROP_ROW the whole row is dropped and the
-    total is logged, under REJECT a ParseError is raised. A non-numeric
-    value in a continuous column raises ParseError naming the data row
-    (1-based) and column.
+    total is logged, under REJECT a ParseError is raised. A non-numeric,
+    NaN or infinite value in a continuous column raises ParseError naming
+    the data row (1-based) and column.
     """
     expected = len(schema)
-    raw_columns: list[list] = [[] for _ in range(expected)]
-    dropped = 0
+    raw_columns: list = [[] for _ in range(expected)]
+    dropped: list[int] = []  # data row numbers of rows dropped for nulls
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -243,7 +268,7 @@ def load_csv(
                 if null_policy is NullPolicy.REJECT:
                     col = schema[row.index("")].name
                     raise ParseError(f"{path}: null value at row {rownum}, column {col!r}")
-                dropped += 1
+                dropped.append(rownum)
                 continue
             parsed = []
             for attr, cell in zip(schema, row):
@@ -261,7 +286,21 @@ def load_csv(
                 out.append(value)
 
     if dropped:
-        logger.info("load_csv(%s): dropped %d rows containing nulls", path, dropped)
+        logger.info("load_csv(%s): dropped %d rows containing nulls", path, len(dropped))
+    for col, attr in enumerate(schema):
+        if attr.kind is Kind.CONTINUOUS:
+            values = raw_columns[col] = np.array(raw_columns[col], dtype=np.float64)
+            i = _first_nonfinite(values)
+            if i is not None:
+                rownum = i + 1
+                for d in dropped:  # step over dropped rows to the file's row number
+                    if d > rownum:
+                        break
+                    rownum += 1
+                raise ParseError(
+                    f"{path}: non-finite value {float(values[i])} at row {rownum}, "
+                    f"column {attr.name!r}"
+                )
     columns = {attr.name: raw_columns[i] for i, attr in enumerate(schema)}
     return Dataset.from_columns(schema, columns)
 
@@ -279,7 +318,7 @@ def dump_csv(ds: Dataset, path: str | Path) -> None:
         else:
             members = ds.members(attr.name)
             columns.append([members[i] for i in ds.nominal_id_values(attr.name)])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([a.name for a in ds.schema])
         writer.writerows(zip(*columns))

@@ -1,5 +1,6 @@
 """Atomic artifact writes and named errors for unreadable artifacts."""
 
+import csv
 import json
 
 import numpy as np
@@ -25,7 +26,7 @@ from aqplearn.artifacts import atomic_open
 from aqplearn.encoder import load_encoded, save_encoded
 from aqplearn.errors import CorruptArtifact
 from aqplearn.querygen import QueryTemplate
-from aqplearn.store import dump_schema, make_schema
+from aqplearn.store import AttributeSchema, dump_csv, dump_schema, make_schema
 from conftest import build_transactions
 
 
@@ -35,14 +36,41 @@ def queries(n=4):
 
 
 class TestAtomicWrites:
-    def test_failed_write_keeps_the_old_file_and_leaves_no_temp(self, tmp_path):
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
         path = tmp_path / "w.jsonl"
         write_workload(path, queries())
         before = path.read_bytes()
         with pytest.raises(AttributeError):
             write_workload(path, queries() + ["not a query"])  # raises mid-write
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["w.jsonl"]
+
+        schema_path = tmp_path / "schema.json"
+        dump_schema(make_schema([("x", Kind.CONTINUOUS)]), schema_path)
+        schema_before = schema_path.read_bytes()
+        with pytest.raises(TypeError):  # a name json cannot encode, mid-write
+            dump_schema([AttributeSchema(object(), Kind.CONTINUOUS, 0)], schema_path)
+        assert schema_path.read_bytes() == schema_before
+
+        csv_path = tmp_path / "data.csv"
+        ds = build_transactions()
+        dump_csv(ds, csv_path)
+        csv_before = csv_path.read_bytes()
+
+        class HeaderThenFail:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def writerow(self, row):
+                self.fh.write(",".join(row) + "\n")
+
+            def writerows(self, rows):
+                raise OSError("disk full")
+
+        monkeypatch.setattr(csv, "writer", HeaderThenFail)
+        with pytest.raises(OSError):
+            dump_csv(ds, csv_path)
+        assert csv_path.read_bytes() == csv_before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "schema.json", "w.jsonl"]
 
     def test_failed_checkpoint_save_keeps_the_old_file(self, tmp_path, monkeypatch):
         model = LstmModel(ModelConfig(lstm_units=4, dense_units=4), 3, 5)

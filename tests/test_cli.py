@@ -166,6 +166,21 @@ class TestFailureModes:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "CorruptArtifact"
 
+    @pytest.mark.parametrize("text, error", [
+        ('{"lstm_units": 8, "dense_', "CorruptArtifact"),
+        ('{"lstm_unitz": 8}', "InvalidConfig"),
+    ])
+    def test_bad_train_config_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys,
+                                                        text, error):
+        (tmp_path / "config.json").write_text(text)
+        code = run("train", "--encoded", pipeline / "encoded.npz", "--vocab",
+                   pipeline / "vocab.json", "--out", tmp_path / "model.npz",
+                   "--config", tmp_path / "config.json")
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == error
+        assert not (tmp_path / "model.npz").exists()
+
     def test_stale_dataset_aborts_labeling(self, pipeline, tmp_path, capsys):
         for name in ("data.csv", "schema.json", "workload.jsonl"):
             shutil.copy(pipeline / name, tmp_path / name)

@@ -208,6 +208,72 @@ class TestEncodeBits:
             )
 
 
+class TestEncodeWorkload:
+    def test_mixed_batch_by_hand(self):
+        v = small_vocab()
+        batch = [
+            FlatQuery(AggregationTarget(AVG, "sales")),
+            FlatQuery(AggregationTarget(AVG, "sales"), (BetweenFilter("sales", 3.0, 17.0),)),
+            FlatQuery(AggregationTarget(AVG, "sales"), (), (InFilter("region", "north"),)),
+            FlatQuery(
+                AggregationTarget(AVG, "sales"),
+                (BetweenFilter("sales", 0.0, 31.0),),
+                (InFilter("region", "south"),),
+            ),
+        ]
+        pad = [0, 0, 0, 0, 0, 0]
+        target = [0, 0, 0, 0, 0, 1]  # avg(sales) -> 1
+        sales = [0, 0, 0, 0, 1, 0]  # sales -> 2
+        region = [0, 0, 0, 0, 1, 1]  # region -> 3
+        expected = [
+            [target, pad, pad, pad, pad, pad],
+            [target, sales, [1, 0, 0, 0, 1, 1], [1, 1, 0, 0, 0, 1], pad, pad],  # 3, 17
+            [target, pad, pad, pad, region, [0, 0, 0, 1, 0, 0]],  # region=north -> 4
+            [target, sales, [1, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1], region, [0, 0, 0, 1, 0, 1]],
+        ]
+        X = encode_workload(batch, v)
+        assert X.dtype == np.uint8
+        np.testing.assert_array_equal(X, expected)
+        for i, q in enumerate(batch):
+            np.testing.assert_array_equal(encode(q, v), X[i])
+
+    @pytest.mark.parametrize("bit_width", [7, 12, 20, 40])
+    def test_wide_payloads_and_many_queries(self, bit_width):
+        v = small_vocab(bit_width)
+        top = (1 << bit_width) - 1
+        batch = [
+            FlatQuery(AggregationTarget(AVG, "sales"),
+                      (BetweenFilter("sales", float(k % 31), float(top - k % 31)),))
+            for k in range(9000)  # more than one unpacking chunk
+        ]
+        X = encode_workload(batch, v)
+        assert X.shape == (9000, 6, 1 + bit_width)
+        for k in (0, 1, 4321, 8191, 8192, 8999):
+            for row, literal in ((2, k % 31), (3, top - k % 31)):
+                assert X[k, row, 0] == 1
+                assert "".join(map(str, X[k, row, 1:])) == format(literal, f"0{bit_width}b")
+            np.testing.assert_array_equal(X[k], encode(batch[k], v))
+
+    def test_empty_list(self):
+        v = small_vocab()
+        X = encode_workload([], v)
+        assert X.shape == (0, v.sequence_length, v.row_width) and X.dtype == np.uint8
+
+    def test_batch_errors(self):
+        v = small_vocab()
+        ok = FlatQuery(AggregationTarget(AVG, "sales"), (BetweenFilter("sales", 1.0, 2.0),))
+        with pytest.raises(NumericOverflow, match="upper bound"):
+            encode_workload([ok, FlatQuery(ok.target, (BetweenFilter("sales", 1.0, 32.0),))], v)
+        with pytest.raises(NumericOverflow, match="lower bound"):
+            encode_workload([ok, FlatQuery(ok.target, (BetweenFilter("sales", -1.0, 2.0),))], v)
+        with pytest.raises(NumericOverflow):
+            encode_workload([FlatQuery(ok.target, (BetweenFilter("sales", 1.0, float("inf")),))], v)
+        with pytest.raises(UnknownToken):
+            encode_workload([ok, FlatQuery(ok.target, (), (InFilter("region", "west"),))], v)
+        with pytest.raises(UnknownToken):
+            encode_workload([ok, FlatQuery(AggregationTarget(COUNT, "sales"))], v)
+
+
 class TestDecode:
     def test_round_trip(self):
         v = small_vocab()

@@ -1,7 +1,9 @@
 """Exact execution engine, checked against a naive pure-Python reference."""
 
+import gc
 import math
 import statistics
+import weakref
 
 import numpy as np
 import pytest
@@ -288,3 +290,77 @@ class TestLabelWorkload:
         one, rep1 = label_workload(transactions, queries, threads=1)
         four, rep4 = label_workload(transactions, queries, threads=4)
         assert one == four and rep1 == rep4
+
+
+class TestGroupIndexExactness:
+    """label_workload reads every IN-filtered query off a group index shared
+    per (Dataset, nominal attribute tuple); it must agree bit for bit with
+    execute_flat, the per-query full scan."""
+
+    @staticmethod
+    def random_table(rng, n_rows=300):
+        schema = make_schema([
+            ("shop", Kind.NOMINAL),
+            ("kind", Kind.NOMINAL),
+            ("tier", Kind.NOMINAL),
+            ("x", Kind.CONTINUOUS),
+            ("v", Kind.CONTINUOUS),
+        ])
+        columns = {
+            "shop": [f"s{k}" for k in rng.integers(0, 5, n_rows)],
+            "kind": [f"k{k}" for k in rng.integers(0, 3, n_rows)],
+            "tier": [f"t{k}" for k in rng.integers(0, 4, n_rows)],
+            "x": rng.uniform(0.0, 100.0, n_rows),
+            "v": rng.normal(50.0, 20.0, n_rows).round(1),  # ties for median and min/max
+        }
+        return Dataset.from_columns(schema, columns)
+
+    @staticmethod
+    def expected(ds, queries):
+        """The labeling contract, evaluated one execute_flat scan at a time."""
+        out = []
+        for q in queries:
+            try:
+                value, support = execute_flat(ds, q)
+            except EmptyAggregate:
+                continue
+            if support or q.target.func in (COUNT, COUNT_DISTINCT, SUM):
+                out.append((q, value, support))
+        return out
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_labels_equal_execute_flat_bit_for_bit(self, seed, threads):
+        rng = np.random.default_rng(seed)
+        ds = self.random_table(rng)
+        targets = [
+            AggregationTarget(f, "v") for f in (COUNT, SUM, AVG, MEDIAN, MIN, MAX)
+        ] + [AggregationTarget(COUNT_DISTINCT, "tier")]
+        windows = [(BetweenFilter("x", *sorted(rng.uniform(0.0, 100.0, 2))),) for _ in range(6)]
+        windows.append((BetweenFilter("x", 40.0, 41.0),))  # most groups empty
+        windows.append((BetweenFilter("x", 200.0, 300.0),))  # every group empty
+        windows.append(())
+        shops = [f"s{k}" for k in range(5)] + ["s-absent"]
+        # Two attribute sets on one Dataset: (shop, kind) and (tier,).
+        in_sets = [(InFilter("shop", s), InFilter("kind", k))
+                   for s in shops for k in ("k0", "k1", "k2", "k-absent")]
+        in_sets += [(InFilter("tier", f"t{k}"),) for k in range(4)]
+        queries = [FlatQuery(t, w, i) for t in targets for w in windows for i in in_sets]
+        rng.shuffle(queries)
+
+        labeled, report = label_workload(ds, queries, threads=threads)
+        got = [(lq.query, lq.label, lq.support) for lq in labeled]
+        want = self.expected(ds, queries)
+        assert [g[0] for g in got] == [w[0] for w in want]
+        assert np.array([g[1] for g in got]).tobytes() == np.array([w[1] for w in want]).tobytes()
+        assert [g[2] for g in got] == [w[2] for w in want]
+        assert report.excluded_empty > 0 and report.zero_filled > 0
+        assert report.labeled - report.zero_filled > len(queries) // 4
+
+    def test_index_is_freed_with_its_dataset(self):
+        ds = self.random_table(np.random.default_rng(0))
+        assert extract_member_combinations(ds, ["shop", "kind"])
+        ref = weakref.ref(ds)
+        del ds
+        gc.collect()
+        assert ref() is None

@@ -1,5 +1,9 @@
 """Columnar store: CSV parsing, typing, stats and immutability."""
 
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -88,6 +92,25 @@ class TestDataset:
         with pytest.raises(ValueError):
             transactions.nominal_id_values("region")[0] = 0
 
+    def test_derived_is_built_once_for_concurrent_callers(self, transactions):
+        calls = []
+
+        def build():
+            calls.append(1)
+            time.sleep(0.01)  # widen the window in which a second build could start
+            return object()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda _: transactions.derived("key", build), range(32),
+                                    timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 1
+        assert all(g is got[0] for g in got)
+
     def test_mismatched_column_lengths(self):
         schema = make_schema([("x", Kind.CONTINUOUS), ("g", Kind.NOMINAL)])
         with pytest.raises(MalformedRow):
@@ -97,6 +120,11 @@ class TestDataset:
         schema = make_schema([("x", Kind.CONTINUOUS)])
         with pytest.raises(UnknownAttribute):
             Dataset.from_columns(schema, {})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ParseError, match=r"index 1 .*'x'"):
+            one_column([1.0, value, 2.0])
 
 
 class TestLoadCsv:
@@ -128,6 +156,14 @@ class TestLoadCsv:
         path.write_text("x\n1\nabc\n")
         schema = make_schema([("x", Kind.CONTINUOUS)])
         with pytest.raises(ParseError, match=r"row 2.*'x'"):
+            load_csv(path, schema)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"g,x\na,1\nb,\nc,{cell}\nd,2\n")  # row 2 is dropped for its null
+        schema = make_schema([("g", Kind.NOMINAL), ("x", Kind.CONTINUOUS)])
+        with pytest.raises(ParseError, match=r"row 3, column 'x'"):
             load_csv(path, schema)
 
     def test_header_only_file(self, tmp_path):
