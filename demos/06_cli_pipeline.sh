@@ -4,7 +4,8 @@
 # SHA-256 of its input, so stale or edited files fail fast downstream.
 set -euo pipefail
 
-work="$(mktemp -d /tmp/aqp_cli_demo.XXXXXX)"
+work="$(mktemp -d "${TMPDIR:-/tmp}/aqp_demo_cli.XXXXXX")"
+trap 'rm -rf "$work"' EXIT
 echo "working in $work"
 
 # Materialize a small synthetic table plus its schema and a template.

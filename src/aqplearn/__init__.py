@@ -50,13 +50,11 @@ from .queries import (
 )
 from .querygen import (
     QueryTemplate,
-    WorkloadSplit,
     build_select_clause,
     flatten_groupby,
     generate_workload,
     load_template,
     read_workload,
-    split,
     split_indices,
     write_workload,
 )

@@ -11,7 +11,9 @@ the matched positions for the group supports, one gather per target
 column and the aggregation kernel on contiguous slices. The executor
 supplies the training labels and doubles as the correctness oracle for
 the learned model, so exactness and determinism matter more than speed
-here.
+here. label_workload evaluates every query this way; a query without IN
+filters groups by the empty tuple, whose index is one group of every
+row in table order and reads the columns in place.
 
 Filter semantics: BETWEEN is inclusive on both bounds; IN binds a nominal
 attribute to exactly one member. Median of an even-sized multiset is the
@@ -143,23 +145,29 @@ class _GroupIndex:
     rows, so each group's rows are contiguous in it and keep dataset row
     order; group g starts at order[starts[g]]. Groups are numbered in code
     order; `lex` lists them by member tuple. Columns are permuted into
-    `order` on first use and kept.
+    `order` on first use and kept. For the empty tuple `order` is a basic
+    slice, so columns are views and nothing is copied.
     """
 
     def __init__(self, ds: Dataset, attrs: tuple[str, ...]):
-        dims = tuple(max(len(ds.members(a)), 1) for a in attrs)
-        codes = np.ravel_multi_index([ds.nominal_id_values(a) for a in attrs], dims)
-        self.order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[self.order]
-        first = np.ones(len(sorted_codes), dtype=bool)
-        first[1:] = sorted_codes[1:] != sorted_codes[:-1]
-        self.starts = np.flatnonzero(first)
-        member_lists = [ds.members(a) for a in attrs]
-        ids = np.unravel_index(sorted_codes[self.starts], dims)
-        self.members = [
-            tuple(member_lists[k][i] for k, i in enumerate(combo))
-            for combo in zip(*(axis.tolist() for axis in ids))
-        ]
+        if not attrs:  # no GROUP BY: one group of every row, columns read in place
+            self.order = slice(None)
+            self.starts = np.zeros(min(ds.row_count, 1), dtype=np.intp)
+            self.members = [()] * len(self.starts)
+        else:
+            dims = tuple(max(len(ds.members(a)), 1) for a in attrs)
+            codes = np.ravel_multi_index([ds.nominal_id_values(a) for a in attrs], dims)
+            self.order = np.argsort(codes, kind="stable")
+            sorted_codes = codes[self.order]
+            first = np.ones(len(sorted_codes), dtype=bool)
+            first[1:] = sorted_codes[1:] != sorted_codes[:-1]
+            self.starts = np.flatnonzero(first)
+            member_lists = [ds.members(a) for a in attrs]
+            ids = np.unravel_index(sorted_codes[self.starts], dims)
+            self.members = [
+                tuple(member_lists[k][i] for k, i in enumerate(combo))
+                for combo in zip(*(axis.tolist() for axis in ids))
+            ]
         self.lex = sorted(range(len(self.members)), key=self.members.__getitem__)
         self._columns: dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
@@ -185,7 +193,9 @@ def execute_groupby(ds: Dataset, gq: GroupByQuery) -> GroupByResult:
     """Evaluate a group-by query exactly over the rows passing its filters.
 
     Only member tuples observed among the matched rows appear (support is
-    always >= 1), one row per tuple, sorted lexicographically.
+    always >= 1), one row per tuple, sorted lexicographically. With no
+    GROUP BY attributes the one group is every matched row: one row with
+    members (), or none when no row matches.
     """
     index = _group_index(ds, gq.groupby_attrs)
     columns = {t.attr: _target_column(ds, t) for t in gq.targets}
@@ -227,60 +237,37 @@ def label_workload(
     of their nominal attributes, which is what makes labeling hundreds of
     thousands of generated queries tractable; the per-group aggregation
     kernel is the one execute_flat uses, so the shortcut is exact. Queries
-    without IN filters take one execute_flat scan each. Zero-support
-    queries get label 0 for counting aggregates (Count/CountDistinct/Sum)
-    and are excluded otherwise. Output order matches input order minus
-    exclusions.
+    without IN filters go through the same call with the empty GROUP BY
+    tuple, one group of every matched row, so the queries of one window
+    share one scan. Zero-support queries get label 0 for counting
+    aggregates (Count/CountDistinct/Sum) and are excluded otherwise.
+    Output order matches input order minus exclusions.
     """
-    results: list[LabeledQuery | None] = [None] * len(queries)
-    zero_filled = 0
-    excluded = 0
-
     groups: dict[tuple, list[int]] = {}
     for i, q in enumerate(queries):
         key = (q.between_filters, tuple(f.attr for f in q.in_filters))
         groups.setdefault(key, []).append(i)
 
-    def handle_zero(i: int, q: FlatQuery) -> tuple[int, LabeledQuery | None]:
-        if q.target.func in COUNTING_FUNCS:
-            return i, LabeledQuery(q, 0.0, 0)
-        return i, None
-
     def run_group(key: tuple, idxs: list[int]) -> list[tuple[int, LabeledQuery | None]]:
         between, in_attrs = key
-        out: list[tuple[int, LabeledQuery | None]] = []
-        if not in_attrs:
-            for i in idxs:
-                q = queries[i]
-                try:
-                    value, support = execute_flat(ds, q)
-                except EmptyAggregate:
-                    support = 0
-                if support == 0:
-                    out.append(handle_zero(i, q))
-                else:
-                    out.append((i, LabeledQuery(q, value, support)))
-            return out
-        targets: list[AggregationTarget] = []
-        for i in idxs:
-            if queries[i].target not in targets:
-                targets.append(queries[i].target)
-        gq = GroupByQuery(tuple(targets), between, in_attrs)
-        res = execute_groupby(ds, gq)
+        targets = tuple(dict.fromkeys(queries[i].target for i in idxs))
+        res = execute_groupby(ds, GroupByQuery(targets, between, in_attrs))
         by_members = {row.members: row for row in res.rows}
         t_index = {t: k for k, t in enumerate(targets)}
+        out: list[tuple[int, LabeledQuery | None]] = []
         for i in idxs:
             q = queries[i]
-            members = tuple(f.member for f in q.in_filters)
-            row = by_members.get(members)
-            if row is None:
-                out.append(handle_zero(i, q))
-            else:
+            row = by_members.get(tuple(f.member for f in q.in_filters))
+            if row is not None:
                 out.append((i, LabeledQuery(q, row.values[t_index[q.target]], row.support)))
+            elif q.target.func in COUNTING_FUNCS:
+                out.append((i, LabeledQuery(q, 0.0, 0)))
+            else:
+                out.append((i, None))
         return out
 
     if threads > 1 and len(groups) > 1:
-        for in_attrs in {attrs for _, attrs in groups if attrs}:
+        for in_attrs in {attrs for _, attrs in groups}:
             _group_index(ds, in_attrs)  # built once, before the workers share it
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = pool.map(lambda kv: run_group(*kv), groups.items())
@@ -288,18 +275,14 @@ def label_workload(
     else:
         resolved = [item for key, idxs in groups.items() for item in run_group(key, idxs)]
 
+    results: list[LabeledQuery | None] = [None] * len(queries)
     for i, lq in resolved:
         results[i] = lq
-        if lq is None:
-            excluded += 1
-        elif lq.support == 0:
-            zero_filled += 1
-
     labeled = [lq for lq in results if lq is not None]
     report = LabelReport(
         total=len(queries),
         labeled=len(labeled),
-        zero_filled=zero_filled,
-        excluded_empty=excluded,
+        zero_filled=sum(lq.support == 0 for lq in labeled),
+        excluded_empty=len(queries) - len(labeled),
     )
     return labeled, report

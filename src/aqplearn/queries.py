@@ -159,7 +159,8 @@ class FlatQuery:
 
 @dataclass(frozen=True)
 class GroupByQuery:
-    """Multi-aggregation query grouped by nominal attributes."""
+    """Multi-aggregation query grouped by nominal attributes; with none, the
+    one group is every matched row, as in SQL without GROUP BY."""
 
     targets: tuple[AggregationTarget, ...]
     between_filters: tuple[BetweenFilter, ...] = ()
@@ -171,18 +172,16 @@ class GroupByQuery:
         object.__setattr__(self, "groupby_attrs", tuple(self.groupby_attrs))
         if not self.targets:
             raise ValueError("GroupByQuery needs at least one aggregation target")
-        if not self.groupby_attrs:
-            raise ValueError("GroupByQuery needs at least one GROUP BY attribute")
         if len(set(self.groupby_attrs)) != len(self.groupby_attrs):
             raise ValueError(f"duplicate GROUP BY attributes: {self.groupby_attrs}")
 
     def to_sql(self, table: str = "data") -> str:
         cols = ", ".join(self.groupby_attrs)
-        selects = ", ".join([cols] + [t.to_sql() for t in self.targets])
+        selects = ", ".join([*self.groupby_attrs, *(t.to_sql() for t in self.targets)])
         return (
             f"SELECT {selects} FROM {table}"
             + _where_sql(self.between_filters, ())
-            + f" GROUP BY {cols}"
+            + (f" GROUP BY {cols}" if cols else "")
         )
 
 

@@ -121,7 +121,7 @@ def load_template(source: str | Path | dict, ds: Dataset) -> QueryTemplate:
     as "agg_funcs" x "agg_attrs" lists expanded via build_select_clause.
     """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
+        with open(source, encoding="utf-8") as fh, parsing(source, "template"):
             raw = json.load(fh)
     else:
         raw = dict(source)
@@ -240,13 +240,10 @@ def gen_in_filter_combinations(
 def pair_filters(
     between_sets: list[tuple[BetweenFilter, ...]],
     in_sets: list[tuple[InFilter, ...]],
-    strict: bool = True,
 ) -> list[tuple[tuple[BetweenFilter, ...], tuple[InFilter, ...]]]:
     """Full cross product of continuous and nominal filter sets."""
     if not between_sets or not in_sets:
-        if strict:
-            raise EmptyCombos("both filter set lists must be non-empty")
-        return []
+        raise EmptyCombos("both filter set lists must be non-empty")
     return [(b, i) for b in between_sets for i in in_sets]
 
 
@@ -323,13 +320,6 @@ def flatten_groupby(gq: GroupByQuery, result: executor.GroupByResult) -> list[La
     return flat
 
 
-@dataclass(frozen=True)
-class WorkloadSplit:
-    train: list[LabeledQuery]
-    validation: list[LabeledQuery]
-    test: list[LabeledQuery]
-
-
 def split_indices(
     n: int,
     fractions: tuple[float, float, float] = (0.70, 0.15, 0.15),
@@ -348,20 +338,6 @@ def split_indices(
     n_train = int(math.floor(fractions[0] * n))
     n_val = int(math.floor(fractions[1] * n))
     return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
-
-
-def split(
-    workload: list[LabeledQuery],
-    fractions: tuple[float, float, float] = (0.70, 0.15, 0.15),
-    seed: int = 0,
-) -> WorkloadSplit:
-    """Shuffle under the seed and partition train/validation/test."""
-    tr, va, te = split_indices(len(workload), fractions, seed)
-    return WorkloadSplit(
-        [workload[i] for i in tr],
-        [workload[i] for i in va],
-        [workload[i] for i in te],
-    )
 
 
 # -- workload files ---------------------------------------------------------

@@ -181,6 +181,16 @@ class TestFailureModes:
         assert len(lines) == 1 and json.loads(lines[0])["error"] == error
         assert not (tmp_path / "model.npz").exists()
 
+    def test_truncated_template_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys):
+        (tmp_path / "template.json").write_text('{"targets": [{"func": "avg", "att')
+        code = run("generate", "--data", pipeline / "data.csv", "--schema",
+                   pipeline / "schema.json", "--template", tmp_path / "template.json",
+                   "--out", tmp_path / "workload.jsonl")
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "CorruptArtifact"
+        assert not (tmp_path / "workload.jsonl").exists()
+
     def test_stale_dataset_aborts_labeling(self, pipeline, tmp_path, capsys):
         for name in ("data.csv", "schema.json", "workload.jsonl"):
             shutil.copy(pipeline / name, tmp_path / name)

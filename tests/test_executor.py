@@ -23,6 +23,7 @@ from aqplearn import (
     label_workload,
     make_schema,
 )
+from aqplearn import executor
 from aqplearn.errors import EmptyAggregate, WrongKind
 from conftest import TRANSACTION_ROWS, build_transactions
 
@@ -209,6 +210,36 @@ class TestExecuteGroupBy:
         assert execute_groupby(transactions, gq).rows == ()
 
 
+    def test_empty_groupby_tuple_is_one_group_of_the_matched_rows(self, transactions):
+        targets = (
+            AggregationTarget(AVG, "sales"),
+            AggregationTarget(MEDIAN, "units"),
+            AggregationTarget(COUNT_DISTINCT, "region"),
+        )
+        window = (BetweenFilter("sales", 60.0, 104.0),)
+        res = execute_groupby(transactions, GroupByQuery(targets, window, ()))
+        assert res.groupby_attrs == () and len(res.rows) == 1
+        row = res.rows[0]
+        assert row.members == ()
+        for t, cell in zip(targets, row.values):
+            value, support = execute_flat(transactions, FlatQuery(t, window))
+            assert cell == value and row.support == support
+        empty = (BetweenFilter("sales", 9000.0, 9001.0),)
+        assert execute_groupby(transactions, GroupByQuery(targets, empty, ())).rows == ()
+        with pytest.raises(ValueError):
+            GroupByQuery(targets, window, ("region", "region"))
+
+    def test_empty_groupby_tuple_copies_no_column(self, transactions):
+        index = executor._group_index(transactions, ())
+        sales = transactions.continuous_values("sales")
+        assert index.members == [()]
+        assert np.shares_memory(index.column("sales", sales), sales)
+        empty = build_transactions([])
+        assert executor._group_index(empty, ()).members == []
+        gq = GroupByQuery((AggregationTarget(COUNT, "sales"),), (), ())
+        assert execute_groupby(empty, gq).rows == ()
+
+
 class TestMemberCombinations:
     def test_observed_combinations_only(self, transactions):
         combos = extract_member_combinations(transactions, ["region", "category"])
@@ -259,8 +290,8 @@ class TestLabelWorkload:
         ]
 
     def test_empty_window_without_in_filter_is_excluded(self):
-        # Window-only queries take the one-scan-per-query path; an empty
-        # window must be excluded there too, not abort the batch.
+        # Window-only queries group by the empty tuple; an empty window
+        # yields no group, so avg/median/min/max are excluded, not raised.
         ds = Dataset.from_columns(
             make_schema([("x", Kind.CONTINUOUS), ("v", Kind.CONTINUOUS)]),
             {"x": [1.0, 2.0, 3.0], "v": [10.0, 20.0, 30.0]},
@@ -293,9 +324,10 @@ class TestLabelWorkload:
 
 
 class TestGroupIndexExactness:
-    """label_workload reads every IN-filtered query off a group index shared
-    per (Dataset, nominal attribute tuple); it must agree bit for bit with
-    execute_flat, the per-query full scan."""
+    """label_workload reads every query off a group index shared per
+    (Dataset, nominal attribute tuple), the empty tuple for queries without
+    IN filters; it must agree bit for bit with execute_flat, the per-query
+    full scan."""
 
     @staticmethod
     def random_table(rng, n_rows=300):
@@ -341,10 +373,11 @@ class TestGroupIndexExactness:
         windows.append((BetweenFilter("x", 200.0, 300.0),))  # every group empty
         windows.append(())
         shops = [f"s{k}" for k in range(5)] + ["s-absent"]
-        # Two attribute sets on one Dataset: (shop, kind) and (tier,).
+        # Three attribute sets on one Dataset: (shop, kind), (tier,) and ().
         in_sets = [(InFilter("shop", s), InFilter("kind", k))
                    for s in shops for k in ("k0", "k1", "k2", "k-absent")]
         in_sets += [(InFilter("tier", f"t{k}"),) for k in range(4)]
+        in_sets.append(())
         queries = [FlatQuery(t, w, i) for t in targets for w in windows for i in in_sets]
         rng.shuffle(queries)
 
@@ -356,6 +389,14 @@ class TestGroupIndexExactness:
         assert [g[2] for g in got] == [w[2] for w in want]
         assert report.excluded_empty > 0 and report.zero_filled > 0
         assert report.labeled - report.zero_filled > len(queries) // 4
+        window_only = {w: {lq.query.target.func: lq for lq in labeled
+                           if lq.query.between_filters == w and not lq.query.in_filters}
+                       for w in windows}
+        # Every group empty: counting aggregates zero-filled, the rest excluded.
+        assert {f: (lq.label, lq.support) for f, lq in window_only[windows[7]].items()} == {
+            COUNT: (0.0, 0), SUM: (0.0, 0), COUNT_DISTINCT: (0.0, 0)}
+        assert window_only[()][COUNT].support == ds.row_count
+        assert len(window_only[()]) == len(targets)
 
     def test_index_is_freed_with_its_dataset(self):
         ds = self.random_table(np.random.default_rng(0))

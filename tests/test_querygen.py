@@ -18,7 +18,6 @@ from aqplearn import (
     generate_workload,
     load_template,
     read_workload,
-    split,
     split_indices,
     write_workload,
 )
@@ -192,7 +191,8 @@ class TestInFiltersAndPairing:
     def test_empty_side_strict_and_lenient(self):
         with pytest.raises(EmptyCombos):
             pair_filters([], [(InFilter("g", "a"),)])
-        assert pair_filters([], [(InFilter("g", "a"),)], strict=False) == []
+        with pytest.raises(EmptyCombos):
+            pair_filters([(BetweenFilter("x", 0.0, 1.0),)], [])
 
 
 class TestGenerateWorkload:
@@ -287,42 +287,42 @@ class TestFlattenGroupBy:
 
 
 class TestSplit:
-    def workload(self, n):
-        return [
-            LabeledQuery(
-                FlatQuery(AggregationTarget(COUNT, "sales"), (BetweenFilter("sales", 0.0, float(i)),)),
-                float(i),
-                i,
-            )
-            for i in range(n)
-        ]
-
     def test_100_splits_70_15_15(self):
-        s = split(self.workload(100), seed=1)
-        assert (len(s.train), len(s.validation), len(s.test)) == (70, 15, 15)
+        tr, va, te = split_indices(100, seed=1)
+        assert (len(tr), len(va), len(te)) == (70, 15, 15)
 
     def test_10_splits_7_1_2(self):
-        s = split(self.workload(10), seed=1)
-        assert (len(s.train), len(s.validation), len(s.test)) == (7, 1, 2)
+        tr, va, te = split_indices(10, seed=1)
+        assert (len(tr), len(va), len(te)) == (7, 1, 2)
 
     def test_partition_is_disjoint_and_complete(self):
-        w = self.workload(53)
-        s = split(w, seed=4)
-        recombined = sorted(lq.support for part in (s.train, s.validation, s.test) for lq in part)
-        assert recombined == list(range(53))
+        parts = split_indices(53, seed=4)
+        assert sorted(np.concatenate(parts).tolist()) == list(range(53))
 
     def test_same_seed_same_split(self):
-        w = self.workload(20)
-        assert split(w, seed=3) == split(w, seed=3)
-        assert split(w, seed=3) != split(w, seed=4)
+        same = zip(split_indices(20, seed=3), split_indices(20, seed=3))
+        assert all(np.array_equal(a, b) for a, b in same)
+        other = zip(split_indices(20, seed=3), split_indices(20, seed=4))
+        assert not all(np.array_equal(a, b) for a, b in other)
 
     def test_too_few_queries(self):
         with pytest.raises(TooFewQueries):
-            split(self.workload(2))
+            split_indices(2)
 
     def test_bad_fractions(self):
         with pytest.raises(ValueError):
             split_indices(10, fractions=(0.5, 0.4, 0.2))
+
+
+def labeled_workload(n):
+    return [
+        LabeledQuery(
+            FlatQuery(AggregationTarget(COUNT, "sales"), (BetweenFilter("sales", 0.0, float(i)),)),
+            float(i),
+            i,
+        )
+        for i in range(n)
+    ]
 
 
 class TestWorkloadFiles:
@@ -342,14 +342,14 @@ class TestWorkloadFiles:
         assert header["labeled"] is False and header["note"] == "test"
 
     def test_labeled_round_trip(self, tmp_path):
-        records = TestSplit().workload(5)
+        records = labeled_workload(5)
         path = tmp_path / "l.jsonl"
         write_workload(path, records)
         header, back = read_workload(path)
         assert back == records and header["labeled"] is True
 
     def test_truncated_file_rejected(self, tmp_path):
-        records = TestSplit().workload(5)
+        records = labeled_workload(5)
         path = tmp_path / "l.jsonl"
         write_workload(path, records)
         lines = path.read_text().splitlines()
