@@ -15,7 +15,6 @@ from aqplearn import (
     Kind,
     column_entropy,
     continuous_stats,
-    distinct_members,
     dump_csv,
     load_csv,
     mean_entropy,
@@ -45,7 +44,7 @@ for attr in ("sales", "discount"):
 
 # Nominal members become IN-filter candidates and encoder tokens.
 for attr in ("region", "category"):
-    print(f"{attr}: members {distinct_members(ds, attr)}")
+    print(f"{attr}: members {list(ds.members(attr))}")
 
 # Entropy summarises how much filtering signal each attribute carries.
 names = [a.name for a in ds.schema]

@@ -65,7 +65,6 @@ from .store import (
     Kind,
     NullPolicy,
     continuous_stats,
-    distinct_members,
     dump_csv,
     dump_schema,
     load_csv,

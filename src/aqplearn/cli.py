@@ -47,15 +47,16 @@ def _load_dataset(args) -> store.Dataset:
     return store.load_csv(args.data, schema)
 
 
-def _check_upstream(header: dict, key: str, path, what: str) -> None:
+def _check_upstream(header: dict, key: str, actual: str, what: str) -> None:
+    """The artifact whose `header` this is must record `actual`, the hash
+    of `what`, under `key`; a header without `key` cannot vouch for it."""
     recorded = header.get(key)
     if recorded is None:
-        return
-    actual = _sha256_file(path)
+        raise HashMismatch(f"artifact header has no {key!r} to check {what} against")
     if recorded != actual:
         raise HashMismatch(
-            f"{what} {path} (sha256 {actual[:12]}..) is not the file this artifact "
-            f"was built from (expected {recorded[:12]}..)"
+            f"{what} (hash {actual[:12]}..) is not the one this artifact was built "
+            f"from (expected {recorded[:12]}..)"
         )
 
 
@@ -70,7 +71,7 @@ def cmd_profile(args) -> int:
             st = store.continuous_stats(ds, attr.name)
             entry.update(min=st.min, q1=st.q1, median=st.median, q3=st.q3, max=st.max)
         else:
-            entry["members"] = store.distinct_members(ds, attr.name)
+            entry["members"] = list(ds.members(attr.name))
         entry["entropy_bits"] = metrics.column_entropy(ds, attr.name)
         report["attributes"].append(entry)
     report["mean_entropy_bits"] = metrics.mean_entropy(
@@ -123,10 +124,11 @@ def cmd_label(args) -> int:
     header, queries = querygen.read_workload(args.workload)
     if header.get("labeled"):
         raise ShapeMismatch(f"{args.workload} is already labeled")
-    _check_upstream(header, "dataset_sha256", args.data, "dataset")
+    data_hash = _sha256_file(args.data)
+    _check_upstream(header, "dataset_sha256", data_hash, f"dataset {args.data}")
     labeled, report = executor.label_workload(ds, queries, threads=args.threads)
     meta = {
-        "dataset_sha256": _sha256_file(args.data),
+        "dataset_sha256": data_hash,
         "workload_sha256": _sha256_file(args.workload),
         "template": header.get("template"),
         "labeling": dataclasses.asdict(report),
@@ -146,7 +148,7 @@ def cmd_encode(args) -> int:
     header, records = querygen.read_workload(args.workload)
     if not header.get("labeled"):
         raise ShapeMismatch(f"{args.workload} is not labeled; run the label stage first")
-    _check_upstream(header, "dataset_sha256", args.data, "dataset")
+    _check_upstream(header, "dataset_sha256", _sha256_file(args.data), f"dataset {args.data}")
     vocab = encoder.build_vocabulary(records, template)
     X = encoder.encode_workload(records, vocab)
     y = np.array([lq.label for lq in records], dtype=np.float64)
@@ -210,11 +212,8 @@ def _model_config(args) -> nnet.ModelConfig:
 
 def _load_vocab_and_check(vocab_path, encoded_meta) -> encoder.TokenVocabulary:
     vocab, _ = encoder.load_vocabulary(vocab_path)
-    recorded = encoded_meta.get("vocab_content_hash")
-    if recorded is not None and recorded != vocab.content_hash():
-        raise HashMismatch(
-            f"{vocab_path} is not the vocabulary the encoded workload was built with"
-        )
+    _check_upstream(encoded_meta, "vocab_content_hash", vocab.content_hash(),
+                    f"vocabulary {vocab_path}")
     return vocab
 
 
@@ -283,17 +282,13 @@ def cmd_eval(args) -> int:
         part = {"train": tr, "validation": va, "test": te}[args.split]
         X_eval, y_eval = X[part], y[part]
     preds = model.predict_batch(X_eval, n_workers=args.workers)
-    report = metrics.evaluate_predictions(preds, y_eval)
-    extra = {
-        "input_variance": metrics.input_tensor_variance(X_eval),
-    }
-    if args.data and args.schema:
-        ds = _load_dataset(args)
-        extra["mean_entropy_bits"] = metrics.dataset_entropy(ds)["mean"]
     report = dataclasses.replace(
-        report,
-        input_variance=extra["input_variance"],
-        mean_entropy_bits=extra.get("mean_entropy_bits"),
+        metrics.evaluate_predictions(preds, y_eval),
+        input_variance=metrics.input_tensor_variance(X_eval),
+        mean_entropy_bits=(
+            metrics.dataset_entropy(_load_dataset(args))["mean"]
+            if args.data and args.schema else None
+        ),
     )
     if args.out:
         doc = report.to_record()

@@ -143,10 +143,11 @@ class _GroupIndex:
 
     `order` is the stable argsort of the composite group code over all
     rows, so each group's rows are contiguous in it and keep dataset row
-    order; group g starts at order[starts[g]]. Groups are numbered in code
-    order; `lex` lists them by member tuple. Columns are permuted into
-    `order` on first use and kept. For the empty tuple `order` is a basic
-    slice, so columns are views and nothing is copied.
+    order; group g starts at order[starts[g]]. Member ids follow sorted
+    member order, so code order is the lexicographic order of the member
+    tuples. Columns are permuted into `order` on first use and kept. For
+    the empty tuple `order` is a basic slice, so columns are views and
+    nothing is copied.
     """
 
     def __init__(self, ds: Dataset, attrs: tuple[str, ...]):
@@ -168,7 +169,6 @@ class _GroupIndex:
                 tuple(member_lists[k][i] for k, i in enumerate(combo))
                 for combo in zip(*(axis.tolist() for axis in ids))
             ]
-        self.lex = sorted(range(len(self.members)), key=self.members.__getitem__)
         self._columns: dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
 
@@ -209,11 +209,11 @@ def execute_groupby(ds: Dataset, gq: GroupByQuery) -> GroupByResult:
     matched = {attr: index.column(attr, col)[positions] for attr, col in columns.items()}
 
     rows: list[GroupByRow] = []
-    for g in index.lex:
+    for g, members in enumerate(index.members):
         s, e = bounds[g], bounds[g + 1]
         if e > s:
             values = tuple(_aggregate(t.func, matched[t.attr][s:e]) for t in gq.targets)
-            rows.append(GroupByRow(index.members[g], values, e - s))
+            rows.append(GroupByRow(members, values, e - s))
     return GroupByResult(tuple(gq.groupby_attrs), tuple(gq.targets), tuple(rows))
 
 
@@ -221,8 +221,7 @@ def extract_member_combinations(ds: Dataset, nominal_attrs: list[str]) -> list[t
     """Distinct member tuples observed in the data, lexicographically sorted."""
     if not nominal_attrs:
         raise WrongKind("at least one nominal attribute required")
-    index = _group_index(ds, tuple(nominal_attrs))
-    return [index.members[g] for g in index.lex]
+    return list(_group_index(ds, tuple(nominal_attrs)).members)
 
 
 def label_workload(
@@ -267,8 +266,6 @@ def label_workload(
         return out
 
     if threads > 1 and len(groups) > 1:
-        for in_attrs in {attrs for _, attrs in groups}:
-            _group_index(ds, in_attrs)  # built once, before the workers share it
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = pool.map(lambda kv: run_group(*kv), groups.items())
             resolved = [item for chunk in chunks for item in chunk]

@@ -163,9 +163,6 @@ class EvalReport:
     nrmse_pct: float
     label_min: float
     label_max: float
-    ql_mean_ms: float | None = None
-    qt_qps: float | None = None
-    qt_workers: int | None = None
     mean_entropy_bits: float | None = None
     input_variance: float | None = None
 
@@ -176,9 +173,6 @@ class EvalReport:
             "nrmse_pct": self.nrmse_pct,
             "label_min": self.label_min,
             "label_max": self.label_max,
-            "ql_mean_ms": self.ql_mean_ms,
-            "qt_qps": self.qt_qps,
-            "qt_workers": self.qt_workers,
             "mean_entropy_bits": self.mean_entropy_bits,
             "input_variance": self.input_variance,
         }
@@ -190,10 +184,6 @@ class EvalReport:
             ("NRMSE", f"{self.nrmse_pct:.4f} %"),
             ("label range", f"[{self.label_min:.6g}, {self.label_max:.6g}]"),
         ]
-        if self.ql_mean_ms is not None:
-            rows.append(("QL (mean)", f"{self.ql_mean_ms:.4f} ms/query"))
-        if self.qt_qps is not None:
-            rows.append(("QT", f"{self.qt_qps:.1f} queries/s ({self.qt_workers} workers)"))
         if self.mean_entropy_bits is not None:
             rows.append(("mean entropy", f"{self.mean_entropy_bits:.4f} bits"))
         if self.input_variance is not None:

@@ -131,7 +131,7 @@ def load_template(source: str | Path | dict, ds: Dataset) -> QueryTemplate:
         ]
     elif "agg_funcs" in raw and "agg_attrs" in raw:
         funcs = [AggregationFunction(f) for f in raw["agg_funcs"]]
-        targets = build_select_clause(funcs, raw["agg_attrs"], ds, strict=raw.get("strict", True))
+        targets = build_select_clause(funcs, raw["agg_attrs"], ds)
     else:
         raise InvalidTarget("template must declare 'targets' or 'agg_funcs'+'agg_attrs'")
     return QueryTemplate.build(
@@ -149,24 +149,21 @@ def build_select_clause(
     funcs: list[AggregationFunction],
     attrs: list[str],
     ds: Dataset,
-    strict: bool = True,
 ) -> list[AggregationTarget]:
     """Cross product of aggregation functions and attributes.
 
-    Only Count/CountDistinct may hit a nominal attribute; in strict mode a
-    forbidden pair raises InvalidTarget, otherwise it is silently skipped.
-    Each resulting target later gets its own model and training set.
+    Only Count/CountDistinct may hit a nominal attribute; any other
+    function paired with one raises InvalidTarget. Each resulting target
+    later gets its own model and training set.
     """
     targets = []
     for func in funcs:
         for attr in attrs:
-            kind = ds.kind_of(attr)
-            if target_allowed(func, kind):
-                targets.append(AggregationTarget(func, attr))
-            elif strict:
+            if not target_allowed(func, ds.kind_of(attr)):
                 raise InvalidTarget(
                     f"{func.value} is not applicable to nominal attribute {attr!r}"
                 )
+            targets.append(AggregationTarget(func, attr))
     return targets
 
 

@@ -2,20 +2,23 @@
 
 Continuous columns are stored as float64 vectors, nominal columns as
 dictionary-encoded member ids (int32) plus a per-column member list in
-first-occurrence order. All externally visible member lists are sorted so
-that outputs do not depend on row order. Arrays are flagged read-only;
-a Dataset never changes after construction and is safe to share across
-concurrent readers.
+sorted order: id k is the k-th member, so ids, member lists and anything
+ordered by id do not depend on row order. This module owns the one cell
+converter and the one member encoder that both constructors use. Arrays
+are flagged read-only; a Dataset never changes after construction and is
+safe to share across concurrent readers.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,11 @@ from .errors import (
 )
 
 logger = logging.getLogger(__name__)
+
+# Rows load_csv parses and converts at a time: large enough that numpy does
+# the converting, small enough that the raw cells of one chunk stay small
+# next to the table they become.
+CSV_CHUNK_ROWS = 1 << 16
 
 
 class Kind(Enum):
@@ -101,10 +109,42 @@ def dump_schema(schema: list[AttributeSchema], path: str | Path) -> None:
         fh.write("\n")
 
 
-def _first_nonfinite(values: np.ndarray) -> int | None:
-    """Index of the first NaN or infinite value, or None if all are finite."""
+def _float_column(cells, where) -> np.ndarray:
+    """`cells` as a float64 vector, each parsed as float() parses it. A
+    non-numeric, NaN or infinite cell raises ParseError naming the first
+    one by where(i), its position in `cells`."""
+    try:
+        values = np.array(cells, dtype=np.float64)
+    except (TypeError, ValueError):
+        for i, cell in enumerate(cells):
+            try:
+                float(cell)
+            except (TypeError, ValueError):
+                raise ParseError(f"non-numeric value {cell!r} at {where(i)}") from None
+        raise  # every cell parses alone, so the cells do not form a vector
     finite = np.isfinite(values)
-    return None if finite.all() else int(np.argmin(finite))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ParseError(f"non-finite value {float(values[i])} at {where(i)}")
+    return values
+
+
+def _member_ids(cells, lookup: dict[str, int]) -> np.ndarray:
+    """Ids of the member strings `cells` under `lookup`, which first gains
+    the next free id for each member it lacks. The ids are provisional;
+    _sorted_members renumbers them once the column is complete."""
+    for member in set(cells).difference(lookup):
+        lookup[member] = len(lookup)
+    return np.fromiter(map(lookup.__getitem__, cells), np.int32, len(cells))
+
+
+def _sorted_members(ids: np.ndarray, lookup: dict[str, int]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """`ids` renumbered so that id k is the k-th member in sorted order,
+    and the members in that order."""
+    members = tuple(sorted(lookup))
+    rank = np.empty(len(members), dtype=np.int32)
+    rank[[lookup[m] for m in members]] = np.arange(len(members), dtype=np.int32)
+    return rank[ids], members
 
 
 class Dataset:
@@ -116,22 +156,22 @@ class Dataset:
     def __init__(
         self,
         schema: list[AttributeSchema],
-        continuous: dict[str, np.ndarray],
-        nominal_ids: dict[str, np.ndarray],
-        nominal_members: dict[str, tuple[str, ...]],
+        columns: dict[str, np.ndarray],
+        members: dict[str, tuple[str, ...]],
         row_count: int,
     ):
+        """`columns` holds each attribute's float64 values or int32 member
+        ids, `members` each nominal attribute's members in sorted order."""
         self.schema = tuple(schema)
         self._by_name = {a.name: a for a in schema}
         if len(self._by_name) != len(schema):
             raise ParseError("attribute names must be unique within a schema")
-        self._continuous = continuous
-        self._nominal_ids = nominal_ids
-        self._nominal_members = nominal_members
+        self._columns = columns
+        self._members = members
         self.row_count = int(row_count)
         self._derived: dict = {}
         self._derived_lock = threading.Lock()
-        for arr in (*continuous.values(), *nominal_ids.values()):
+        for arr in columns.values():
             if len(arr) != self.row_count:
                 raise MalformedRow(
                     f"column length {len(arr)} != row_count {self.row_count}"
@@ -145,9 +185,9 @@ class Dataset:
         """Build a Dataset from in-memory columns keyed by attribute name.
 
         Continuous columns take any float-convertible sequence; nominal
-        columns take sequences of strings, dictionary-encoded here in
-        first-occurrence order. A NaN or infinite continuous value raises
-        ParseError.
+        columns take sequences of strings (other values go through str),
+        dictionary-encoded here with ids in sorted member order. A
+        non-numeric, NaN or infinite continuous value raises ParseError.
         """
         missing = [a.name for a in schema if a.name not in columns]
         if missing:
@@ -157,28 +197,19 @@ class Dataset:
             raise MalformedRow(f"column lengths differ: {sorted(lengths)}")
         n = lengths.pop() if lengths else 0
 
-        continuous: dict[str, np.ndarray] = {}
-        nominal_ids: dict[str, np.ndarray] = {}
-        nominal_members: dict[str, tuple[str, ...]] = {}
+        arrays: dict[str, np.ndarray] = {}
+        members: dict[str, tuple[str, ...]] = {}
         for attr in schema:
             vals = columns[attr.name]
             if attr.kind is Kind.CONTINUOUS:
-                values = continuous[attr.name] = np.asarray(vals, dtype=np.float64).copy()
-                i = _first_nonfinite(values)
-                if i is not None:
-                    raise ParseError(
-                        f"non-finite value {float(values[i])} at index {i} of continuous "
-                        f"column {attr.name!r}"
-                    )
+                arrays[attr.name] = _float_column(
+                    vals, lambda i: f"index {i} of continuous column {attr.name!r}"
+                )
             else:
-                members: dict[str, int] = {}
-                ids = np.empty(n, dtype=np.int32)
-                for i, v in enumerate(vals):
-                    s = str(v)
-                    ids[i] = members.setdefault(s, len(members))
-                nominal_ids[attr.name] = ids
-                nominal_members[attr.name] = tuple(members)
-        return cls(schema, continuous, nominal_ids, nominal_members, n)
+                lookup: dict[str, int] = {}
+                ids = _member_ids(list(map(str, vals)), lookup)
+                arrays[attr.name], members[attr.name] = _sorted_members(ids, lookup)
+        return cls(schema, arrays, members, n)
 
     # -- schema access -----------------------------------------------------
 
@@ -196,19 +227,20 @@ class Dataset:
         attr = self.attribute(name)
         if attr.kind is not Kind.CONTINUOUS:
             raise WrongKind(f"{name!r} is nominal, not continuous")
-        return self._continuous[name]
+        return self._columns[name]
 
     def nominal_id_values(self, name: str) -> np.ndarray:
         """Dictionary-encoded member ids of a nominal attribute."""
         attr = self.attribute(name)
         if attr.kind is not Kind.NOMINAL:
             raise WrongKind(f"{name!r} is continuous, not nominal")
-        return self._nominal_ids[name]
+        return self._columns[name]
 
     def members(self, name: str) -> tuple[str, ...]:
-        """Member strings of a nominal attribute in first-occurrence order."""
+        """Member strings of a nominal attribute in sorted order; a member's
+        id is its position here."""
         self.nominal_id_values(name)  # kind check
-        return self._nominal_members[name]
+        return self._members[name]
 
     def derived(self, key, build):
         """build(), computed on the first call for `key` and kept for the
@@ -231,78 +263,69 @@ class Dataset:
 def load_csv(
     path: str | Path,
     schema: list[AttributeSchema],
-    delimiter: str = ",",
-    header: bool = True,
     null_policy: NullPolicy = NullPolicy.DROP_ROW,
 ) -> Dataset:
-    """Load an RFC-4180-style CSV file into a columnar Dataset.
+    """Load a header-first, comma-separated RFC-4180 CSV file into a Dataset.
 
-    Every column must be declared in `schema` (same order as the file).
-    Empty cells are nulls: under DROP_ROW the whole row is dropped and the
-    total is logged, under REJECT a ParseError is raised. A non-numeric,
-    NaN or infinite value in a continuous column raises ParseError naming
-    the data row (1-based) and column.
+    The header must name the `schema` attributes in order. Empty cells are
+    nulls: under DROP_ROW the whole row is dropped and the total is logged,
+    under REJECT a ParseError is raised. A row of the wrong width raises
+    MalformedRow, and a non-numeric, NaN or infinite value in a continuous
+    column raises ParseError; both name the data row (1-based, dropped
+    rows counted) and the column. The file is read CSV_CHUNK_ROWS rows at
+    a time, and each chunk is converted column by column before the next
+    is read.
     """
-    expected = len(schema)
-    raw_columns: list = [[] for _ in range(expected)]
-    dropped: list[int] = []  # data row numbers of rows dropped for nulls
+    width = len(schema)
+    declared = [a.name for a in schema]
+    lookups: dict[str, dict[str, int]] = {a.name: {} for a in schema if a.kind is Kind.NOMINAL}
+    parts = {a.name: [np.empty(0, np.int32 if a.name in lookups else np.float64)] for a in schema}
+    dropped = 0
 
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        if header:
-            try:
-                head = next(reader)
-            except StopIteration:
-                raise MalformedRow(f"{path}: empty file but header expected") from None
-            declared = [a.name for a in schema]
-            if [h.strip() for h in head] != declared:
-                raise MalformedRow(
-                    f"{path}: header {head} does not match declared attributes {declared}"
-                )
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != expected:
-                raise MalformedRow(
-                    f"{path}: row {rownum} has {len(row)} fields, expected {expected}"
-                )
-            if any(cell == "" for cell in row):
-                if null_policy is NullPolicy.REJECT:
-                    col = schema[row.index("")].name
-                    raise ParseError(f"{path}: null value at row {rownum}, column {col!r}")
-                dropped.append(rownum)
-                continue
-            parsed = []
-            for attr, cell in zip(schema, row):
+        reader = csv.reader(fh)
+        head = next(reader, None)
+        if head is None:
+            raise MalformedRow(f"{path}: empty file but header expected")
+        if [h.strip() for h in head] != declared:
+            raise MalformedRow(
+                f"{path}: header {head} does not match declared attributes {declared}"
+            )
+        first = 1  # data row number of the chunk's first row
+        while chunk := list(itertools.islice(reader, CSV_CHUNK_ROWS)):
+            rownums = range(first, first + len(chunk))
+            first += len(chunk)
+            if set(map(len, chunk)) != {width} or any("" in row for row in chunk):
+                keep = []
+                for rownum, row in zip(rownums, chunk):
+                    if len(row) != width:
+                        raise MalformedRow(
+                            f"{path}: row {rownum} has {len(row)} fields, expected {width}"
+                        )
+                    if "" in row and null_policy is NullPolicy.REJECT:
+                        col = schema[row.index("")].name
+                        raise ParseError(f"{path}: null value at row {rownum}, column {col!r}")
+                    keep.append("" not in row)
+                dropped += keep.count(False)
+                rownums = list(itertools.compress(rownums, keep))
+                chunk = list(itertools.compress(chunk, keep))
+            for k, attr in enumerate(schema):
+                cells = list(map(itemgetter(k), chunk))
                 if attr.kind is Kind.CONTINUOUS:
-                    try:
-                        parsed.append(float(cell))
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: non-numeric value {cell!r} at row {rownum}, "
-                            f"column {attr.name!r}"
-                        ) from None
+                    values = _float_column(
+                        cells, lambda i: f"row {rownums[i]}, column {attr.name!r} of {path}"
+                    )
                 else:
-                    parsed.append(cell)
-            for out, value in zip(raw_columns, parsed):
-                out.append(value)
+                    values = _member_ids(cells, lookups[attr.name])
+                parts[attr.name].append(values)
 
     if dropped:
-        logger.info("load_csv(%s): dropped %d rows containing nulls", path, len(dropped))
-    for col, attr in enumerate(schema):
-        if attr.kind is Kind.CONTINUOUS:
-            values = raw_columns[col] = np.array(raw_columns[col], dtype=np.float64)
-            i = _first_nonfinite(values)
-            if i is not None:
-                rownum = i + 1
-                for d in dropped:  # step over dropped rows to the file's row number
-                    if d > rownum:
-                        break
-                    rownum += 1
-                raise ParseError(
-                    f"{path}: non-finite value {float(values[i])} at row {rownum}, "
-                    f"column {attr.name!r}"
-                )
-    columns = {attr.name: raw_columns[i] for i, attr in enumerate(schema)}
-    return Dataset.from_columns(schema, columns)
+        logger.info("load_csv(%s): dropped %d rows containing nulls", path, dropped)
+    columns = {name: np.concatenate(p) for name, p in parts.items()}
+    members = {}
+    for name, lookup in lookups.items():
+        columns[name], members[name] = _sorted_members(columns[name], lookup)
+    return Dataset(schema, columns, members, first - 1 - dropped)
 
 
 def dump_csv(ds: Dataset, path: str | Path) -> None:
@@ -337,8 +360,3 @@ def continuous_stats(ds: Dataset, attr: str) -> ContinuousStats:
     q = np.percentile(values, [0.0, 25.0, 50.0, 75.0, 100.0], method="linear")
     return ContinuousStats(*(float(v) for v in q))
 
-
-def distinct_members(ds: Dataset, attr: str) -> list[str]:
-    """Sorted, deduplicated member strings of a nominal attribute."""
-    ds.nominal_id_values(attr)  # kind + existence check
-    return sorted(ds.members(attr))

@@ -6,7 +6,8 @@ import shutil
 import numpy as np
 import pytest
 
-from aqplearn import cli, synth
+from aqplearn import cli, read_workload, synth, write_workload
+from aqplearn.encoder import load_encoded, save_encoded
 from aqplearn.store import dump_csv, dump_schema
 
 
@@ -203,6 +204,33 @@ class TestFailureModes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "HashMismatch"
         assert not (tmp_path / "labeled.jsonl").exists()  # no partial output
+
+    def test_workload_without_dataset_hash_is_exit_1_with_json_error(self, pipeline, tmp_path,
+                                                                    capsys):
+        _, queries = read_workload(pipeline / "workload.jsonl")
+        write_workload(tmp_path / "workload.jsonl", queries)  # no meta, so no dataset_sha256
+        code = run("label", "--data", pipeline / "data.csv", "--schema",
+                   pipeline / "schema.json", "--workload", tmp_path / "workload.jsonl",
+                   "--out", tmp_path / "labeled.jsonl")
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "HashMismatch" and "'dataset_sha256'" in err["message"]
+        assert not (tmp_path / "labeled.jsonl").exists()
+
+    def test_encoded_without_vocab_hash_is_exit_1_with_json_error(self, pipeline, tmp_path,
+                                                                  capsys):
+        X, y, support, _ = load_encoded(pipeline / "encoded.npz")
+        save_encoded(tmp_path / "encoded.npz", X, y, support)  # no vocab_content_hash
+        code = run("train", "--encoded", tmp_path / "encoded.npz", "--vocab",
+                   pipeline / "vocab.json", "--out", tmp_path / "model.npz")
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "HashMismatch" and "'vocab_content_hash'" in err["message"]
+        assert not (tmp_path / "model.npz").exists()
 
     def test_labeling_a_labeled_workload_fails(self, pipeline, capsys):
         code = run("label", "--data", pipeline / "data.csv", "--schema",

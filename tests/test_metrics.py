@@ -192,3 +192,7 @@ class TestEvalReport:
         assert "NRMSE" in text and "5.0000 %" in text
         record = report.to_record()
         assert record["rmse"] == report.rmse
+        assert set(record) == {
+            "n_test", "rmse", "nrmse_pct", "label_min", "label_max",
+            "mean_entropy_bits", "input_variance",
+        }

@@ -56,9 +56,9 @@ class TestSelectClause:
         with pytest.raises(InvalidTarget):
             build_select_clause([AVG], ["region"], transactions)
 
-    def test_nominal_attr_lenient_skips(self, transactions):
-        targets = build_select_clause([AVG, COUNT], ["region"], transactions, strict=False)
-        assert [t.token() for t in targets] == ["count(region)"]
+    def test_nominal_attr_takes_counting_funcs(self, transactions):
+        targets = build_select_clause([COUNT], ["region", "sales"], transactions)
+        assert [t.token() for t in targets] == ["count(region)", "count(sales)"]
 
 
 class TestTemplate:

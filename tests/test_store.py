@@ -8,13 +8,18 @@ import numpy as np
 import pytest
 
 from aqplearn import (
+    AggregationFunction,
+    AggregationTarget,
+    BetweenFilter,
     Dataset,
+    GroupByQuery,
     Kind,
     NullPolicy,
+    column_entropy,
     continuous_stats,
-    distinct_members,
     dump_csv,
     dump_schema,
+    execute_groupby,
     load_csv,
     load_schema,
     make_schema,
@@ -73,8 +78,34 @@ class TestDataset:
         assert transactions.row_count == 10
         assert transactions.kind_of("region") is Kind.NOMINAL
         assert transactions.kind_of("sales") is Kind.CONTINUOUS
-        assert distinct_members(transactions, "region") == ["east", "north", "south", "west"]
+        assert transactions.members("region") == ("east", "north", "south", "west")
+        assert transactions.member_id("region", "south") == 2
         assert transactions.member_id("region", "atlantis") is None
+
+    def test_row_order_changes_no_member_id_entropy_or_group(self):
+        """Member ids follow sorted member order, so two tables holding the
+        same rows in different orders agree on members, on each row's
+        id-to-member mapping, on entropy bit for bit, and on group-by rows."""
+        rng = np.random.default_rng(5)
+        n = 300
+        columns = {
+            "g": [f"m{v}" for v in rng.integers(0, 7, n)],
+            "h": [("zeta", "alpha", "mu")[v] for v in rng.integers(0, 3, n)],
+            "x": rng.integers(0, 100, n).astype(float),  # integers: sums are exact in any order
+        }
+        columns["h"][0] = "zeta"  # first occurrence and sorted order disagree
+        schema = make_schema([("g", Kind.NOMINAL), ("h", Kind.NOMINAL), ("x", Kind.CONTINUOUS)])
+        perm = rng.permutation(n)
+        a = Dataset.from_columns(schema, columns)
+        b = Dataset.from_columns(schema, {k: [v[i] for i in perm] for k, v in columns.items()})
+        for attr in ("g", "h"):
+            assert a.members(attr) == b.members(attr) == tuple(sorted(set(columns[attr])))
+            np.testing.assert_array_equal(b.nominal_id_values(attr), a.nominal_id_values(attr)[perm])
+        for attr in ("g", "h", "x"):
+            assert column_entropy(a, attr) == column_entropy(b, attr)
+        targets = [AggregationTarget(f, "x") for f in AggregationFunction]
+        gq = GroupByQuery(targets, (BetweenFilter("x", 10.0, 80.0),), ("h", "g"))
+        assert execute_groupby(a, gq).rows == execute_groupby(b, gq).rows
 
     def test_unknown_attribute(self, transactions):
         with pytest.raises(UnknownAttribute):
@@ -165,6 +196,54 @@ class TestLoadCsv:
         schema = make_schema([("g", Kind.NOMINAL), ("x", Kind.CONTINUOUS)])
         with pytest.raises(ParseError, match=r"row 3, column 'x'"):
             load_csv(path, schema)
+
+    def test_chunks_equal_from_columns(self, tmp_path, monkeypatch):
+        """A file read four rows at a time, whose members first appear in
+        later chunks and out of sorted order, with a dropped row, loads to
+        the table from_columns builds from the kept rows."""
+        monkeypatch.setattr("aqplearn.store.CSV_CHUNK_ROWS", 4)
+        rng = np.random.default_rng(1)
+        n = 23
+        g = ["k"] * 5 + [("k", "b", "x", "a")[v] for v in rng.integers(0, 4, n - 5)]
+        x = rng.normal(0.0, 1e3, n)
+        h = [f"h{v}" for v in rng.integers(0, 3, n)]
+        lines = ["g,x,h", *(f"{g[i]},{float(x[i])!r},{h[i]}" for i in range(n))]
+        lines[10] = "b,,h9"  # data row 10 is dropped for its null; h9 appears nowhere else
+        path = tmp_path / "chunks.csv"
+        path.write_text("\n".join(lines) + "\n")
+        schema = make_schema([("g", Kind.NOMINAL), ("x", Kind.CONTINUOUS), ("h", Kind.NOMINAL)])
+
+        ds = load_csv(path, schema)
+        kept = [i for i in range(n) if i != 9]
+        ref = Dataset.from_columns(
+            schema, {"g": [g[i] for i in kept], "x": x[kept], "h": [h[i] for i in kept]}
+        )
+        assert ds.row_count == ref.row_count == n - 1
+        assert ds.continuous_values("x").tobytes() == ref.continuous_values("x").tobytes()
+        for attr in ("g", "h"):
+            assert ds.members(attr) == ref.members(attr)
+            np.testing.assert_array_equal(ds.nominal_id_values(attr), ref.nominal_id_values(attr))
+        assert ds.members("g") == ("a", "b", "k", "x")
+
+    @pytest.mark.parametrize("cell, policy, error, message", [
+        ("abc", NullPolicy.DROP_ROW, ParseError, r"non-numeric value 'abc' at row 7, column 'x'"),
+        ("nan", NullPolicy.DROP_ROW, ParseError, r"non-finite value nan at row 7, column 'x'"),
+        ("-inf", NullPolicy.DROP_ROW, ParseError, r"non-finite value -inf at row 7, column 'x'"),
+        ("1.0,extra", NullPolicy.DROP_ROW, MalformedRow, r"row 7 has 3 fields"),
+        ("", NullPolicy.REJECT, ParseError, r"null value at row 7, column 'x'"),
+    ])
+    def test_bad_cell_past_the_first_chunk_names_its_file_row(self, tmp_path, monkeypatch,
+                                                              cell, policy, error, message):
+        monkeypatch.setattr("aqplearn.store.CSV_CHUNK_ROWS", 4)
+        rows = [f"m{i},{i}.5" for i in range(1, 10)]
+        if policy is NullPolicy.DROP_ROW:
+            rows[4] = "m5,"  # data row 5, dropped in the chunk that holds the bad row
+        rows[6] = f"m7,{cell}"
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["g,x", *rows]) + "\n")
+        schema = make_schema([("g", Kind.NOMINAL), ("x", Kind.CONTINUOUS)])
+        with pytest.raises(error, match=message):
+            load_csv(path, schema, null_policy=policy)
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
