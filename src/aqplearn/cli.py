@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import encoder, executor, metrics, nnet, querygen, store
-from .artifacts import atomic_open, parsing
+from .artifacts import atomic_open, parsing, write_json, write_jsonl
 from .errors import AqpError, HashMismatch, InvalidConfig, InvalidTarget, ShapeMismatch
 
 
@@ -34,12 +34,6 @@ def _sha256_file(path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
-
-
-def _write_json(path, doc: dict) -> None:
-    with atomic_open(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _load_dataset(args) -> store.Dataset:
@@ -239,7 +233,7 @@ def cmd_train(args) -> int:
         "n_test": len(te),
         "train_report": report.to_record(),
     }
-    _write_json(str(args.out) + ".report.json", sidecar)
+    write_json(str(args.out) + ".report.json", sidecar)
     print(
         f"trained {report.epochs_run} epochs (best epoch {report.best_epoch}, "
         f"validation MSE {report.best_val_mse:.6g}, {report.wall_seconds:.1f}s) -> {args.out}"
@@ -253,18 +247,10 @@ def cmd_predict(args) -> int:
     header, records = querygen.read_workload(args.workload)
     X = encoder.encode_workload(records, vocab)
     preds = model.predict_batch(X, n_workers=args.workers)
-    with atomic_open(args.out) as fh:
-        head = {
-            "kind": "predictions",
-            "version": 1,
-            "count": len(records),
-            "checkpoint_sha256": _sha256_file(args.checkpoint),
-        }
-        fh.write(json.dumps(head, sort_keys=True) + "\n")
-        for rec, p in zip(records, preds):
-            fq = rec.query if hasattr(rec, "query") else rec
-            row = {"query": fq.to_record(), "prediction": float(p)}
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    rows = [{"query": getattr(rec, "query", rec).to_record(), "prediction": float(p)}
+            for rec, p in zip(records, preds)]
+    write_jsonl(args.out, "predictions", 1, rows,
+                {"checkpoint_sha256": _sha256_file(args.checkpoint)})
     print(f"predicted {len(records)} queries -> {args.out}")
     return 0
 
@@ -293,7 +279,7 @@ def cmd_eval(args) -> int:
     if args.out:
         doc = report.to_record()
         doc.update(split=args.split, split_seed=args.split_seed, target=args.target)
-        _write_json(args.out, doc)
+        write_json(args.out, doc)
     print(report.to_text())
     return 0
 
@@ -315,7 +301,7 @@ def cmd_bench(args) -> int:
         "workers": args.workers,
     }
     if args.out:
-        _write_json(args.out, doc)
+        write_json(args.out, doc)
     print(
         f"QL {ql.mean_ms:.3f} ms/query (max {ql.max_ms:.3f}, n={ql.n})  "
         f"QT {qt.qps:.0f} queries/s ({qt.queries} queries, {args.workers} workers)"

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import atomic_open, parsing
+from .artifacts import parsing, read_artifact, save_npz, write_json
 from .errors import MalformedMatrix, NumericOverflow, UnknownToken, VersionMismatch
 from .queries import (
     AggregationFunction,
@@ -333,10 +333,9 @@ def decode(matrix: np.ndarray, vocab: TokenVocabulary) -> FlatQuery:
     return FlatQuery(target, tuple(betweens), tuple(ins))
 
 
-def row_token_ids(X: np.ndarray, row: int = 0) -> np.ndarray:
-    """Token IDs stored at one sequence row across a whole encoded tensor."""
-    X = np.asarray(X)
-    payload = X[:, row, 1:].astype(np.int64)
+def row_token_ids(X: np.ndarray) -> np.ndarray:
+    """Token IDs stored at row 0, the target, across a whole encoded tensor."""
+    payload = np.asarray(X)[:, 0, 1:].astype(np.int64)
     return payload @ _payload_weights(payload.shape[1])
 
 
@@ -348,43 +347,28 @@ ENCODED_VERSION = 1
 def save_encoded(path, X: np.ndarray, y: np.ndarray, support: np.ndarray,
                  meta: dict | None = None) -> None:
     """Store an encoded workload: inputs, labels, supports and metadata."""
-    doc = {"kind": "encoded", "version": ENCODED_VERSION, "count": int(len(X))}
-    doc.update(meta or {})
-    with atomic_open(path, "wb") as fh:
-        np.savez(
-            fh,
-            X=np.asarray(X, dtype=np.uint8),
-            y=np.asarray(y, dtype=np.float64),
-            support=np.asarray(support, dtype=np.int64),
-            meta=np.frombuffer(json.dumps(doc, sort_keys=True).encode(), dtype=np.uint8),
-        )
+    arrays = {"X": np.asarray(X, dtype=np.uint8), "y": np.asarray(y, dtype=np.float64),
+              "support": np.asarray(support, dtype=np.int64)}
+    save_npz(path, "encoded", ENCODED_VERSION, arrays, {"count": len(X), **(meta or {})})
 
 
 def load_encoded(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    with parsing(path, "encoded workload"), np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("kind") != "encoded" or meta.get("version") != ENCODED_VERSION:
-            raise VersionMismatch(f"{path} is not a version-{ENCODED_VERSION} encoded workload")
-        return data["X"].copy(), data["y"].copy(), data["support"].copy(), meta
+    meta, arrays = read_artifact(path, "encoded", ENCODED_VERSION)
+    with parsing(path, "encoded"):
+        return arrays["X"], arrays["y"], arrays["support"], meta
 
 
 # -- vocabulary files -------------------------------------------------------
 
 def save_vocabulary(vocab: TokenVocabulary, path: str | Path, meta: dict | None = None) -> None:
-    doc = {"kind": "vocabulary", "version": VOCAB_VERSION}
-    doc.update(meta or {})
-    doc.update(vocab.to_record())
+    doc = {"kind": "vocabulary", "version": VOCAB_VERSION, **(meta or {}), **vocab.to_record()}
     doc["content_hash"] = vocab.content_hash()
-    with atomic_open(path) as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_vocabulary(path: str | Path) -> tuple[TokenVocabulary, dict]:
-    with open(path, encoding="utf-8") as fh, parsing(path, "vocabulary"):
-        doc = json.load(fh)
-        if doc.get("kind") != "vocabulary" or doc.get("version") != VOCAB_VERSION:
-            raise VersionMismatch(f"{path} is not a version-{VOCAB_VERSION} vocabulary file")
+    doc, _ = read_artifact(path, "vocabulary", VOCAB_VERSION)
+    with parsing(path, "vocabulary"):
         vocab = TokenVocabulary.from_record(doc)
     if doc.get("content_hash") != vocab.content_hash():
         raise VersionMismatch(f"{path}: content hash does not match the vocabulary")

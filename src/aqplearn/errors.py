@@ -76,7 +76,7 @@ class DivergedLoss(AqpError):
 
 
 class VersionMismatch(AqpError):
-    """Checkpoint layout version not supported by this build."""
+    """An artifact is of another kind, or of a version this build does not read."""
 
 
 class VocabularyMismatch(AqpError):
@@ -86,7 +86,7 @@ class VocabularyMismatch(AqpError):
 # --- artifacts and cli -----------------------------------------------------
 
 class CorruptArtifact(AqpError):
-    """An input file is truncated or otherwise cannot be parsed."""
+    """An input file does not parse, cannot be typed or disagrees with its header."""
 
 
 class InvalidConfig(AqpError):

@@ -20,7 +20,6 @@ start at 0.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -28,16 +27,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .artifacts import atomic_open, parsing
+from .artifacts import parsing, read_artifact, save_npz
 from .errors import (
+    CorruptArtifact,
     DivergedLoss,
     EmptyList,
     LengthMismatch,
-    VersionMismatch,
     VocabularyMismatch,
 )
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 GATES = ("i", "f", "g", "o")
 PREDICT_CHUNK = 1024
 
@@ -54,12 +53,9 @@ class ModelConfig:
     batch_size: int = 256
     max_epochs: int = 500
     patience: int = 20
-    label_norm: str = "zscore"
     seed: int = 0
 
     def __post_init__(self):
-        if self.label_norm not in ("zscore", "none"):
-            raise ValueError(f"label_norm must be 'zscore' or 'none', got {self.label_norm!r}")
         for name in ("lstm_units", "dense_units", "batch_size", "max_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -277,7 +273,7 @@ class LstmModel:
             if len(X_val) != len(y_val):
                 raise LengthMismatch(f"{len(X_val)} validation inputs vs {len(y_val)} labels")
 
-        if self.adam_t == 0 and self.config.label_norm == "zscore":
+        if self.adam_t == 0:
             self.label_mean = float(np.mean(y))
             std = float(np.std(y))
             self.label_std = std if std > 1e-12 else 1.0
@@ -386,11 +382,14 @@ class LstmModel:
 
     # -- persistence -------------------------------------------------------
 
+    def _stores(self):
+        """(array-name prefix, tensors) pairs that a checkpoint stores."""
+        return (("param", self.params), ("m", self.adam_m), ("v", self.adam_v))
+
     def save(self, path) -> None:
         """Write a self-contained checkpoint (parameters, optimizer moments,
         shuffle RNG state, label statistics, config, vocabulary hash)."""
         meta = {
-            "version": CHECKPOINT_VERSION,
             "config": asdict(self.config),
             "sequence_length": self.sequence_length,
             "row_width": self.row_width,
@@ -400,21 +399,13 @@ class LstmModel:
             "vocab_hash": self.vocab_hash,
             "rng_state": self._rng.bit_generator.state,
         }
-        arrays = {f"param_{k}": v for k, v in self.params.items()}
-        arrays.update({f"m_{k}": v for k, v in self.adam_m.items()})
-        arrays.update({f"v_{k}": v for k, v in self.adam_v.items()})
-        arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-        with atomic_open(path, "wb") as fh:
-            np.savez(fh, **arrays)
+        arrays = {f"{p}_{k}": v for p, store in self._stores() for k, v in store.items()}
+        save_npz(path, "checkpoint", CHECKPOINT_VERSION, arrays, meta)
 
     @classmethod
     def load(cls, path, expected_vocab_hash: str | None = None) -> "LstmModel":
-        with parsing(path, "checkpoint"), np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            if meta.get("version") != CHECKPOINT_VERSION:
-                raise VersionMismatch(
-                    f"checkpoint version {meta.get('version')} != {CHECKPOINT_VERSION}"
-                )
+        meta, arrays = read_artifact(path, "checkpoint", CHECKPOINT_VERSION)
+        with parsing(path, "checkpoint"):
             if expected_vocab_hash is not None and meta["vocab_hash"] != expected_vocab_hash:
                 raise VocabularyMismatch(
                     "checkpoint was trained under a different vocabulary "
@@ -430,8 +421,10 @@ class LstmModel:
             model.label_std = float(meta["label_std"])
             model.adam_t = int(meta["adam_t"])
             model._rng.bit_generator.state = meta["rng_state"]
-            for k in cls.PARAM_KEYS:
-                model.params[k] = data[f"param_{k}"].copy()
-                model.adam_m[k] = data[f"m_{k}"].copy()
-                model.adam_v[k] = data[f"v_{k}"].copy()
+        implied = {f"{p}_{k}": v.shape for p, store in model._stores() for k, v in store.items()}
+        wrong = [k for k in implied if np.shape(arrays.get(k)) != implied[k]]
+        if wrong:
+            raise CorruptArtifact(f"{path}: tensors {wrong} differ from the config's shapes")
+        for p, store in model._stores():
+            store.update({k: arrays[f"{p}_{k}"] for k in store})
         return model

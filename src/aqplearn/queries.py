@@ -127,9 +127,9 @@ class FlatQuery:
             if len(set(attrs)) != len(attrs):
                 raise ValueError(f"duplicate {label} filter attributes: {attrs}")
 
-    def to_sql(self, table: str = "data") -> str:
+    def to_sql(self) -> str:
         return (
-            f"SELECT {self.target.to_sql()} FROM {table}"
+            f"SELECT {self.target.to_sql()} FROM data"
             + _where_sql(self.between_filters, self.in_filters)
         )
 
@@ -175,11 +175,11 @@ class GroupByQuery:
         if len(set(self.groupby_attrs)) != len(self.groupby_attrs):
             raise ValueError(f"duplicate GROUP BY attributes: {self.groupby_attrs}")
 
-    def to_sql(self, table: str = "data") -> str:
+    def to_sql(self) -> str:
         cols = ", ".join(self.groupby_attrs)
         selects = ", ".join([*self.groupby_attrs, *(t.to_sql() for t in self.targets)])
         return (
-            f"SELECT {selects} FROM {table}"
+            f"SELECT {selects} FROM data"
             + _where_sql(self.between_filters, ())
             + (f" GROUP BY {cols}" if cols else "")
         )

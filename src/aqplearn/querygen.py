@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import executor
-from .artifacts import atomic_open, parsing
+from .artifacts import parsing, read_artifact, write_jsonl
 from .errors import EmptyCombos, InvalidTarget, ShapeMismatch, TooFewQueries, WrongKind
 from .queries import (
     AggregationFunction,
@@ -346,38 +346,13 @@ def write_workload(
 ) -> None:
     """Write a workload file: one JSON header line, then one query per line."""
     labeled = bool(records) and isinstance(records[0], LabeledQuery)
-    header = {
-        "kind": "workload",
-        "version": WORKLOAD_VERSION,
-        "labeled": labeled,
-        "count": len(records),
-    }
-    header.update(meta or {})
-    with atomic_open(path) as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for r in records:
-            rec = r.to_record()
-            if not labeled:
-                rec["label"] = None
-                rec["support"] = None
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    rows = [{"label": None, "support": None, **r.to_record()} for r in records]
+    write_jsonl(path, "workload", WORKLOAD_VERSION, rows, {"labeled": labeled, **(meta or {})})
 
 
 def read_workload(path: str | Path) -> tuple[dict, list]:
     """Read a workload file back into FlatQuery or LabeledQuery objects."""
-    with open(path, encoding="utf-8") as fh, parsing(path, "workload"):
-        header = json.loads(fh.readline())
-        if header.get("kind") != "workload" or header.get("version") != WORKLOAD_VERSION:
-            raise ShapeMismatch(f"{path} is not a version-{WORKLOAD_VERSION} workload file")
-        records = []
-        for line in fh:
-            rec = json.loads(line)
-            if header["labeled"]:
-                records.append(LabeledQuery.from_record(rec))
-            else:
-                records.append(FlatQuery.from_record(rec))
-    if len(records) != header["count"]:
-        raise ShapeMismatch(
-            f"{path}: header declares {header['count']} records, found {len(records)}"
-        )
-    return header, records
+    header, rows = read_artifact(path, "workload", WORKLOAD_VERSION)
+    with parsing(path, "workload"):
+        parse = LabeledQuery.from_record if header["labeled"] else FlatQuery.from_record
+        return header, [parse(rec) for rec in rows]

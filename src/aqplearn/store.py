@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import atomic_open, parsing
+from .artifacts import atomic_open, parsing, write_json
 from .errors import (
     EmptyDataset,
     MalformedRow,
@@ -103,10 +103,7 @@ def load_schema(path: str | Path) -> list[AttributeSchema]:
 
 
 def dump_schema(schema: list[AttributeSchema], path: str | Path) -> None:
-    payload = [{"name": a.name, "kind": a.kind.value} for a in schema]
-    with atomic_open(path) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, [{"name": a.name, "kind": a.kind.value} for a in schema])
 
 
 def _float_column(cells, where) -> np.ndarray:

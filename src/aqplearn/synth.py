@@ -46,10 +46,10 @@ def make_benchmark_table(n_rows: int = 1_000_000, seed: int = 7) -> Dataset:
         + rng.normal(0.0, 8.0, n_rows)
     )
     schema = make_schema(BENCHMARK_SCHEMA)
-    columns = {
-        "region": [f"r{v}" for v in i],
-        "channel": [f"c{v}" for v in j],
-        "product": [f"p{v:02d}" for v in k],
+    columns = {  # each member string is built once and shared by its rows
+        "region": np.array([f"r{v}" for v in range(4)], dtype=object)[i].tolist(),
+        "channel": np.array([f"c{v}" for v in range(5)], dtype=object)[j].tolist(),
+        "product": np.array([f"p{v:02d}" for v in range(10)], dtype=object)[k].tolist(),
         "x": x,
         "value": value,
     }

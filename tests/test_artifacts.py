@@ -24,7 +24,7 @@ from aqplearn import (
 )
 from aqplearn.artifacts import atomic_open
 from aqplearn.encoder import load_encoded, save_encoded
-from aqplearn.errors import CorruptArtifact
+from aqplearn.errors import CorruptArtifact, VersionMismatch
 from aqplearn.querygen import QueryTemplate
 from aqplearn.store import AttributeSchema, dump_csv, dump_schema, make_schema
 from conftest import build_transactions
@@ -131,8 +131,54 @@ class TestTruncatedArtifacts:
         with pytest.raises(CorruptArtifact):
             load_encoded(truncated(tmp_path / "e.npz"))
 
+    def test_encoded_header_without_count(self, tmp_path):
+        path = tmp_path / "e.npz"
+        save_encoded(path, np.zeros((3, 2, 2), dtype=np.uint8), np.zeros(3), np.ones(3))
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["meta"]))
+        del meta["count"]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        arrays["y"] = arrays["y"][:2]
+        np.savez(path, **arrays)
+        with pytest.raises(CorruptArtifact, match="count"):
+            load_encoded(path)
+
     def test_edited_vocabulary_missing_a_field(self, tmp_path):
         path = tmp_path / "vocab.json"
         path.write_text(json.dumps({"kind": "vocabulary", "version": 1}))
         with pytest.raises(CorruptArtifact):
             load_vocabulary(path)
+
+
+READERS = {
+    "workload": read_workload,
+    "encoded": load_encoded,
+    "vocabulary": load_vocabulary,
+    "checkpoint": LstmModel.load,
+}
+
+
+@pytest.fixture(scope="module")
+def one_of_each(tmp_path_factory):
+    """One artifact of every kind, keyed by kind."""
+    root = tmp_path_factory.mktemp("kinds")
+    template = QueryTemplate.build(
+        build_transactions(), targets=[AggregationTarget(AggregationFunction.AVG, "sales")],
+        cont_filter_attrs=["sales"], nom_filter_attrs=[], n_cont_samples=4, seed=1,
+    )
+    vocab = build_vocabulary(queries(), template)
+    X = encode_workload(queries(), vocab)
+    paths = {kind: root / f"{kind}.art" for kind in READERS}
+    write_workload(paths["workload"], queries())
+    save_encoded(paths["encoded"], X, np.zeros(len(X)), np.ones(len(X), dtype=np.int64))
+    save_vocabulary(vocab, paths["vocabulary"])
+    LstmModel(ModelConfig(lstm_units=4, dense_units=4), 3, 5).save(paths["checkpoint"])
+    return paths
+
+
+@pytest.mark.parametrize("reader, other", [(r, o) for r in READERS for o in READERS if r != o])
+def test_other_kind_rejected(one_of_each, reader, other):
+    READERS[other](one_of_each[other])  # readable by its own reader
+    with pytest.raises(VersionMismatch, match=f"holds {other} version"):
+        READERS[reader](one_of_each[other])

@@ -232,6 +232,32 @@ class TestFailureModes:
         assert err["error"] == "HashMismatch" and "'vocab_content_hash'" in err["message"]
         assert not (tmp_path / "model.npz").exists()
 
+    def test_encoded_with_missing_labels_is_exit_1_with_json_error(self, pipeline, tmp_path,
+                                                                   capsys):
+        X, y, support, meta = load_encoded(pipeline / "encoded.npz")
+        save_encoded(tmp_path / "encoded.npz", X, y[:-3], support,
+                     meta={"vocab_content_hash": meta["vocab_content_hash"]})
+        code = run("train", "--encoded", tmp_path / "encoded.npz", "--vocab",
+                   pipeline / "vocab.json", "--out", tmp_path / "model.npz")
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "CorruptArtifact"
+        assert not (tmp_path / "model.npz").exists()
+
+    def test_wrong_shaped_checkpoint_is_exit_1_with_json_error(self, pipeline, tmp_path,
+                                                               capsys):
+        with np.load(pipeline / "model.npz") as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["param_W_h"] = arrays["param_W_h"][:4, :8]
+        np.savez(tmp_path / "model.npz", **arrays)
+        code = run("predict", "--checkpoint", tmp_path / "model.npz", "--vocab",
+                   pipeline / "vocab.json", "--workload", pipeline / "labeled.jsonl",
+                   "--out", tmp_path / "preds.jsonl")
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "CorruptArtifact"
+        assert not (tmp_path / "preds.jsonl").exists()
+
     def test_labeling_a_labeled_workload_fails(self, pipeline, capsys):
         code = run("label", "--data", pipeline / "data.csv", "--schema",
                    pipeline / "schema.json", "--workload", pipeline / "labeled.jsonl",

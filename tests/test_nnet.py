@@ -1,5 +1,6 @@
 """LSTM regressor: initialization, gradients, training behavior, persistence."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -249,10 +250,6 @@ class TestTraining:
 
 
 class TestConfigValidation:
-    def test_bad_label_norm(self):
-        with pytest.raises(ValueError):
-            ModelConfig(label_norm="minmax")
-
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
             ModelConfig(lstm_units=0)
@@ -262,15 +259,19 @@ class TestConfigValidation:
             ModelConfig(learning_rate=0.0)
 
 
-def rewrite_meta(path, **fields):
-    """Change fields of a saved checkpoint's JSON metadata in place."""
+def rewrite_meta(path, drop=(), arrays=None, **fields):
+    """Change fields of a saved checkpoint's JSON metadata in place, remove
+    the `drop` fields and replace the given arrays."""
     with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    meta = json.loads(bytes(arrays["meta"]).decode())
+        stored = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(stored["meta"]).decode())
     meta.update(fields)
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    for key in drop:
+        del meta[key]
+    stored.update(arrays or {})
+    stored["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.savez(fh, **stored)
 
 
 def assert_same_state(a: LstmModel, b: LstmModel):
@@ -320,6 +321,29 @@ class TestPersistence:
         m.save(path)
         rewrite_meta(path, version=1)
         with pytest.raises(VersionMismatch, match="version 1 "):
+            LstmModel.load(path)
+
+    def test_v2_checkpoint_rejected(self, tmp_path):
+        # Version 2 headers carried no kind.
+        path = tmp_path / "model.npz"
+        small_model().save(path)
+        rewrite_meta(path, drop=("kind",), version=2)
+        with pytest.raises(VersionMismatch, match="version 2 "):
+            LstmModel.load(path)
+
+    def test_wrong_tensor_shape_rejected(self, tmp_path):
+        path = tmp_path / "model.npz"
+        small_model().save(path)
+        rewrite_meta(path, arrays={"param_W_h": np.zeros((4, 8))})
+        with pytest.raises(CorruptArtifact, match="param_W_h"):
+            LstmModel.load(path)
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        m = small_model()
+        path = tmp_path / "model.npz"
+        m.save(path)
+        rewrite_meta(path, config={**dataclasses.asdict(m.config), "label_norm": "none"})
+        with pytest.raises(CorruptArtifact):
             LstmModel.load(path)
 
     def test_truncated_checkpoint_rejected(self, tmp_path):

@@ -22,10 +22,12 @@ from aqplearn import (
     write_workload,
 )
 from aqplearn.errors import (
+    CorruptArtifact,
     EmptyCombos,
     InvalidTarget,
     ShapeMismatch,
     TooFewQueries,
+    VersionMismatch,
     WrongKind,
 )
 from aqplearn.executor import GroupByResult, GroupByRow
@@ -354,11 +356,25 @@ class TestWorkloadFiles:
         write_workload(path, records)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(CorruptArtifact):
             read_workload(path)
 
     def test_alien_file_rejected(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_text('{"kind": "something-else"}\n')
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(VersionMismatch):
+            read_workload(path)
+
+    @pytest.mark.parametrize("edit", [
+        ('"lower": ', '"lower": null, "was": '),
+        ('"in": [', '"in": 5, "was": ['),
+    ])
+    def test_wrong_typed_field_rejected(self, tmp_path, edit):
+        path = tmp_path / "l.jsonl"
+        write_workload(path, labeled_workload(3))
+        lines = path.read_text().splitlines()
+        assert edit[0] in lines[2]
+        lines[2] = lines[2].replace(*edit)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptArtifact):
             read_workload(path)
