@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import parsing, read_artifact, save_npz, write_json
-from .errors import MalformedMatrix, NumericOverflow, UnknownToken, VersionMismatch
+from .errors import CorruptArtifact, MalformedMatrix, NumericOverflow, UnknownToken
 from .queries import (
     AggregationFunction,
     AggregationTarget,
@@ -371,5 +371,5 @@ def load_vocabulary(path: str | Path) -> tuple[TokenVocabulary, dict]:
     with parsing(path, "vocabulary"):
         vocab = TokenVocabulary.from_record(doc)
     if doc.get("content_hash") != vocab.content_hash():
-        raise VersionMismatch(f"{path}: content hash does not match the vocabulary")
+        raise CorruptArtifact(f"{path}: content hash does not match the vocabulary")
     return vocab, doc

@@ -16,10 +16,18 @@ forget, cell, output, so each timestep is a single matrix product. Each
 block is drawn as its own Xavier uniform matrix. Forget-gate biases start
 at 1 so early training does not flush the cell state; all other biases
 start at 0.
+
+Float32 is the compute dtype. The parameters are drawn in float64 and
+stored as float32; inputs, hidden and cell states, gradients and Adam
+moments all take the parameters' dtype, so one forward and one backward
+path serve any dtype. Answers are scaled back to label units in float64.
+The gradient check runs the same code on a float64 copy of the model,
+because central differences need float64 to resolve a 1e-5 step.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -36,9 +44,9 @@ from .errors import (
     VocabularyMismatch,
 )
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 GATES = ("i", "f", "g", "o")
-PREDICT_CHUNK = 1024
+PREDICT_CHUNK = 256
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -72,6 +80,7 @@ class TrainReport:
     best_val_mse: float
     train_history: tuple
     val_history: tuple
+    epoch_seconds: tuple
     label_mean: float
     label_std: float
     wall_seconds: float
@@ -115,6 +124,7 @@ class LstmModel:
         self.params["b_d"] = np.zeros(Dd)
         self.params["W_y"] = _xavier(self._rng, Dd, 1, (Dd, 1))
         self.params["b_y"] = np.zeros(1)
+        self.params = {k: v.astype(np.float32) for k, v in self.params.items()}
         self.adam_m = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.adam_v = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.adam_t = 0
@@ -127,8 +137,8 @@ class LstmModel:
         H = self.config.lstm_units
         pre_x = X.reshape(N * L, D) @ self.params["W_x"] + self.params["b"]
         pre_x = pre_x.reshape(N, L, 4 * H)
-        h = np.zeros((N, H))
-        c = np.zeros((N, H))
+        h = np.zeros((N, H), dtype=pre_x.dtype)
+        c = np.zeros((N, H), dtype=pre_x.dtype)
         steps = []
         for t in range(L):
             a = pre_x[:, t, :] + h @ self.params["W_h"]
@@ -166,17 +176,18 @@ class LstmModel:
         return np.concatenate(outs) if outs else np.zeros(0)
 
     def predict(self, X, n_workers: int = 1) -> np.ndarray:
-        """Estimate labels for encoded queries, in original label units.
-        Results are bit-identical for every worker count."""
+        """Estimate labels for encoded queries, in original label units, as
+        float64. Results are bit-identical for every worker count."""
         X = self._check_input(X)
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        return self._forward_chunks(X, n_workers) * self.label_std + self.label_mean
+        out = self._forward_chunks(X, n_workers).astype(np.float64)
+        return out * self.label_std + self.label_mean
 
     predict_batch = predict
 
     def _check_input(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
+        X = np.asarray(X, dtype=self.params["W_x"].dtype)
         if X.ndim != 3 or X.shape[1:] != (self.sequence_length, self.row_width):
             raise LengthMismatch(
                 f"expected input of shape (n, {self.sequence_length}, {self.row_width}), "
@@ -192,6 +203,7 @@ class LstmModel:
         H = self.config.lstm_units
         yhat, cache = self._forward(X, want_cache=True)
         _, steps, hL, pre_d, dense = cache
+        z = z.astype(yhat.dtype)
         loss = float(np.mean((yhat - z) ** 2))
 
         dy = (2.0 / N) * (yhat - z)
@@ -206,8 +218,8 @@ class LstmModel:
 
         Wh = self.params["W_h"]
         dWh = np.zeros_like(Wh)
-        db = np.zeros(4 * H)
-        da_all = np.zeros((N, len(steps), 4 * H))
+        db = np.zeros(4 * H, dtype=Wh.dtype)
+        da_all = np.zeros((N, len(steps), 4 * H), dtype=Wh.dtype)
         dh = dpre_d @ self.params["W_d"].T
         dc = np.zeros_like(dh)
         for t in range(len(steps) - 1, -1, -1):
@@ -288,8 +300,10 @@ class LstmModel:
         since_best = 0
         train_history: list[float] = []
         val_history: list[float] = []
+        epoch_seconds: list[float] = []
         epochs_run = 0
         for epoch in range(1, self.config.max_epochs + 1):
+            epoch_start = time.perf_counter()
             perm = self._rng.permutation(n)
             sq_err = 0.0
             for s in range(0, n, bs):
@@ -302,13 +316,15 @@ class LstmModel:
             train_mse = sq_err / n
             train_history.append(train_mse)
             epochs_run = epoch
+            if has_val:
+                val_pred = self._forward_chunks(X_val)
+                val_mse = float(np.mean((val_pred - z_val) ** 2))
+                if not np.isfinite(val_mse):
+                    raise DivergedLoss(f"validation loss became {val_mse} in epoch {epoch}")
+                val_history.append(val_mse)
+            epoch_seconds.append(time.perf_counter() - epoch_start)
             if not has_val:
                 continue
-            val_pred = self._forward_chunks(X_val)
-            val_mse = float(np.mean((val_pred - z_val) ** 2))
-            if not np.isfinite(val_mse):
-                raise DivergedLoss(f"validation loss became {val_mse} in epoch {epoch}")
-            val_history.append(val_mse)
             if val_mse < best_val:
                 best_val = val_mse
                 best_epoch = epoch
@@ -329,6 +345,7 @@ class LstmModel:
             best_val_mse=float(best_val),
             train_history=tuple(train_history),
             val_history=tuple(val_history),
+            epoch_seconds=tuple(epoch_seconds),
             label_mean=self.label_mean,
             label_std=self.label_std,
             wall_seconds=time.perf_counter() - start,
@@ -340,37 +357,41 @@ class LstmModel:
                        step: float = 1e-5, seed: int = 0) -> dict:
         """Compare analytic gradients against central differences.
 
-        Returns the worst relative error per parameter group, where the
-        error of one coordinate is |ga - gn| / max(|ga| + |gn|, 1e-12).
+        The check runs on a float64 copy of the model and leaves this
+        model's float32 parameters as they are. Returns the worst relative
+        error per parameter group, where the error of one coordinate is
+        |ga - gn| / max(|ga| + |gn|, 1e-12).
         Each gate's column block of W_x, W_h and b is its own group
         ("W_x:i" ... "b:o"), followed by the four head tensors; each group
         samples samples_per_param coordinates, and None checks every one.
         """
-        X = self._check_input(X)
+        model = copy.copy(self)
+        model.params = {k: v.astype(np.float64) for k, v in self.params.items()}
+        X = model._check_input(X)
         y = np.asarray(y, dtype=np.float64).ravel()
-        z = self._normalize(y)
-        _, grads = self._loss_and_grads(X, z)
+        z = model._normalize(y)
+        _, grads = model._loss_and_grads(X, z)
         H = self.config.lstm_units
         groups = []
         for gi, g in enumerate(GATES):
             for k in ("W_x", "W_h", "b"):
-                coords = np.arange(self.params[k].size).reshape(self.params[k].shape)
+                coords = np.arange(model.params[k].size).reshape(model.params[k].shape)
                 groups.append((f"{k}:{g}", k, coords[..., gi * H : (gi + 1) * H].ravel()))
-        groups += [(k, k, np.arange(self.params[k].size)) for k in ("W_d", "b_d", "W_y", "b_y")]
+        groups += [(k, k, np.arange(model.params[k].size)) for k in ("W_d", "b_d", "W_y", "b_y")]
         rng = np.random.default_rng(seed)
         errors = {}
         for name, k, coords in groups:
-            flat = self.params[k].reshape(-1)
+            flat = model.params[k].reshape(-1)
             if samples_per_param is not None and samples_per_param < coords.size:
                 coords = coords[rng.choice(coords.size, size=samples_per_param, replace=False)]
             worst = 0.0
             for j in coords:
                 orig = flat[j]
                 flat[j] = orig + step
-                up, _ = self._forward(X, want_cache=False)
+                up, _ = model._forward(X, want_cache=False)
                 loss_up = float(np.mean((up - z) ** 2))
                 flat[j] = orig - step
-                dn, _ = self._forward(X, want_cache=False)
+                dn, _ = model._forward(X, want_cache=False)
                 loss_dn = float(np.mean((dn - z) ** 2))
                 flat[j] = orig
                 gn = (loss_up - loss_dn) / (2.0 * step)
@@ -421,10 +442,12 @@ class LstmModel:
             model.label_std = float(meta["label_std"])
             model.adam_t = int(meta["adam_t"])
             model._rng.bit_generator.state = meta["rng_state"]
-        implied = {f"{p}_{k}": v.shape for p, store in model._stores() for k, v in store.items()}
-        wrong = [k for k in implied if np.shape(arrays.get(k)) != implied[k]]
+        implied = {f"{p}_{k}": (v.shape, v.dtype)
+                   for p, store in model._stores() for k, v in store.items()}
+        found = {k: (a.shape, a.dtype) for k, a in arrays.items()}
+        wrong = [k for k in implied if found.get(k) != implied[k]]
         if wrong:
-            raise CorruptArtifact(f"{path}: tensors {wrong} differ from the config's shapes")
+            raise CorruptArtifact(f"{path}: tensors {wrong} differ from the config's shapes and dtype")
         for p, store in model._stores():
             store.update({k: arrays[f"{p}_{k}"] for k in store})
         return model

@@ -119,6 +119,11 @@ class TestPipeline:
         assert report["train_report"]["epochs_run"] == 2
         assert report["n_train"] > report["n_test"]
 
+    def test_train_report_times_each_epoch(self, pipeline):
+        report = json.loads((pipeline / "model.npz.report.json").read_text())["train_report"]
+        assert len(report["epoch_seconds"]) == report["epochs_run"]
+        assert all(s > 0 for s in report["epoch_seconds"])
+
 
 class TestDeterminism:
     def test_generate_twice_is_byte_identical(self, tmp_path):

@@ -23,10 +23,10 @@ from aqplearn import (
 )
 from aqplearn.encoder import load_encoded, member_token, row_token_ids, save_encoded
 from aqplearn.errors import (
+    CorruptArtifact,
     MalformedMatrix,
     NumericOverflow,
     UnknownToken,
-    VersionMismatch,
 )
 from conftest import build_transactions
 
@@ -428,7 +428,7 @@ class TestVocabularyFiles:
         save_vocabulary(small_vocab(), path)
         text = path.read_text().replace('"bit_width": 5', '"bit_width": 6')
         path.write_text(text)
-        with pytest.raises(VersionMismatch):
+        with pytest.raises(CorruptArtifact):
             load_vocabulary(path)
 
     def test_member_token_namespacing(self):
