@@ -316,6 +316,11 @@ def _add_data_args(p):
     p.add_argument("--schema", required=True, help="JSON schema declaration")
 
 
+WORKERS_HELP = ("threads that answer the batch, one contiguous run of chunks each; with more "
+                "than one, pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) so that they do not "
+                "oversubscribe the cores")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aqplearn",
@@ -372,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--workload", required=True, help="workload file (labels ignored)")
     p.add_argument("--out", required=True, help="output predictions file")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("eval", help="accuracy report on a split of an encoded workload")
@@ -382,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default=None, help="target token (must match training)")
     p.add_argument("--split", choices=["train", "validation", "test", "all"], default="test")
     p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--data", default=None, help="CSV data file (adds entropy to the report)")
     p.add_argument("--schema", default=None)
     p.add_argument("--out", default=None, help="optional JSON report file")
@@ -392,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--encoded", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--ql-queries", type=int, default=200,
                    help="how many single-query latency samples to take")
     p.add_argument("--out", default=None, help="optional JSON report file")

@@ -23,6 +23,17 @@ moments all take the parameters' dtype, so one forward and one backward
 path serve any dtype. Answers are scaled back to label units in float64.
 The gradient check runs the same code on a float64 copy of the model,
 because central differences need float64 to resolve a 1e-5 step.
+
+Answers run each step once per distinct query prefix. The encoding puts
+the target row first, then the window rows, then the member rows, so the
+queries of one GROUP BY share their first rows and, with them, the LSTM
+state after those rows. predict sorts each fixed-size chunk of its input
+by the packed bits of its rows and runs step t only on the distinct
+prefixes of length t + 1; validation and the gradient check answer the
+same way. Training keeps the per-row forward pass, because
+backpropagation needs every row's states. Both paths share one step
+function and agree to float32 rounding. Chunk boundaries are fixed, so
+an answer never depends on the worker count.
 """
 
 from __future__ import annotations
@@ -41,12 +52,13 @@ from .errors import (
     DivergedLoss,
     EmptyList,
     LengthMismatch,
+    MalformedMatrix,
     VocabularyMismatch,
 )
 
 CHECKPOINT_VERSION = 4
 GATES = ("i", "f", "g", "o")
-PREDICT_CHUNK = 256
+PREDICT_CHUNK = 512
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -81,6 +93,7 @@ class TrainReport:
     train_history: tuple
     val_history: tuple
     epoch_seconds: tuple
+    grad_norms: tuple  # per epoch, the mean over batches of the global L2 gradient norm
     label_mean: float
     label_std: float
     wall_seconds: float
@@ -128,11 +141,34 @@ class LstmModel:
         self.adam_m = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.adam_v = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.adam_t = 0
+        # Binary rows pack exactly into float64 keys of up to 53 bits each.
+        bit = np.arange(D)
+        self._row_key = np.zeros((D, -(-D // 53)))
+        self._row_key[bit, bit // 53] = 2.0 ** (bit % 53)
 
     # -- forward -----------------------------------------------------------
 
-    def _forward(self, X: np.ndarray, want_cache: bool):
-        """Run the network on a (N, L, D) batch; returns normalized outputs."""
+    def _step(self, a: np.ndarray, c_prev: np.ndarray):
+        """One LSTM step from gate pre-activations a (rows, 4H) and the cell
+        state before it; returns (i, f, g, o, c, tanh(c), h)."""
+        H = self.config.lstm_units
+        i = _sigmoid(a[:, :H])
+        f = _sigmoid(a[:, H : 2 * H])
+        g = np.tanh(a[:, 2 * H : 3 * H])
+        o = _sigmoid(a[:, 3 * H :])
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        return i, f, g, o, c, tc, o * tc
+
+    def _head(self, h: np.ndarray):
+        """Dense ReLU layer and output unit on final hidden states."""
+        pre_d = h @ self.params["W_d"] + self.params["b_d"]
+        dense = np.maximum(pre_d, 0.0)
+        return (dense @ self.params["W_y"])[:, 0] + self.params["b_y"][0], pre_d, dense
+
+    def _forward(self, X: np.ndarray):
+        """Run the network on a (N, L, D) batch, one state per row, and keep
+        what backpropagation needs; returns (normalized outputs, cache)."""
         N, L, D = X.shape
         H = self.config.lstm_units
         pre_x = X.reshape(N * L, D) @ self.params["W_x"] + self.params["b"]
@@ -141,38 +177,68 @@ class LstmModel:
         c = np.zeros((N, H), dtype=pre_x.dtype)
         steps = []
         for t in range(L):
-            a = pre_x[:, t, :] + h @ self.params["W_h"]
-            i = _sigmoid(a[:, :H])
-            f = _sigmoid(a[:, H : 2 * H])
-            g = np.tanh(a[:, 2 * H : 3 * H])
-            o = _sigmoid(a[:, 3 * H :])
-            c_prev = c
-            c = f * c_prev + i * g
-            tc = np.tanh(c)
-            h_prev = h
-            h = o * tc
-            if want_cache:
-                steps.append((i, f, g, o, c_prev, tc, h_prev))
-        pre_d = h @ self.params["W_d"] + self.params["b_d"]
-        dense = np.maximum(pre_d, 0.0)
-        yhat = (dense @ self.params["W_y"])[:, 0] + self.params["b_y"][0]
-        cache = (X, steps, h, pre_d, dense) if want_cache else None
-        return yhat, cache
+            i, f, g, o, c_next, tc, h_next = self._step(pre_x[:, t, :] + h @ self.params["W_h"], c)
+            steps.append((i, f, g, o, c, tc, h))
+            c, h = c_next, h_next
+        yhat, pre_d, dense = self._head(h)
+        return yhat, (X, steps, h, pre_d, dense)
+
+    def _forward_distinct(self, X: np.ndarray) -> np.ndarray:
+        """Normalized outputs of a (n, L, D) binary batch, running each step
+        once per distinct prefix instead of once per row.
+
+        Rows that agree on their first t+1 rows have the same state after
+        step t. One sort of the packed rows numbers those prefixes: the sort
+        compares keys byte by byte, so equal prefixes end up adjacent, and in
+        sorted order a prefix starts a new state wherever it differs from
+        the one before. Step t runs on the distinct (parent state, row)
+        pairs only and gathers each parent's recurrent product and cell
+        state; the outputs of the distinct final states are scattered back
+        to the input order.
+        """
+        n, L, D = X.shape
+        keys = (X.reshape(n * L, D) @ self._row_key).reshape(n, -1)
+        order = np.argsort(keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0])
+        keys = keys[order]
+        per_step = self._row_key.shape[1]
+        # Column 0 is the zero state every row starts from; column t + 1
+        # marks the sorted rows whose prefix is new after step t.
+        new = np.zeros((n, L + 1), dtype=bool)
+        new[0] = True
+        new[1:, 1:] = np.logical_or.accumulate(keys[1:] != keys[:-1], axis=1)[:, per_step - 1 :: per_step]
+        ids = np.cumsum(new, axis=0) - 1
+        step, row = np.nonzero(new[:, 1:].T)  # distinct step-rows, ordered by step
+        parent = ids[row, step]
+        pre = X[order[row], step] @ self.params["W_x"] + self.params["b"]
+        counts = new.sum(axis=0).tolist()
+        h = c = np.zeros((1, self.config.lstm_units), dtype=pre.dtype)
+        lo = 0
+        for t in range(L):
+            hi = lo + counts[t + 1]
+            # Every state has a child, so equal counts mean one child each.
+            p = slice(None) if counts[t + 1] == counts[t] else parent[lo:hi]
+            *_, c, _, h = self._step(pre[lo:hi] + (h @ self.params["W_h"])[p], c[p])
+            lo = hi
+        out = np.empty(n, dtype=pre.dtype)
+        out[order] = self._head(h)[0][ids[:, -1]]
+        return out
 
     def _forward_chunks(self, X: np.ndarray, n_workers: int = 1) -> np.ndarray:
         """Normalized outputs, computed in fixed-size chunks so results do
-        not depend on how the caller batches the input or on n_workers.
-        More than one worker fans the chunks out over a thread pool."""
-        chunks = [X[s : s + PREDICT_CHUNK] for s in range(0, len(X), PREDICT_CHUNK)]
+        not depend on n_workers. More than one worker splits the chunks into
+        one contiguous run per worker on a thread pool."""
+        n_chunks = -(-len(X) // PREDICT_CHUNK)
+        cuts = [min(len(X), PREDICT_CHUNK * (n_chunks * w // n_workers)) for w in range(n_workers + 1)]
 
-        def run(chunk):
-            return self._forward(chunk, want_cache=False)[0]
+        def run(lo, hi):
+            return [self._forward_distinct(X[s : s + PREDICT_CHUNK]) for s in range(lo, hi, PREDICT_CHUNK)]
 
         if n_workers > 1:
             with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                outs = list(pool.map(run, chunks))
+                runs = list(pool.map(run, cuts[:-1], cuts[1:]))
         else:
-            outs = [run(ch) for ch in chunks]
+            runs = [run(0, len(X))]
+        outs = [out for chunks in runs for out in chunks]
         return np.concatenate(outs) if outs else np.zeros(0)
 
     def predict(self, X, n_workers: int = 1) -> np.ndarray:
@@ -193,6 +259,8 @@ class LstmModel:
                 f"expected input of shape (n, {self.sequence_length}, {self.row_width}), "
                 f"got {X.shape}"
             )
+        if ((X != 0) & (X != 1)).any():
+            raise MalformedMatrix("inputs must be binary matrices, every cell 0 or 1")
         return X
 
     # -- backward ----------------------------------------------------------
@@ -201,7 +269,7 @@ class LstmModel:
         """MSE on normalized labels plus gradients for every parameter."""
         N = len(X)
         H = self.config.lstm_units
-        yhat, cache = self._forward(X, want_cache=True)
+        yhat, cache = self._forward(X)
         _, steps, hL, pre_d, dense = cache
         z = z.astype(yhat.dtype)
         loss = float(np.mean((yhat - z) ** 2))
@@ -301,18 +369,21 @@ class LstmModel:
         train_history: list[float] = []
         val_history: list[float] = []
         epoch_seconds: list[float] = []
+        grad_norms: list[float] = []
         epochs_run = 0
         for epoch in range(1, self.config.max_epochs + 1):
             epoch_start = time.perf_counter()
             perm = self._rng.permutation(n)
-            sq_err = 0.0
+            sq_err = norm_sum = 0.0
             for s in range(0, n, bs):
                 idx = perm[s : s + bs]
                 loss, grads = self._loss_and_grads(X[idx], z[idx])
                 if not np.isfinite(loss):
                     raise DivergedLoss(f"training loss became {loss} in epoch {epoch}")
+                norm_sum += math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
                 self._adam_step(grads)
                 sq_err += loss * len(idx)
+            grad_norms.append(norm_sum / -(-n // bs))
             train_mse = sq_err / n
             train_history.append(train_mse)
             epochs_run = epoch
@@ -346,6 +417,7 @@ class LstmModel:
             train_history=tuple(train_history),
             val_history=tuple(val_history),
             epoch_seconds=tuple(epoch_seconds),
+            grad_norms=tuple(grad_norms),
             label_mean=self.label_mean,
             label_std=self.label_std,
             wall_seconds=time.perf_counter() - start,
@@ -388,10 +460,10 @@ class LstmModel:
             for j in coords:
                 orig = flat[j]
                 flat[j] = orig + step
-                up, _ = model._forward(X, want_cache=False)
+                up = model._forward_chunks(X)
                 loss_up = float(np.mean((up - z) ** 2))
                 flat[j] = orig - step
-                dn, _ = model._forward(X, want_cache=False)
+                dn = model._forward_chunks(X)
                 loss_dn = float(np.mean((dn - z) ** 2))
                 flat[j] = orig
                 gn = (loss_up - loss_dn) / (2.0 * step)

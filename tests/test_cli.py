@@ -124,6 +124,11 @@ class TestPipeline:
         assert len(report["epoch_seconds"]) == report["epochs_run"]
         assert all(s > 0 for s in report["epoch_seconds"])
 
+    def test_train_report_records_gradient_norms(self, pipeline):
+        report = json.loads((pipeline / "model.npz.report.json").read_text())["train_report"]
+        assert len(report["grad_norms"]) == report["epochs_run"]
+        assert all(g > 0 for g in report["grad_norms"])
+
 
 class TestDeterminism:
     def test_generate_twice_is_byte_identical(self, tmp_path):

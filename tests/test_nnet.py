@@ -13,10 +13,11 @@ from aqplearn.errors import (
     DivergedLoss,
     EmptyList,
     LengthMismatch,
+    MalformedMatrix,
     VersionMismatch,
     VocabularyMismatch,
 )
-from aqplearn.nnet import _sigmoid
+from aqplearn.nnet import PREDICT_CHUNK, _sigmoid
 
 L, D = 5, 7
 
@@ -105,6 +106,14 @@ class TestForward:
         with pytest.raises(LengthMismatch):
             m.fit(np.zeros((2, L, D)), [1.0, 2.0, 3.0])
 
+    def test_non_binary_input_is_rejected(self):
+        m = small_model()
+        for cell in (0.5, 2.0, np.nan):
+            X = np.zeros((3, L, D))
+            X[1, 2, 3] = cell
+            with pytest.raises(MalformedMatrix):
+                m.predict(X)
+
     def test_predict_batch_worker_invariance(self):
         m = small_model()
         X, _ = random_batch(2500, seed=3)
@@ -119,6 +128,87 @@ class TestForward:
         alone = np.concatenate([m.predict(X[i : i + 1]) for i in range(len(X))])
         # One-row and many-row float32 GEMMs may round differently.
         np.testing.assert_allclose(together, alone, rtol=1e-5, atol=1e-6)
+
+
+def bits(k, d=D):
+    """The d-bit binary row of the integer k."""
+    return [(k >> j) & 1 for j in range(d)]
+
+
+def shared_prefixes(n, seed):
+    """Shuffled rows in the encoding's shape: a few first rows (target,
+    window) shared by many queries, then later rows that vary more."""
+    rng = np.random.default_rng(seed)
+    heads = rng.integers(0, 2, size=(12, 3, D))
+    X = np.concatenate([heads[rng.integers(0, len(heads), n)], rng.integers(0, 2, size=(n, L - 3, D))], axis=1)
+    X[:, 3][rng.random(n) < 0.5] = 0  # padding rows
+    return X[rng.permutation(n)].astype(np.float64)
+
+
+class TestDistinctPrefixes:
+    """predict runs each step once per distinct prefix in its chunk; the
+    per-row _forward of training is the reference."""
+
+    def assert_matches_per_row(self, m, X):
+        # Equal up to float32 rounding: the two paths' matrix products have
+        # different row counts.
+        np.testing.assert_allclose(m.predict(X), m._forward(m._check_input(X))[0], rtol=1e-5, atol=1e-6)
+
+    def test_matches_per_row_forward_on_shuffled_shared_prefixes(self):
+        m = small_model()
+        X = shared_prefixes(3 * PREDICT_CHUNK + 37, seed=40)
+        self.assert_matches_per_row(m, X)
+        # Chunk boundaries are fixed, so the batch equals its chunks answered apart.
+        apart = [m.predict(X[s : s + PREDICT_CHUNK]) for s in range(0, len(X), PREDICT_CHUNK)]
+        np.testing.assert_array_equal(m.predict(X), np.concatenate(apart))
+
+    def test_duplicate_queries_get_bit_equal_answers(self):
+        m = small_model()
+        rng = np.random.default_rng(41)
+        distinct, _ = random_batch(20, seed=42)
+        picks = rng.integers(0, len(distinct), PREDICT_CHUNK)
+        out = m.predict(distinct[picks])
+        for k in range(len(distinct)):
+            same = out[picks == k]
+            assert len(same) > 1 and np.all(same == same[0])
+
+    def test_edge_cases(self):
+        m = small_model()
+        all_distinct = np.array([[bits(k)] + [bits(3 * k + j) for j in range(L - 1)] for k in range(100)])
+        for X in (
+            shared_prefixes(1, seed=43),
+            all_distinct.astype(np.float64),
+            np.zeros((30, L, D)),
+        ):
+            self.assert_matches_per_row(m, X)
+        padding = m.predict(np.zeros((30, L, D)))
+        assert np.all(padding == padding[0])
+        assert m.predict(np.zeros((0, L, D))).shape == (0,)
+
+    def test_worker_invariance_on_shared_prefixes(self):
+        m = small_model()
+        X = shared_prefixes(2500, seed=44)
+        base = m.predict(X)
+        for workers in (2, 3, 5, 16):
+            np.testing.assert_array_equal(m.predict_batch(X, n_workers=workers), base)
+
+    def test_steps_run_once_per_distinct_prefix(self, monkeypatch):
+        # 2 targets x 3 windows (two rows each) x 2 x 2 members: 24 queries
+        # whose distinct prefixes number 2, 6, 6, 12 and 24 by step.
+        queries = [
+            [bits(1 + t), bits(10 + w), bits(20 + w), bits(30 + a), bits(40 + b)]
+            for t in range(2) for w in range(3) for a in range(2) for b in range(2)
+        ]
+        X = np.array(queries, dtype=np.float64)[np.random.default_rng(45).permutation(24)]
+        m = small_model()
+        rows = []
+        step = m._step
+        monkeypatch.setattr(m, "_step", lambda a, c: rows.append(len(a)) or step(a, c))
+        out = m.predict(X)
+        assert rows == [2, 6, 6, 12, 24]
+        monkeypatch.undo()
+        self.assert_matches_per_row(m, X)
+        np.testing.assert_array_equal(out, m.predict(X))
 
 
 class TestGradients:
@@ -213,6 +303,21 @@ class TestTraining:
             assert len(report.epoch_seconds) == report.epochs_run
             assert all(s > 0 for s in report.epoch_seconds)
 
+    def test_report_records_mean_gradient_norm(self):
+        X, y = counting_task(48, seed=46)
+        m, fresh = small_model(max_epochs=3, batch_size=16, seed=47), small_model(seed=47)
+        report = m.fit(X, y)
+        assert len(report.grad_norms) == report.epochs_run
+        assert all(np.isfinite(g) and g > 0 for g in report.grad_norms)
+        # The first epoch replayed batch by batch: three gradients, three norms.
+        perm, norms = fresh._rng.permutation(len(X)), []
+        for s in range(0, len(X), 16):
+            idx = perm[s : s + 16]
+            _, grads = fresh._loss_and_grads(fresh._check_input(X[idx]), m._normalize(y[idx]))
+            norms.append(np.sqrt(sum(np.sum(g.astype(np.float64) ** 2) for g in grads.values())))
+            fresh._adam_step(grads)
+        assert report.grad_norms[0] == pytest.approx(np.mean(norms), rel=1e-5)
+
     def test_label_normalization_stats_from_training_split(self):
         X, y = counting_task(80, seed=10)
         y = y * 100.0 + 7.0
@@ -288,7 +393,7 @@ class TestFloat32:
         X, y = random_batch(16, seed=32)
         _, grads = m._loss_and_grads(m._check_input(X), m._normalize(y))
         assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
-        yhat, (_, steps, h, pre_d, dense) = m._forward(m._check_input(X), want_cache=True)
+        yhat, (_, steps, h, pre_d, dense) = m._forward(m._check_input(X))
         arrays = [yhat, h, pre_d, dense, *(a for step in steps for a in step)]
         assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
         assert m.predict(X).dtype == np.float64
