@@ -44,6 +44,7 @@ from .queries import (
     GroupByQuery,
     InFilter,
     LabeledQuery,
+    target_allowed,
 )
 from .store import Dataset, Kind
 
@@ -97,12 +98,12 @@ def _aggregate(func: AggregationFunction, values: np.ndarray) -> float:
 
 def _target_column(ds: Dataset, target: AggregationTarget) -> np.ndarray:
     kind = ds.kind_of(target.attr)
-    if kind is Kind.CONTINUOUS:
-        return ds.continuous_values(target.attr)
-    if target.func not in {AggregationFunction.COUNT, AggregationFunction.COUNT_DISTINCT}:
+    if not target_allowed(target.func, kind):
         raise WrongKind(
             f"{target.func.value} is not applicable to nominal attribute {target.attr!r}"
         )
+    if kind is Kind.CONTINUOUS:
+        return ds.continuous_values(target.attr)
     return ds.nominal_id_values(target.attr)
 
 

@@ -24,16 +24,16 @@ path serve any dtype. Answers are scaled back to label units in float64.
 The gradient check runs the same code on a float64 copy of the model,
 because central differences need float64 to resolve a 1e-5 step.
 
-Answers run each step once per distinct query prefix. The encoding puts
-the target row first, then the window rows, then the member rows, so the
-queries of one GROUP BY share their first rows and, with them, the LSTM
-state after those rows. predict sorts each fixed-size chunk of its input
-by the packed bits of its rows and runs step t only on the distinct
-prefixes of length t + 1; validation and the gradient check answer the
-same way. Training keeps the per-row forward pass, because
-backpropagation needs every row's states. Both paths share one step
-function and agree to float32 rounding. Chunk boundaries are fixed, so
-an answer never depends on the worker count.
+One forward pass serves training and answering, and it runs each step
+once per distinct query prefix. The encoding puts the target row first,
+then the window rows, then the member rows, so the queries of one GROUP
+BY share their first rows and, with them, the LSTM state after those
+rows. The forward pass sorts its batch by the packed bits of its rows and
+runs step t only on the distinct prefixes of length t + 1. Training
+backpropagates through those shared states: a state's gradient is the
+sum of its children's. predict, validation and the gradient check call
+the same pass; predict cuts its input into fixed-size chunks, so an
+answer never depends on the worker count.
 """
 
 from __future__ import annotations
@@ -107,9 +107,16 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Equal to 1 / (1 + exp(-x)), without overflow for large negative x.
-    return 0.5 * np.tanh(0.5 * x) + 0.5
+def _gate_blocks(a: np.ndarray) -> np.ndarray:
+    """The i, f, g, o blocks of C-contiguous fused gates (rows, 4H), as
+    one (4, rows, H) view."""
+    return a.reshape(len(a), 4, -1).swapaxes(0, 1)
+
+
+def _sum_runs(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sum each run of rows of a; starts marks the first row of every run.
+    a itself when every run is one row long."""
+    return a if starts.all() else np.add.reduceat(a, np.flatnonzero(starts), axis=0)
 
 
 class LstmModel:
@@ -145,20 +152,26 @@ class LstmModel:
         bit = np.arange(D)
         self._row_key = np.zeros((D, -(-D // 53)))
         self._row_key[bit, bit // 53] = 2.0 ** (bit % 53)
+        # Gate activations as one pass per operation over all four blocks:
+        # the logistic function as 0.5 * tanh(0.5 * x) + 0.5, which cannot
+        # overflow, on i, f and o, and tanh(x) on g.
+        self._gate_scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=np.float32), H)
+        self._gate_shift = np.repeat(np.array([0.5, 0.5, 0.0, 0.5], dtype=np.float32), H)
 
     # -- forward -----------------------------------------------------------
 
     def _step(self, a: np.ndarray, c_prev: np.ndarray):
         """One LSTM step from gate pre-activations a (rows, 4H) and the cell
-        state before it; returns (i, f, g, o, c, tanh(c), h)."""
-        H = self.config.lstm_units
-        i = _sigmoid(a[:, :H])
-        f = _sigmoid(a[:, H : 2 * H])
-        g = np.tanh(a[:, 2 * H : 3 * H])
-        o = _sigmoid(a[:, 3 * H :])
+        state before it. a is overwritten with the gates i, f, g, o;
+        returns (c, tanh(c), h)."""
+        a *= self._gate_scale
+        np.tanh(a, out=a)
+        a *= self._gate_scale
+        a += self._gate_shift
+        i, f, g, o = _gate_blocks(a)
         c = f * c_prev + i * g
         tc = np.tanh(c)
-        return i, f, g, o, c, tc, o * tc
+        return c, tc, o * tc
 
     def _head(self, h: np.ndarray):
         """Dense ReLU layer and output unit on final hidden states."""
@@ -167,25 +180,9 @@ class LstmModel:
         return (dense @ self.params["W_y"])[:, 0] + self.params["b_y"][0], pre_d, dense
 
     def _forward(self, X: np.ndarray):
-        """Run the network on a (N, L, D) batch, one state per row, and keep
-        what backpropagation needs; returns (normalized outputs, cache)."""
-        N, L, D = X.shape
-        H = self.config.lstm_units
-        pre_x = X.reshape(N * L, D) @ self.params["W_x"] + self.params["b"]
-        pre_x = pre_x.reshape(N, L, 4 * H)
-        h = np.zeros((N, H), dtype=pre_x.dtype)
-        c = np.zeros((N, H), dtype=pre_x.dtype)
-        steps = []
-        for t in range(L):
-            i, f, g, o, c_next, tc, h_next = self._step(pre_x[:, t, :] + h @ self.params["W_h"], c)
-            steps.append((i, f, g, o, c, tc, h))
-            c, h = c_next, h_next
-        yhat, pre_d, dense = self._head(h)
-        return yhat, (X, steps, h, pre_d, dense)
-
-    def _forward_distinct(self, X: np.ndarray) -> np.ndarray:
-        """Normalized outputs of a (n, L, D) binary batch, running each step
-        once per distinct prefix instead of once per row.
+        """Run the network on a (n, L, D) binary batch, each step once per
+        distinct prefix instead of once per row; returns (normalized outputs
+        in input order, cache for backpropagation).
 
         Rows that agree on their first t+1 rows have the same state after
         step t. One sort of the packed rows numbers those prefixes: the sort
@@ -194,7 +191,8 @@ class LstmModel:
         the one before. Step t runs on the distinct (parent state, row)
         pairs only and gathers each parent's recurrent product and cell
         state; the outputs of the distinct final states are scattered back
-        to the input order.
+        to the input order. Within a step parent ids never decrease and
+        every state has a child, so the children of one state are one run.
         """
         n, L, D = X.shape
         keys = (X.reshape(n * L, D) @ self._row_key).reshape(n, -1)
@@ -209,19 +207,29 @@ class LstmModel:
         ids = np.cumsum(new, axis=0) - 1
         step, row = np.nonzero(new[:, 1:].T)  # distinct step-rows, ordered by step
         parent = ids[row, step]
-        pre = X[order[row], step] @ self.params["W_x"] + self.params["b"]
+        first = new[row, step]  # the step-row is its parent's first child
+        X_rows = X[order[row], step]
+        # Pre-activations, which each step turns into its gates in place.
+        gates = X_rows @ self.params["W_x"] + self.params["b"]
         counts = new.sum(axis=0).tolist()
-        h = c = np.zeros((1, self.config.lstm_units), dtype=pre.dtype)
+        h = c = np.zeros((1, self.config.lstm_units), dtype=gates.dtype)
+        steps = []
         lo = 0
         for t in range(L):
             hi = lo + counts[t + 1]
             # Every state has a child, so equal counts mean one child each.
             p = slice(None) if counts[t + 1] == counts[t] else parent[lo:hi]
-            *_, c, _, h = self._step(pre[lo:hi] + (h @ self.params["W_h"])[p], c[p])
+            a = gates[lo:hi]
+            a += (h @ self.params["W_h"])[p]
+            c_prev = c[p]
+            c, tc, h_next = self._step(a, c_prev)
+            steps.append((c_prev, tc, h))
+            h = h_next
             lo = hi
-        out = np.empty(n, dtype=pre.dtype)
-        out[order] = self._head(h)[0][ids[:, -1]]
-        return out
+        yhat, pre_d, dense = self._head(h)
+        out = np.empty(n, dtype=gates.dtype)
+        out[order] = yhat[ids[:, -1]]
+        return out, (X_rows, order, first, new[:, -1], gates, steps, h, pre_d, dense)
 
     def _forward_chunks(self, X: np.ndarray, n_workers: int = 1) -> np.ndarray:
         """Normalized outputs, computed in fixed-size chunks so results do
@@ -231,7 +239,7 @@ class LstmModel:
         cuts = [min(len(X), PREDICT_CHUNK * (n_chunks * w // n_workers)) for w in range(n_workers + 1)]
 
         def run(lo, hi):
-            return [self._forward_distinct(X[s : s + PREDICT_CHUNK]) for s in range(lo, hi, PREDICT_CHUNK)]
+            return [self._forward(X[s : s + PREDICT_CHUNK])[0] for s in range(lo, hi, PREDICT_CHUNK)]
 
         if n_workers > 1:
             with ThreadPoolExecutor(max_workers=n_workers) as pool:
@@ -266,49 +274,47 @@ class LstmModel:
     # -- backward ----------------------------------------------------------
 
     def _loss_and_grads(self, X: np.ndarray, z: np.ndarray):
-        """MSE on normalized labels plus gradients for every parameter."""
-        N = len(X)
+        """MSE on normalized labels plus gradients for every parameter,
+        backpropagated through the prefix states of _forward. A state's
+        gradient is the sum over its children, one run each."""
         H = self.config.lstm_units
-        yhat, cache = self._forward(X)
-        _, steps, hL, pre_d, dense = cache
+        yhat, (X_rows, order, first, last, gates, steps, hL, pre_d, dense) = self._forward(X)
         z = z.astype(yhat.dtype)
         loss = float(np.mean((yhat - z) ** 2))
 
-        dy = (2.0 / N) * (yhat - z)
-        dy2 = dy[:, None]
+        dy = _sum_runs(((2.0 / len(X)) * (yhat - z))[order], last)[:, None]
         grads = {
-            "W_y": dense.T @ dy2,
-            "b_y": dy2.sum(axis=0),
+            "W_y": dense.T @ dy,
+            "b_y": dy.sum(axis=0),
         }
-        dpre_d = (dy2 @ self.params["W_y"].T) * (pre_d > 0)
+        dpre_d = (dy @ self.params["W_y"].T) * (pre_d > 0)
         grads["W_d"] = hL.T @ dpre_d
         grads["b_d"] = dpre_d.sum(axis=0)
 
         Wh = self.params["W_h"]
         dWh = np.zeros_like(Wh)
-        db = np.zeros(4 * H, dtype=Wh.dtype)
-        da_all = np.zeros((N, len(steps), 4 * H), dtype=Wh.dtype)
+        da_all = np.empty((len(X_rows), 4 * H), dtype=Wh.dtype)
         dh = dpre_d @ self.params["W_d"].T
         dc = np.zeros_like(dh)
-        for t in range(len(steps) - 1, -1, -1):
-            i, f, g, o, c_prev, tc, h_prev = steps[t]
+        hi = len(X_rows)
+        for c_prev, tc, h_prev in reversed(steps):
+            lo = hi - len(tc)
+            i, f, g, o = _gate_blocks(gates[lo:hi])
             do = dh * tc
             dc = dc + dh * o * (1.0 - tc * tc)
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            dc = dc * f
             da = np.concatenate(
-                [di * i * (1 - i), df * f * (1 - f), dg * (1 - g * g), do * o * (1 - o)],
+                [dc * g * i * (1 - i), dc * c_prev * f * (1 - f), dc * i * (1 - g * g), do * o * (1 - o)],
                 axis=1,
+                out=da_all[lo:hi],
             )
-            da_all[:, t, :] = da
-            dWh += h_prev.T @ da
-            db += da.sum(axis=0)
-            dh = da @ Wh.T
-        grads["W_x"] = X.reshape(-1, self.row_width).T @ da_all.reshape(-1, 4 * H)
+            da_parent = _sum_runs(da, first[lo:hi])
+            dWh += h_prev.T @ da_parent
+            dh = da_parent @ Wh.T
+            dc = _sum_runs(dc * f, first[lo:hi])
+            hi = lo
+        grads["W_x"] = X_rows.T @ da_all
         grads["W_h"] = dWh
-        grads["b"] = db
+        grads["b"] = da_all.sum(axis=0)
         return loss, grads
 
     def _adam_step(self, grads: dict) -> None:
@@ -460,10 +466,10 @@ class LstmModel:
             for j in coords:
                 orig = flat[j]
                 flat[j] = orig + step
-                up = model._forward_chunks(X)
+                up = model._forward(X)[0]
                 loss_up = float(np.mean((up - z) ** 2))
                 flat[j] = orig - step
-                dn = model._forward_chunks(X)
+                dn = model._forward(X)[0]
                 loss_dn = float(np.mean((dn - z) ** 2))
                 flat[j] = orig
                 gn = (loss_up - loss_dn) / (2.0 * step)

@@ -212,38 +212,6 @@ def gen_between_filters(
     return combos
 
 
-def gen_in_filter_combinations(
-    combos: list[tuple[str, ...]],
-    nominal_attrs: list[str],
-) -> list[tuple[InFilter, ...]]:
-    """One IN-filter set per observed member combination.
-
-    `combos` must come from executor.extract_member_combinations over the
-    same attribute list, so only combinations that exist in the result set
-    are turned into filters.
-    """
-    if not combos:
-        raise EmptyCombos("group-by result set is empty; no member combinations")
-    sets = []
-    for combo in combos:
-        if len(combo) != len(nominal_attrs):
-            raise ShapeMismatch(
-                f"combo {combo} does not align with attributes {nominal_attrs}"
-            )
-        sets.append(tuple(InFilter(a, m) for a, m in zip(nominal_attrs, combo)))
-    return sets
-
-
-def pair_filters(
-    between_sets: list[tuple[BetweenFilter, ...]],
-    in_sets: list[tuple[InFilter, ...]],
-) -> list[tuple[tuple[BetweenFilter, ...], tuple[InFilter, ...]]]:
-    """Full cross product of continuous and nominal filter sets."""
-    if not between_sets or not in_sets:
-        raise EmptyCombos("both filter set lists must be non-empty")
-    return [(b, i) for b in between_sets for i in in_sets]
-
-
 @dataclass(frozen=True)
 class GenerationReport:
     n_targets: int
@@ -271,13 +239,15 @@ def generate_workload(ds: Dataset, template: QueryTemplate) -> tuple[list[FlatQu
     else:
         between_sets = [()]
     if template.nom_filter_attrs:
-        combos = executor.extract_member_combinations(ds, list(template.nom_filter_attrs))
-        in_sets = gen_in_filter_combinations(combos, list(template.nom_filter_attrs))
+        attrs = list(template.nom_filter_attrs)
+        combos = executor.extract_member_combinations(ds, attrs)
+        if not combos:
+            raise EmptyCombos("group-by result set is empty; no member combinations")
+        in_sets = [tuple(InFilter(a, m) for a, m in zip(attrs, combo)) for combo in combos]
     else:
         in_sets = [()]
-    pairs = pair_filters(between_sets, in_sets)
     queries = [
-        FlatQuery(target, b, i) for target in template.targets for (b, i) in pairs
+        FlatQuery(target, b, i) for target in template.targets for b in between_sets for i in in_sets
     ]
     report = GenerationReport(
         n_targets=len(template.targets),

@@ -17,7 +17,7 @@ from aqplearn.errors import (
     VersionMismatch,
     VocabularyMismatch,
 )
-from aqplearn.nnet import PREDICT_CHUNK, _sigmoid
+from aqplearn.nnet import PREDICT_CHUNK
 
 L, D = 5, 7
 
@@ -46,13 +46,23 @@ def two_branch_sigmoid(x):
 
 
 class TestSigmoid:
+    """The i, f and o gates are the logistic function, g is tanh."""
+
+    @staticmethod
+    def gates(x):
+        a = np.repeat(x[:, None], 4, axis=1)
+        small_model(lstm_units=1)._step(a, np.zeros((len(a), 1)))
+        np.testing.assert_array_equal(a[:, 2], np.tanh(x))
+        return a[:, [0, 1, 3]]
+
     def test_matches_the_two_branch_form(self):
         x = np.linspace(-50.0, 50.0, 200_001)
-        assert np.max(np.abs(_sigmoid(x) - two_branch_sigmoid(x))) <= 1e-15
+        assert np.max(np.abs(self.gates(x) - two_branch_sigmoid(x)[:, None])) <= 1e-15
 
     def test_saturates_without_overflow(self):
         with np.errstate(all="raise"):
-            np.testing.assert_array_equal(_sigmoid(np.array([-1e4, 0.0, 1e4])), [0.0, 0.5, 1.0])
+            sig = self.gates(np.array([-1e4, 0.0, 1e4]))
+        np.testing.assert_array_equal(sig, np.repeat([[0.0], [0.5], [1.0]], 3, axis=1))
 
 
 class TestInitialization:
@@ -145,14 +155,34 @@ def shared_prefixes(n, seed):
     return X[rng.permutation(n)].astype(np.float64)
 
 
+def grouped_queries():
+    """2 targets x 3 windows (two rows each) x 2 x 2 members: 24 shuffled
+    queries whose distinct prefixes number 2, 6, 6, 12 and 24 by step."""
+    queries = [
+        [bits(1 + t), bits(10 + w), bits(20 + w), bits(30 + a), bits(40 + b)]
+        for t in range(2) for w in range(3) for a in range(2) for b in range(2)
+    ]
+    return np.array(queries, dtype=np.float64)[np.random.default_rng(45).permutation(24)]
+
+
+def count_step_rows(monkeypatch, m):
+    """Record the rows of every _step call of m in the returned list."""
+    rows = []
+    step = m._step
+    monkeypatch.setattr(m, "_step", lambda a, c: rows.append(len(a)) or step(a, c))
+    return rows
+
+
 class TestDistinctPrefixes:
-    """predict runs each step once per distinct prefix in its chunk; the
-    per-row _forward of training is the reference."""
+    """The forward pass runs each step once per distinct prefix of its
+    batch; each query answered alone, which shares nothing, is the
+    reference."""
 
     def assert_matches_per_row(self, m, X):
-        # Equal up to float32 rounding: the two paths' matrix products have
-        # different row counts.
-        np.testing.assert_allclose(m.predict(X), m._forward(m._check_input(X))[0], rtol=1e-5, atol=1e-6)
+        # Equal up to float32 rounding: a batch's matrix products have more
+        # rows than a single query's.
+        alone = np.concatenate([m.predict(X[k : k + 1]) for k in range(len(X))])
+        np.testing.assert_allclose(m.predict(X), alone, rtol=1e-5, atol=1e-6)
 
     def test_matches_per_row_forward_on_shuffled_shared_prefixes(self):
         m = small_model()
@@ -193,17 +223,9 @@ class TestDistinctPrefixes:
             np.testing.assert_array_equal(m.predict_batch(X, n_workers=workers), base)
 
     def test_steps_run_once_per_distinct_prefix(self, monkeypatch):
-        # 2 targets x 3 windows (two rows each) x 2 x 2 members: 24 queries
-        # whose distinct prefixes number 2, 6, 6, 12 and 24 by step.
-        queries = [
-            [bits(1 + t), bits(10 + w), bits(20 + w), bits(30 + a), bits(40 + b)]
-            for t in range(2) for w in range(3) for a in range(2) for b in range(2)
-        ]
-        X = np.array(queries, dtype=np.float64)[np.random.default_rng(45).permutation(24)]
+        X = grouped_queries()
         m = small_model()
-        rows = []
-        step = m._step
-        monkeypatch.setattr(m, "_step", lambda a, c: rows.append(len(a)) or step(a, c))
+        rows = count_step_rows(monkeypatch, m)
         out = m.predict(X)
         assert rows == [2, 6, 6, 12, 24]
         monkeypatch.undo()
@@ -212,6 +234,34 @@ class TestDistinctPrefixes:
 
 
 class TestGradients:
+    def test_batch_gradients_equal_the_mean_of_one_row_gradients(self):
+        # Duplicates share every state, so their gradients all flow through
+        # one final state.
+        m = small_model()
+        rng = np.random.default_rng(48)
+        X = shared_prefixes(300, seed=49)
+        X = np.concatenate([X, X[rng.integers(0, len(X), 50)]])[rng.permutation(350)]
+        z = rng.normal(0.0, 1.0, len(X))
+        loss, grads = m._loss_and_grads(m._check_input(X), z)
+        alone = [m._loss_and_grads(m._check_input(X[k : k + 1]), z[k : k + 1]) for k in range(len(X))]
+        assert loss == pytest.approx(np.mean([one[0] for one in alone]), rel=1e-5)
+        for k in LstmModel.PARAM_KEYS:
+            mean = np.mean([one[1][k].astype(np.float64) for one in alone], axis=0)
+            assert np.max(np.abs(grads[k] - mean)) / np.max(np.abs(mean)) < 1e-5, k
+
+    def test_backpropagation_runs_once_per_distinct_prefix(self, monkeypatch):
+        m = small_model()
+        rows = count_step_rows(monkeypatch, m)
+        m._loss_and_grads(m._check_input(grouped_queries()), np.linspace(-1.0, 1.0, 24))
+        assert rows == [2, 6, 6, 12, 24]
+
+    def test_every_coordinate_on_shared_prefixes(self):
+        m = small_model()
+        X = shared_prefixes(40, seed=50)
+        y = np.random.default_rng(51).normal(0.0, 1.0, len(X))
+        errors = m.gradient_check(X, y, samples_per_param=None)
+        assert max(errors.values()) < 1e-4
+
     def test_every_coordinate_on_a_small_model(self):
         m = small_model()
         X, y = random_batch(6, seed=2)
@@ -393,8 +443,8 @@ class TestFloat32:
         X, y = random_batch(16, seed=32)
         _, grads = m._loss_and_grads(m._check_input(X), m._normalize(y))
         assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
-        yhat, (_, steps, h, pre_d, dense) = m._forward(m._check_input(X))
-        arrays = [yhat, h, pre_d, dense, *(a for step in steps for a in step)]
+        yhat, (X_rows, *_, gates, steps, h, pre_d, dense) = m._forward(m._check_input(X))
+        arrays = [yhat, X_rows, gates, h, pre_d, dense, *(a for step in steps for a in step)]
         assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
         assert m.predict(X).dtype == np.float64
 

@@ -30,14 +30,10 @@ from aqplearn.errors import (
     VersionMismatch,
     WrongKind,
 )
-from aqplearn.executor import GroupByResult, GroupByRow
-from aqplearn.querygen import (
-    gen_between_filters,
-    gen_in_filter_combinations,
-    pair_filters,
-    snap_to_grid,
-)
+from aqplearn.executor import GroupByResult, GroupByRow, extract_member_combinations
+from aqplearn.querygen import gen_between_filters, snap_to_grid
 from aqplearn.store import ContinuousStats
+from conftest import build_transactions
 
 AVG = AggregationFunction.AVG
 SUM = AggregationFunction.SUM
@@ -167,36 +163,6 @@ class TestBetweenGeneration:
             assert [f.attr for f in combo] == ["x", "y"]
 
 
-class TestInFiltersAndPairing:
-    def test_combinations_to_filters(self):
-        sets = gen_in_filter_combinations(
-            [("north", "food"), ("south", "tools")], ["region", "category"]
-        )
-        assert sets[0] == (InFilter("region", "north"), InFilter("category", "food"))
-        assert len(sets) == 2
-
-    def test_empty_combos_raise(self):
-        with pytest.raises(EmptyCombos):
-            gen_in_filter_combinations([], ["region"])
-
-    def test_misaligned_combo_raises(self):
-        with pytest.raises(ShapeMismatch):
-            gen_in_filter_combinations([("north",)], ["region", "category"])
-
-    def test_pairing_is_full_cross_product(self):
-        b = [(BetweenFilter("x", float(i), float(i + 1)),) for i in range(3)]
-        i_ = [(InFilter("g", m),) for m in "abcd"]
-        pairs = pair_filters(b, i_)
-        assert len(pairs) == 12
-        assert len(set(pairs)) == 12
-
-    def test_empty_side_strict_and_lenient(self):
-        with pytest.raises(EmptyCombos):
-            pair_filters([], [(InFilter("g", "a"),)])
-        with pytest.raises(EmptyCombos):
-            pair_filters([(BetweenFilter("x", 0.0, 1.0),)], [])
-
-
 class TestGenerateWorkload:
     def test_counts_and_determinism(self, transactions):
         template = QueryTemplate.build(
@@ -208,11 +174,43 @@ class TestGenerateWorkload:
             seed=9,
         )
         queries, report = generate_workload(transactions, template)
-        # 7 observed (region, category) pairs; east/tools etc. all present except none missing
+        # all 8 (region, category) pairs occur in the table
         n_combos = report.n_member_combos
         assert report.n_queries == 2 * 4 * n_combos == len(queries)
         again, _ = generate_workload(transactions, template)
         assert queries == again
+
+    def test_cross_product_of_targets_windows_and_member_combinations(self, transactions):
+        targets = [AggregationTarget(AVG, "sales"), AggregationTarget(COUNT, "region")]
+        template = QueryTemplate.build(
+            transactions,
+            targets=targets,
+            cont_filter_attrs=["sales", "units"],
+            nom_filter_attrs=["region", "category"],
+            n_cont_samples=3,
+            seed=4,
+        )
+        queries, report = generate_workload(transactions, template)
+        combos = extract_member_combinations(transactions, ["region", "category"])
+        assert (report.n_between_sets, report.n_member_combos) == (3, len(combos)) == (3, 8)
+        windows = [q.between_filters for q in queries[: 3 * 8 : 8]]
+        assert [[f.attr for f in w] for w in windows] == [["sales", "units"]] * 3
+        # Targets outermost, then windows, then member combinations.
+        assert queries == [
+            FlatQuery(t, w, (InFilter("region", r), InFilter("category", c)))
+            for t in targets for w in windows for r, c in combos
+        ]
+
+    def test_nominal_filters_on_an_empty_table_raise(self):
+        empty = build_transactions([])
+        template = QueryTemplate.build(
+            empty,
+            targets=[AggregationTarget(COUNT, "sales")],
+            cont_filter_attrs=[],
+            nom_filter_attrs=["region"],
+        )
+        with pytest.raises(EmptyCombos):
+            generate_workload(empty, template)
 
     def test_every_query_is_executable_as_encoded(self, transactions):
         """Generated bounds already sit on the quantization grid, so the
