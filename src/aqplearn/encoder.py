@@ -25,14 +25,14 @@ encode_workload is the one encoder: a Python pass over the query fields
 fills an (n, L) payload array, and array operations scale and range-check
 the literals and expand the payloads to bits. encode() is its one-query
 case, and decode() and row_token_ids() read payloads back with the same
-bit weights.
+bit weights. as_bits() is the one 0/1 rule for every reader of bits.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -78,23 +78,19 @@ class TokenVocabulary:
     members: dict
     numeric_scales: dict
     bit_width: int
-    entries: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.entries:
-            entries = {}
-            for token in self.targets:
-                entries[token] = len(entries) + 1
-            for attr in self.cont_attrs:
-                entries[attr] = len(entries) + 1
-            for attr in self.nom_attrs:
-                entries[attr] = len(entries) + 1
-                for m in self.members[attr]:
-                    entries[member_token(attr, m)] = len(entries) + 1
-            object.__setattr__(self, "entries", entries)
-        object.__setattr__(
-            self, "_id_to_token", {i: t for t, i in self.entries.items()}
-        )
+        entries = {}
+        for token in self.targets:
+            entries[token] = len(entries) + 1
+        for attr in self.cont_attrs:
+            entries[attr] = len(entries) + 1
+        for attr in self.nom_attrs:
+            entries[attr] = len(entries) + 1
+            for m in self.members[attr]:
+                entries[member_token(attr, m)] = len(entries) + 1
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_id_to_token", {i: t for t, i in entries.items()})
 
     @property
     def sequence_length(self) -> int:
@@ -184,6 +180,14 @@ def build_vocabulary(queries: list, template) -> TokenVocabulary:
     )
 
 
+def as_bits(X) -> np.ndarray:
+    """X as uint8 0/1 cells, a uint8 array without a copy; else MalformedMatrix."""
+    bits = np.asarray(X)
+    if not ((bits == 0) | (bits == 1)).all():
+        raise MalformedMatrix("matrix cells must be 0 or 1")
+    return bits.astype(np.uint8, copy=False)
+
+
 def _payload_weights(bit_width: int) -> np.ndarray:
     """Place value of each payload bit, most significant first."""
     return 1 << np.arange(bit_width - 1, -1, -1, dtype=np.int64)
@@ -263,13 +267,10 @@ def encode_workload(queries: list, vocab: TokenVocabulary) -> np.ndarray:
 def decode(matrix: np.ndarray, vocab: TokenVocabulary) -> FlatQuery:
     """Invert encode(); raises MalformedMatrix on anything that is not a
     well-formed encoding under this vocabulary."""
-    mat = np.asarray(matrix)
+    mat = as_bits(matrix)
     expected = (vocab.sequence_length, vocab.row_width)
     if mat.shape != expected:
         raise MalformedMatrix(f"expected shape {expected}, got {mat.shape}")
-    if not np.isin(mat, (0, 1)).all():
-        raise MalformedMatrix("matrix contains values other than 0 and 1")
-    mat = mat.astype(np.uint8)
     payloads = mat[:, 1:].astype(np.int64) @ _payload_weights(vocab.bit_width)
 
     def is_padding(row):
@@ -346,8 +347,8 @@ ENCODED_VERSION = 1
 
 def save_encoded(path, X: np.ndarray, y: np.ndarray, support: np.ndarray,
                  meta: dict | None = None) -> None:
-    """Store an encoded workload: inputs, labels, supports and metadata."""
-    arrays = {"X": np.asarray(X, dtype=np.uint8), "y": np.asarray(y, dtype=np.float64),
+    """Store an encoded workload: 0/1 inputs, labels, supports and metadata."""
+    arrays = {"X": as_bits(X), "y": np.asarray(y, dtype=np.float64),
               "support": np.asarray(support, dtype=np.int64)}
     save_npz(path, "encoded", ENCODED_VERSION, arrays, {"count": len(X), **(meta or {})})
 

@@ -18,9 +18,9 @@ at 1 so early training does not flush the cell state; all other biases
 start at 0.
 
 Float32 is the compute dtype. The parameters are drawn in float64 and
-stored as float32; inputs, hidden and cell states, gradients and Adam
-moments all take the parameters' dtype, so one forward and one backward
-path serve any dtype. Answers are scaled back to label units in float64.
+stored as float32; hidden and cell states, gradients and Adam moments
+all take the parameters' dtype, so one forward and one backward path
+serve any dtype. Answers are scaled back to label units in float64.
 The gradient check runs the same code on a float64 copy of the model,
 because central differences need float64 to resolve a 1e-5 step.
 
@@ -28,12 +28,14 @@ One forward pass serves training and answering, and it runs each step
 once per distinct query prefix. The encoding puts the target row first,
 then the window rows, then the member rows, so the queries of one GROUP
 BY share their first rows and, with them, the LSTM state after those
-rows. The forward pass sorts its batch by the packed bits of its rows and
-runs step t only on the distinct prefixes of length t + 1. Training
-backpropagates through those shared states: a state's gradient is the
-sum of its children's. predict, validation and the gradient check call
-the same pass; predict cuts its input into fixed-size chunks, so an
-answer never depends on the worker count.
+rows. The model reads the encoder's uint8 bits without a float copy: it
+sorts a batch by each query's bits packed into bytes (np.packbits), runs
+step t only on the distinct prefixes of length t + 1 and casts only
+their rows to float32. Training backpropagates through those shared
+states: a state's gradient is the sum of its children's. predict,
+validation and the gradient check call the same pass; predict cuts its
+input into fixed-size chunks, so an answer never depends on the worker
+count.
 """
 
 from __future__ import annotations
@@ -47,12 +49,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .artifacts import parsing, read_artifact, save_npz
+from .encoder import as_bits
 from .errors import (
     CorruptArtifact,
     DivergedLoss,
     EmptyList,
     LengthMismatch,
-    MalformedMatrix,
     VocabularyMismatch,
 )
 
@@ -148,10 +150,6 @@ class LstmModel:
         self.adam_m = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.adam_v = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.adam_t = 0
-        # Binary rows pack exactly into float64 keys of up to 53 bits each.
-        bit = np.arange(D)
-        self._row_key = np.zeros((D, -(-D // 53)))
-        self._row_key[bit, bit // 53] = 2.0 ** (bit % 53)
         # Gate activations as one pass per operation over all four blocks:
         # the logistic function as 0.5 * tanh(0.5 * x) + 0.5, which cannot
         # overflow, on i, f and o, and tanh(x) on g.
@@ -180,7 +178,7 @@ class LstmModel:
         return (dense @ self.params["W_y"])[:, 0] + self.params["b_y"][0], pre_d, dense
 
     def _forward(self, X: np.ndarray):
-        """Run the network on a (n, L, D) binary batch, each step once per
+        """Run the network on a (n, L, D) uint8 batch, each step once per
         distinct prefix instead of once per row; returns (normalized outputs
         in input order, cache for backpropagation).
 
@@ -194,21 +192,21 @@ class LstmModel:
         to the input order. Within a step parent ids never decrease and
         every state has a child, so the children of one state are one run.
         """
-        n, L, D = X.shape
-        keys = (X.reshape(n * L, D) @ self._row_key).reshape(n, -1)
-        order = np.argsort(keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0])
+        n, L, _ = X.shape
+        keys = np.packbits(X, axis=2)
+        width = L * keys.shape[2]
+        order = np.argsort(keys.reshape(n, width).view(np.dtype((np.void, width)))[:, 0])
         keys = keys[order]
-        per_step = self._row_key.shape[1]
         # Column 0 is the zero state every row starts from; column t + 1
         # marks the sorted rows whose prefix is new after step t.
         new = np.zeros((n, L + 1), dtype=bool)
         new[0] = True
-        new[1:, 1:] = np.logical_or.accumulate(keys[1:] != keys[:-1], axis=1)[:, per_step - 1 :: per_step]
+        new[1:, 1:] = np.logical_or.accumulate((keys[1:] != keys[:-1]).any(axis=2), axis=1)
         ids = np.cumsum(new, axis=0) - 1
         step, row = np.nonzero(new[:, 1:].T)  # distinct step-rows, ordered by step
         parent = ids[row, step]
         first = new[row, step]  # the step-row is its parent's first child
-        X_rows = X[order[row], step]
+        X_rows = X[order[row], step].astype(self.params["W_x"].dtype)
         # Pre-activations, which each step turns into its gates in place.
         gates = X_rows @ self.params["W_x"] + self.params["b"]
         counts = new.sum(axis=0).tolist()
@@ -261,14 +259,12 @@ class LstmModel:
     predict_batch = predict
 
     def _check_input(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=self.params["W_x"].dtype)
+        X = as_bits(X)
         if X.ndim != 3 or X.shape[1:] != (self.sequence_length, self.row_width):
             raise LengthMismatch(
                 f"expected input of shape (n, {self.sequence_length}, {self.row_width}), "
                 f"got {X.shape}"
             )
-        if ((X != 0) & (X != 1)).any():
-            raise MalformedMatrix("inputs must be binary matrices, every cell 0 or 1")
         return X
 
     # -- backward ----------------------------------------------------------
@@ -358,6 +354,8 @@ class LstmModel:
             y_val = np.asarray(y_val, dtype=np.float64).ravel()
             if len(X_val) != len(y_val):
                 raise LengthMismatch(f"{len(X_val)} validation inputs vs {len(y_val)} labels")
+            if len(X_val) == 0:
+                raise EmptyList("cannot validate on an empty validation set")
 
         if self.adam_t == 0:
             self.label_mean = float(np.mean(y))

@@ -254,6 +254,21 @@ class TestFailureModes:
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "CorruptArtifact"
         assert not (tmp_path / "model.npz").exists()
 
+    def test_too_few_queries_to_validate_is_exit_1_with_json_error(self, pipeline, tmp_path,
+                                                                    capsys):
+        # Five queries split 3/0/2, which leaves no validation set.
+        X, y, support, meta = load_encoded(pipeline / "encoded.npz")
+        save_encoded(tmp_path / "encoded.npz", X[:5], y[:5], support[:5],
+                     meta={"vocab_content_hash": meta["vocab_content_hash"]})
+        code = run("train", "--encoded", tmp_path / "encoded.npz", "--vocab",
+                   pipeline / "vocab.json", "--out", tmp_path / "model.npz")
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "EmptyList" and "validation" in err["message"]
+        assert not (tmp_path / "model.npz").exists()
+
     def test_wrong_shaped_checkpoint_is_exit_1_with_json_error(self, pipeline, tmp_path,
                                                                capsys):
         with np.load(pipeline / "model.npz") as data:

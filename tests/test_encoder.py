@@ -313,10 +313,11 @@ class TestDecode:
 
     def test_non_binary_cells(self):
         v = small_vocab()
-        mat = encode(FlatQuery(AggregationTarget(AVG, "sales")), v).astype(float)
-        mat[0, 1] = 0.5
-        with pytest.raises(MalformedMatrix):
-            decode(mat, v)
+        for cell in (0.5, 2.0, -1.0, np.nan):
+            mat = encode(FlatQuery(AggregationTarget(AVG, "sales")), v).astype(float)
+            mat[0, 1] = cell
+            with pytest.raises(MalformedMatrix):
+                decode(mat, v)
 
     def test_all_padding_matrix(self):
         v = small_vocab()
@@ -402,6 +403,14 @@ class TestTensorHelpers:
         np.testing.assert_array_equal(y, y2)
         np.testing.assert_array_equal(s, s2)
         assert meta["note"] == "hello"
+
+    @pytest.mark.parametrize("cell", [0.5, 2, -1])
+    def test_encoded_file_rejects_non_binary_cells(self, tmp_path, cell):
+        X = np.zeros((2, 6, 6))
+        X[1, 3, 4] = cell
+        with pytest.raises(MalformedMatrix):
+            save_encoded(tmp_path / "enc.npz", X, np.zeros(2), np.ones(2))
+        assert not (tmp_path / "enc.npz").exists()
 
 
 class TestVocabularyFiles:

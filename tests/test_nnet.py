@@ -118,11 +118,25 @@ class TestForward:
 
     def test_non_binary_input_is_rejected(self):
         m = small_model()
-        for cell in (0.5, 2.0, np.nan):
+        for cell in (0.5, 2.0, -1.0, np.nan):
             X = np.zeros((3, L, D))
             X[1, 2, 3] = cell
             with pytest.raises(MalformedMatrix):
                 m.predict(X)
+
+    def test_uint8_input_is_used_without_a_copy(self):
+        X = np.random.default_rng(7).integers(0, 2, size=(6, L, D), dtype=np.uint8)
+        bits = small_model()._check_input(X)
+        assert bits.dtype == np.uint8 and np.shares_memory(bits, X)
+
+    def test_bool_int_and_float_inputs_become_uint8(self):
+        m = small_model()
+        X = np.random.default_rng(8).integers(0, 2, size=(6, L, D))
+        for dtype in (bool, np.int64, np.float32, np.float64):
+            bits = m._check_input(X.astype(dtype))
+            assert bits.dtype == np.uint8
+            np.testing.assert_array_equal(bits, X)
+        np.testing.assert_array_equal(m.predict(X.astype(bool)), m.predict(X.astype(np.uint8)))
 
     def test_predict_batch_worker_invariance(self):
         m = small_model()
@@ -231,6 +245,29 @@ class TestDistinctPrefixes:
         monkeypatch.undo()
         self.assert_matches_per_row(m, X)
         np.testing.assert_array_equal(out, m.predict(X))
+
+    def test_wide_rows_split_on_every_bit(self, monkeypatch):
+        # 61 bits per step is not a whole number of bytes and spans more
+        # than one 53-bit float mantissa; queries that differ in one bit of
+        # one step still get their own states.
+        width = 61
+        m = LstmModel(ModelConfig(lstm_units=6, dense_units=8, seed=3), L, width)
+        rng = np.random.default_rng(46)
+        base = rng.integers(0, 2, size=(L, width))
+        X = [base, base, base]
+        for t in (1, 3):
+            for b in (0, 52, 53, 60):
+                x = base.copy()
+                x[t, b] ^= 1
+                X.append(x)
+        X = np.array(X, dtype=np.uint8)[rng.permutation(len(X))]
+        rows = count_step_rows(monkeypatch, m)
+        together = m.predict(X)
+        assert rows == [1, 5, 5, 9, 9]
+        monkeypatch.undo()
+        alone = np.concatenate([m.predict(X[k : k + 1]) for k in range(len(X))])
+        np.testing.assert_allclose(together, alone, rtol=1e-5, atol=1e-6)
+        assert len(set(together.tolist())) == 9
 
 
 class TestGradients:
@@ -415,6 +452,13 @@ class TestTraining:
         with pytest.raises(EmptyList):
             m.fit(np.zeros((0, L, D)), [])
 
+    def test_empty_validation_set_fails_before_training(self):
+        X, y = counting_task(10, seed=18)
+        m = small_model()
+        with pytest.raises(EmptyList, match="validation"):
+            m.fit(X, y, X[:0], y[:0])
+        assert m.adam_t == 0
+
 
 class TestConfigValidation:
     def test_bad_sizes(self):
@@ -443,6 +487,7 @@ class TestFloat32:
         X, y = random_batch(16, seed=32)
         _, grads = m._loss_and_grads(m._check_input(X), m._normalize(y))
         assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+        assert m._check_input(X).dtype == np.uint8
         yhat, (X_rows, *_, gates, steps, h, pre_d, dense) = m._forward(m._check_input(X))
         arrays = [yhat, X_rows, gates, h, pre_d, dense, *(a for step in steps for a in step)]
         assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
