@@ -32,10 +32,14 @@ rows. The model reads the encoder's uint8 bits without a float copy: it
 sorts a batch by each query's bits packed into bytes (np.packbits), runs
 step t only on the distinct prefixes of length t + 1 and casts only
 their rows to float32. Training backpropagates through those shared
-states: a state's gradient is the sum of its children's. predict,
-validation and the gradient check call the same pass; predict cuts its
-input into fixed-size chunks, so an answer never depends on the worker
-count.
+states: a state's gradient is the sum of its children's. The sums run on
+the H-wide side: each child's 4H-wide gate gradient is multiplied by
+W_h^T before its run is summed, and dW_h pairs it with its parent's
+hidden state, gathered by parent id. predict, validation and the
+gradient check call the same pass; predict cuts its input into
+fixed-size chunks, so an answer never depends on the worker count. fit
+sorts the validation set into prefix order once, so each validation
+chunk shares its prefixes.
 """
 
 from __future__ import annotations
@@ -121,6 +125,21 @@ def _sum_runs(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return a if starts.all() else np.add.reduceat(a, np.flatnonzero(starts), axis=0)
 
 
+def _prefix_order(X: np.ndarray):
+    """Sort a (n, L, D) uint8 batch by its packed bits; returns (order,
+    keys), where keys (n, L) holds the sorted rows with each step's bytes
+    as one np.void element."""
+    n, L, D = X.shape
+    width = -(-D // 8)
+    # One flat packbits over steps zero-padded to whole bytes gives the
+    # bytes of packbits(X, axis=2) without an inner loop per step.
+    bits = np.zeros((n, L, 8 * width), dtype=np.uint8)
+    bits[..., :D] = X
+    keys = np.packbits(bits.reshape(-1)).reshape(n, L * width)
+    order = np.argsort(keys.view(np.dtype((np.void, L * width)))[:, 0])
+    return order, keys[order].view(np.dtype((np.void, width)))
+
+
 class LstmModel:
     """From-scratch LSTM regressor mapping (L, D) binary matrices to scalars."""
 
@@ -193,22 +212,20 @@ class LstmModel:
         every state has a child, so the children of one state are one run.
         """
         n, L, _ = X.shape
-        keys = np.packbits(X, axis=2)
-        width = L * keys.shape[2]
-        order = np.argsort(keys.reshape(n, width).view(np.dtype((np.void, width)))[:, 0])
-        keys = keys[order]
+        order, keys = _prefix_order(X)
         # Column 0 is the zero state every row starts from; column t + 1
         # marks the sorted rows whose prefix is new after step t.
         new = np.zeros((n, L + 1), dtype=bool)
         new[0] = True
-        new[1:, 1:] = np.logical_or.accumulate((keys[1:] != keys[:-1]).any(axis=2), axis=1)
+        new[1:, 1:] = np.logical_or.accumulate(keys[1:] != keys[:-1], axis=1)
         ids = np.cumsum(new, axis=0) - 1
         step, row = np.nonzero(new[:, 1:].T)  # distinct step-rows, ordered by step
         parent = ids[row, step]
         first = new[row, step]  # the step-row is its parent's first child
         X_rows = X[order[row], step].astype(self.params["W_x"].dtype)
         # Pre-activations, which each step turns into its gates in place.
-        gates = X_rows @ self.params["W_x"] + self.params["b"]
+        gates = X_rows @ self.params["W_x"]
+        gates += self.params["b"]
         counts = new.sum(axis=0).tolist()
         h = c = np.zeros((1, self.config.lstm_units), dtype=gates.dtype)
         steps = []
@@ -227,7 +244,7 @@ class LstmModel:
         yhat, pre_d, dense = self._head(h)
         out = np.empty(n, dtype=gates.dtype)
         out[order] = yhat[ids[:, -1]]
-        return out, (X_rows, order, first, new[:, -1], gates, steps, h, pre_d, dense)
+        return out, (X_rows, order, first, parent, new[:, -1], gates, steps, h, pre_d, dense)
 
     def _forward_chunks(self, X: np.ndarray, n_workers: int = 1) -> np.ndarray:
         """Normalized outputs, computed in fixed-size chunks so results do
@@ -272,9 +289,11 @@ class LstmModel:
     def _loss_and_grads(self, X: np.ndarray, z: np.ndarray):
         """MSE on normalized labels plus gradients for every parameter,
         backpropagated through the prefix states of _forward. A state's
-        gradient is the sum over its children, one run each."""
+        dh and dc are sums over its children, one run each. Both sums are
+        H wide: dh sums the children's da @ W_h^T, not their 4H-wide da,
+        and dW_h takes h_prev[parent]^T @ da, which gathers H-wide rows."""
         H = self.config.lstm_units
-        yhat, (X_rows, order, first, last, gates, steps, hL, pre_d, dense) = self._forward(X)
+        yhat, (X_rows, order, first, parent, last, gates, steps, hL, pre_d, dense) = self._forward(X)
         z = z.astype(yhat.dtype)
         loss = float(np.mean((yhat - z) ** 2))
 
@@ -303,9 +322,10 @@ class LstmModel:
                 axis=1,
                 out=da_all[lo:hi],
             )
-            da_parent = _sum_runs(da, first[lo:hi])
-            dWh += h_prev.T @ da_parent
-            dh = da_parent @ Wh.T
+            if len(h_prev) < len(tc):  # some parent has more than one child
+                h_prev = h_prev[parent[lo:hi]]
+            dWh += h_prev.T @ da
+            dh = _sum_runs(da @ Wh.T, first[lo:hi])
             dc = _sum_runs(dc * f, first[lo:hi])
             hi = lo
         grads["W_x"] = X_rows.T @ da_all
@@ -338,8 +358,8 @@ class LstmModel:
 
         A fresh model fits from scratch; calling fit again continues from
         the current parameters and optimizer moments (best-model tracking
-        restarts). Without a validation set the patience rule is off and
-        the final parameters are kept.
+        restarts). X_val and y_val come together or not at all; without
+        them the patience rule is off and the final parameters are kept.
         """
         start = time.perf_counter()
         X = self._check_input(X)
@@ -348,7 +368,9 @@ class LstmModel:
             raise LengthMismatch(f"{len(X)} inputs vs {len(y)} labels")
         if len(X) == 0:
             raise EmptyList("cannot train on an empty workload")
-        has_val = X_val is not None and y_val is not None
+        if (X_val is None) != (y_val is None):
+            raise LengthMismatch("a validation set needs both X_val and y_val")
+        has_val = X_val is not None
         if has_val:
             X_val = self._check_input(X_val)
             y_val = np.asarray(y_val, dtype=np.float64).ravel()
@@ -362,7 +384,11 @@ class LstmModel:
             std = float(np.std(y))
             self.label_std = std if std > 1e-12 else 1.0
         z = self._normalize(y)
-        z_val = self._normalize(y_val) if has_val else None
+        if has_val:
+            # In prefix order each validation chunk shares its prefixes;
+            # the order moves the mean squared error only by rounding.
+            order = _prefix_order(X_val)[0]
+            X_val, z_val = X_val[order], self._normalize(y_val)[order]
 
         n = len(X)
         bs = self.config.batch_size

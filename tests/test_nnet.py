@@ -459,6 +459,30 @@ class TestTraining:
             m.fit(X, y, X[:0], y[:0])
         assert m.adam_t == 0
 
+    @pytest.mark.parametrize("given", ["X_val", "y_val"])
+    def test_half_a_validation_set_fails_before_training(self, given):
+        X, y = counting_task(10, seed=18)
+        m = small_model()
+        with pytest.raises(LengthMismatch, match="validation"):
+            m.fit(X, y, **{given: X if given == "X_val" else y})
+        assert m.adam_t == 0
+
+    def test_validation_mse_does_not_depend_on_the_order(self):
+        # fit answers the validation set in prefix order; more than two
+        # chunks of shuffled queries make its chunks differ from predict's.
+        X, y = counting_task(64, seed=19)
+        Xv = shared_prefixes(2 * PREDICT_CHUNK + 100, seed=20)
+        yv = Xv.sum(axis=(1, 2))
+        perm = np.random.default_rng(21).permutation(len(Xv))
+        m, again = small_model(max_epochs=1), small_model(max_epochs=1)
+        report = m.fit(X, y, Xv, yv)
+        z = (m.predict(Xv) - m.label_mean) / m.label_std
+        zv = (yv - m.label_mean) / m.label_std
+        np.testing.assert_allclose(report.val_history[0], np.mean((z - zv) ** 2), rtol=1e-6)
+        permuted = again.fit(X, y, Xv[perm], yv[perm])
+        np.testing.assert_allclose(permuted.val_history, report.val_history, rtol=1e-6)
+        assert permuted.train_history == report.train_history
+
 
 class TestConfigValidation:
     def test_bad_sizes(self):
