@@ -58,7 +58,8 @@ def _check_upstream(header: dict, key: str, actual: str, what: str) -> None:
 
 def cmd_profile(args) -> int:
     ds = _load_dataset(args)
-    report = {"rows": ds.row_count, "attributes": []}
+    entropy = metrics.dataset_entropy(ds)
+    report = {"rows": ds.row_count, "attributes": [], "mean_entropy_bits": entropy["mean"]}
     for attr in ds.schema:
         entry = {"name": attr.name, "kind": attr.kind.value}
         if attr.kind is store.Kind.CONTINUOUS:
@@ -66,11 +67,8 @@ def cmd_profile(args) -> int:
             entry.update(min=st.min, q1=st.q1, median=st.median, q3=st.q3, max=st.max)
         else:
             entry["members"] = list(ds.members(attr.name))
-        entry["entropy_bits"] = metrics.column_entropy(ds, attr.name)
+        entry["entropy_bits"] = entropy["per_attribute"][attr.name]
         report["attributes"].append(entry)
-    report["mean_entropy_bits"] = metrics.mean_entropy(
-        a["entropy_bits"] for a in report["attributes"]
-    )
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
@@ -311,6 +309,22 @@ def cmd_bench(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+def _int_at_least(low: int):
+    """argparse type for an integer >= low; anything else is a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+POSITIVE, NON_NEGATIVE = _int_at_least(1), _int_at_least(0)
+
+
 def _add_data_args(p):
     p.add_argument("--data", required=True, help="CSV data file")
     p.add_argument("--schema", required=True, help="JSON schema declaration")
@@ -337,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     p.add_argument("--template", required=True, help="JSON query template")
     p.add_argument("--out", required=True, help="output workload file")
-    p.add_argument("--seed", type=int, default=None, help="override the template seed")
+    p.add_argument("--seed", type=NON_NEGATIVE, default=None, help="override the template seed")
     p.add_argument("--sql", action="store_true", help="also write <out>.sql with query text")
     p.set_defaults(fn=cmd_generate)
 
@@ -345,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     p.add_argument("--workload", required=True, help="unlabeled workload file")
     p.add_argument("--out", required=True, help="output labeled workload file")
-    p.add_argument("--threads", type=int, default=1, help="executor thread count")
+    p.add_argument("--threads", type=POSITIVE, default=1, help="executor thread count")
     p.set_defaults(fn=cmd_label)
 
     p = sub.add_parser("encode", help="build the vocabulary and encode a labeled workload")
@@ -368,8 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--max-epochs", type=int, default=None)
     p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None, help="weight init and shuffle seed")
-    p.add_argument("--split-seed", type=int, default=0, help="train/validation/test shuffle seed")
+    p.add_argument("--seed", type=NON_NEGATIVE, default=None, help="weight init and shuffle seed")
+    p.add_argument("--split-seed", type=NON_NEGATIVE, default=0,
+                   help="train/validation/test shuffle seed")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("predict", help="answer workload queries with a trained model")
@@ -377,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--workload", required=True, help="workload file (labels ignored)")
     p.add_argument("--out", required=True, help="output predictions file")
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
+    p.add_argument("--workers", type=POSITIVE, default=1, help=WORKERS_HELP)
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("eval", help="accuracy report on a split of an encoded workload")
@@ -386,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--target", default=None, help="target token (must match training)")
     p.add_argument("--split", choices=["train", "validation", "test", "all"], default="test")
-    p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
+    p.add_argument("--split-seed", type=NON_NEGATIVE, default=0)
+    p.add_argument("--workers", type=POSITIVE, default=1, help=WORKERS_HELP)
     p.add_argument("--data", default=None, help="CSV data file (adds entropy to the report)")
     p.add_argument("--schema", default=None)
     p.add_argument("--out", default=None, help="optional JSON report file")
@@ -397,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--encoded", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    p.add_argument("--ql-queries", type=int, default=200,
+    p.add_argument("--workers", type=POSITIVE, default=1, help=WORKERS_HELP)
+    p.add_argument("--ql-queries", type=POSITIVE, default=200,
                    help="how many single-query latency samples to take")
     p.add_argument("--out", default=None, help="optional JSON report file")
     p.set_defaults(fn=cmd_bench)

@@ -14,7 +14,8 @@ The layout is fixed by the vocabulary, not by the individual query:
 Attributes appear in template order (which is schema order). A query that
 does not filter some attribute leaves that attribute's rows as padding
 (all zeros, reserved token ID 0), so every query from one template encodes
-to the same shape and decoding is unambiguous.
+to the same shape and decoding is unambiguous. TokenVocabulary.slots is
+the one statement of this layout.
 
 Continuous literals are stored as k = round(value * scale) using the
 attribute's quantization scale; decoding returns k / scale. Literals must
@@ -24,8 +25,9 @@ fit in B bits and be non-negative, otherwise NumericOverflow; B is at most
 encode_workload is the one encoder: a Python pass over the query fields
 fills an (n, L) payload array, and array operations scale and range-check
 the literals and expand the payloads to bits. encode() is its one-query
-case, and decode() and row_token_ids() read payloads back with the same
-bit weights. as_bits() is the one 0/1 rule for every reader of bits.
+case. decode() accepts a query it reads back only if encode() gives the
+matrix again, bit for bit; row_token_ids() reads payloads with the same bit
+weights. as_bits() is the one 0/1 rule for every reader of bits.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .queries import (
     LabeledQuery,
 )
 
-PADDING_ID = 0
 VOCAB_VERSION = 1
 
 
@@ -69,7 +70,9 @@ class TokenVocabulary:
     continuous attribute its name token, then per nominal attribute its
     name token followed by its member tokens in sorted order. bit_width is
     the payload width B, wide enough for the largest ID and the largest
-    quantized literal seen when the vocabulary was built.
+    quantized literal seen when the vocabulary was built. slots gives the
+    (attribute, first row) of each filter block, in layout order, and
+    sequence_length the row count L.
     """
 
     targets: tuple[str, ...]
@@ -91,10 +94,13 @@ class TokenVocabulary:
                 entries[member_token(attr, m)] = len(entries) + 1
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_id_to_token", {i: t for t, i in entries.items()})
-
-    @property
-    def sequence_length(self) -> int:
-        return 1 + 3 * len(self.cont_attrs) + 2 * len(self.nom_attrs)
+        slots, row = [], 1
+        for attrs, height in ((self.cont_attrs, 3), (self.nom_attrs, 2)):
+            for attr in attrs:
+                slots.append((attr, row))
+                row += height
+        object.__setattr__(self, "slots", tuple(slots))
+        object.__setattr__(self, "sequence_length", row)
 
     @property
     def row_width(self) -> int:
@@ -109,12 +115,6 @@ class TokenVocabulary:
             return self.entries[token]
         except KeyError:
             raise UnknownToken(f"token {token!r} is not in the vocabulary") from None
-
-    def token_of(self, token_id: int) -> str:
-        token = self._id_to_token.get(token_id)
-        if token is None:
-            raise MalformedMatrix(f"token ID {token_id} is not in the vocabulary")
-        return token
 
     def scale(self, attr: str) -> float:
         return float(self.numeric_scales.get(attr, 1.0))
@@ -217,8 +217,8 @@ def encode_workload(queries: list, vocab: TokenVocabulary) -> np.ndarray:
     if B > 63:
         raise NumericOverflow(f"payload width {B} exceeds 63 bits")
     n_cont = len(vocab.cont_attrs)
-    cont_slots = {a: (1 + 3 * k, vocab.token_id(a)) for k, a in enumerate(vocab.cont_attrs)}
-    nom_slots = {a: (1 + 3 * n_cont + 2 * k, vocab.token_id(a)) for k, a in enumerate(vocab.nom_attrs)}
+    slots = [(a, (j, vocab.token_id(a))) for a, j in vocab.slots]
+    cont_slots, nom_slots = dict(slots[:n_cont]), dict(slots[n_cont:])
 
     rows = []
     for q in queries:
@@ -265,73 +265,45 @@ def encode_workload(queries: list, vocab: TokenVocabulary) -> np.ndarray:
 
 
 def decode(matrix: np.ndarray, vocab: TokenVocabulary) -> FlatQuery:
-    """Invert encode(); raises MalformedMatrix on anything that is not a
-    well-formed encoding under this vocabulary."""
+    """Invert encode(): the query whose encoding is `matrix`, bit for bit.
+
+    A filter block is present when its attribute row is non-zero; one that
+    gives no filter (inverted bounds, another attribute's member) is left
+    out. Unless encode() gives `matrix` back, MalformedMatrix names the
+    first row that differs, so decode accepts exactly what encode produces.
+    """
     mat = as_bits(matrix)
     expected = (vocab.sequence_length, vocab.row_width)
     if mat.shape != expected:
         raise MalformedMatrix(f"expected shape {expected}, got {mat.shape}")
-    payloads = mat[:, 1:].astype(np.int64) @ _payload_weights(vocab.bit_width)
-
-    def is_padding(row):
-        return not row.any()
-
-    def token_at(r, what):
-        row = mat[r]
-        if row[0] != 0:
-            raise MalformedMatrix(f"row {r}: expected a token row for {what}, got a literal")
-        token_id = int(payloads[r])
-        if token_id == PADDING_ID:
-            raise MalformedMatrix(f"row {r}: unexpected padding where {what} should be")
-        return vocab.token_of(token_id)
-
-    def literal_at(r, what):
-        row = mat[r]
-        if row[0] != 1:
-            raise MalformedMatrix(f"row {r}: expected a numeric literal for {what}")
-        return int(payloads[r])
-
-    target_token = token_at(0, "the aggregation target")
+    payloads = (mat[:, 1:].astype(np.int64) @ _payload_weights(vocab.bit_width)).tolist()
+    target_token = vocab._id_to_token.get(payloads[0])
     if target_token not in vocab.targets:
-        raise MalformedMatrix(f"row 0: {target_token!r} is not an aggregation target")
+        raise MalformedMatrix(f"row 0: token ID {payloads[0]} is not an aggregation target")
     func_name, _, rest = target_token.partition("(")
-    target = AggregationTarget(AggregationFunction(func_name), rest.rstrip(")"))
+    target = AggregationTarget(AggregationFunction(func_name), rest[:-1])
 
-    betweens = []
-    r = 1
-    for attr in vocab.cont_attrs:
-        chunk = mat[r : r + 3]
-        if all(is_padding(row) for row in chunk):
-            r += 3
+    betweens, ins, present = [], [], mat.any(axis=1).tolist()
+    for k, (attr, j) in enumerate(vocab.slots):
+        if not present[j]:
             continue
-        if any(is_padding(row) for row in chunk):
-            raise MalformedMatrix(f"rows {r}..{r + 2}: partially padded BETWEEN block")
-        if token_at(r, "a filter attribute") != attr:
-            raise MalformedMatrix(f"row {r}: expected attribute token {attr!r}")
-        s = vocab.scale(attr)
-        lo = literal_at(r + 1, "the lower bound") / s
-        hi = literal_at(r + 2, "the upper bound") / s
-        if lo > hi:
-            raise MalformedMatrix(f"rows {r + 1}..{r + 2}: bounds out of order ({lo} > {hi})")
-        betweens.append(BetweenFilter(attr, lo, hi))
-        r += 3
-    ins = []
-    for attr in vocab.nom_attrs:
-        chunk = mat[r : r + 2]
-        if all(is_padding(row) for row in chunk):
-            r += 2
-            continue
-        if any(is_padding(row) for row in chunk):
-            raise MalformedMatrix(f"rows {r}..{r + 1}: partially padded IN block")
-        if token_at(r, "a filter attribute") != attr:
-            raise MalformedMatrix(f"row {r}: expected attribute token {attr!r}")
-        mtok = token_at(r + 1, "a member")
-        prefix = f"{attr}="
-        if not mtok.startswith(prefix):
-            raise MalformedMatrix(f"row {r + 1}: {mtok!r} is not a member of {attr!r}")
-        ins.append(InFilter(attr, mtok[len(prefix):]))
-        r += 2
-    return FlatQuery(target, tuple(betweens), tuple(ins))
+        if k < len(vocab.cont_attrs):
+            lo, hi = (payloads[j + i] / vocab.scale(attr) for i in (1, 2))
+            if lo <= hi:
+                betweens.append(BetweenFilter(attr, lo, hi))
+        else:
+            token = vocab._id_to_token.get(payloads[j + 1], "")
+            if token.startswith(f"{attr}="):
+                ins.append(InFilter(attr, token[len(attr) + 1 :]))
+    query = FlatQuery(target, tuple(betweens), tuple(ins))
+    try:
+        again = encode(query, vocab)
+    except NumericOverflow as exc:  # B > 63, or a literal float64 cannot carry back
+        raise MalformedMatrix(f"not an encoding under this vocabulary: {exc}") from None
+    differs = np.flatnonzero((again != mat).any(axis=1))
+    if differs.size:
+        raise MalformedMatrix(f"row {differs[0]} is not in the encoding of {query.to_sql()!r}")
+    return query
 
 
 def row_token_ids(X: np.ndarray) -> np.ndarray:

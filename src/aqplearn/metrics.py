@@ -17,7 +17,7 @@ population variance over every 0/1 cell.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -167,15 +167,7 @@ class EvalReport:
     input_variance: float | None = None
 
     def to_record(self) -> dict:
-        return {
-            "n_test": self.n_test,
-            "rmse": self.rmse,
-            "nrmse_pct": self.nrmse_pct,
-            "label_min": self.label_min,
-            "label_max": self.label_max,
-            "mean_entropy_bits": self.mean_entropy_bits,
-            "input_variance": self.input_variance,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         rows = [

@@ -85,8 +85,9 @@ class ModelConfig:
         for name in ("lstm_units", "dense_units", "batch_size", "max_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.patience < 0:
-            raise ValueError("patience must be >= 0")
+        for name in ("patience", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
 

@@ -36,7 +36,6 @@ from .queries import (
     GroupByQuery,
     InFilter,
     LabeledQuery,
-    target_allowed,
 )
 from .store import ContinuousStats, Dataset, Kind, continuous_stats
 
@@ -86,6 +85,8 @@ class QueryTemplate:
                     raise WrongKind(f"filter attribute {a!r} is not {kind.value}")
         if n_cont_samples < 1:
             raise ValueError("n_cont_samples must be >= 1")
+        if seed < 0:
+            raise ValueError("seed must be >= 0")
         scales = dict(numeric_scales or {})
         for a, s in scales.items():
             if ds.kind_of(a) is not Kind.CONTINUOUS or s <= 0:
@@ -120,29 +121,30 @@ def load_template(source: str | Path | dict, ds: Dataset) -> QueryTemplate:
     Targets come either as explicit {func, attr} pairs under "targets" or
     as "agg_funcs" x "agg_attrs" lists expanded via build_select_clause.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh, parsing(source, "template"):
-            raw = json.load(fh)
-    else:
-        raw = dict(source)
-    if "targets" in raw:
-        targets = [
-            AggregationTarget(AggregationFunction(t["func"]), t["attr"]) for t in raw["targets"]
-        ]
-    elif "agg_funcs" in raw and "agg_attrs" in raw:
-        funcs = [AggregationFunction(f) for f in raw["agg_funcs"]]
-        targets = build_select_clause(funcs, raw["agg_attrs"], ds)
-    else:
-        raise InvalidTarget("template must declare 'targets' or 'agg_funcs'+'agg_attrs'")
-    return QueryTemplate.build(
-        ds,
-        targets=targets,
-        cont_filter_attrs=raw.get("cont_filter_attrs", []),
-        nom_filter_attrs=raw.get("nom_filter_attrs", []),
-        n_cont_samples=raw.get("n_cont_samples", DEFAULT_N_CONT_SAMPLES),
-        seed=raw.get("seed", 0),
-        numeric_scales=raw.get("numeric_scales"),
-    )
+    with parsing(source, "template"):
+        if isinstance(source, (str, Path)):
+            with open(source, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        else:
+            raw = dict(source)
+        if "targets" in raw:
+            targets = [
+                AggregationTarget(AggregationFunction(t["func"]), t["attr"]) for t in raw["targets"]
+            ]
+        elif "agg_funcs" in raw and "agg_attrs" in raw:
+            funcs = [AggregationFunction(f) for f in raw["agg_funcs"]]
+            targets = build_select_clause(funcs, raw["agg_attrs"], ds)
+        else:
+            raise InvalidTarget("template must declare 'targets' or 'agg_funcs'+'agg_attrs'")
+        return QueryTemplate.build(
+            ds,
+            targets=targets,
+            cont_filter_attrs=raw.get("cont_filter_attrs", []),
+            nom_filter_attrs=raw.get("nom_filter_attrs", []),
+            n_cont_samples=raw.get("n_cont_samples", DEFAULT_N_CONT_SAMPLES),
+            seed=raw.get("seed", 0),
+            numeric_scales=raw.get("numeric_scales"),
+        )
 
 
 def build_select_clause(
@@ -156,14 +158,9 @@ def build_select_clause(
     function paired with one raises InvalidTarget. Each resulting target
     later gets its own model and training set.
     """
-    targets = []
-    for func in funcs:
-        for attr in attrs:
-            if not target_allowed(func, ds.kind_of(attr)):
-                raise InvalidTarget(
-                    f"{func.value} is not applicable to nominal attribute {attr!r}"
-                )
-            targets.append(AggregationTarget(func, attr))
+    targets = [AggregationTarget(func, attr) for func in funcs for attr in attrs]
+    for t in targets:
+        t.validate(ds)
     return targets
 
 

@@ -180,6 +180,7 @@ class TestFailureModes:
     @pytest.mark.parametrize("text, error", [
         ('{"lstm_units": 8, "dense_', "CorruptArtifact"),
         ('{"lstm_unitz": 8}', "InvalidConfig"),
+        ('{"seed": -1}', "InvalidConfig"),
     ])
     def test_bad_train_config_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys,
                                                         text, error):
@@ -201,6 +202,56 @@ class TestFailureModes:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "CorruptArtifact"
         assert not (tmp_path / "workload.jsonl").exists()
+
+    @pytest.mark.parametrize("change", [
+        {"targets": [{"func": "foo", "attr": "sales"}]},
+        {"targets": [{"func": "avg"}]},
+        {"n_cont_samples": 0},
+        {"numeric_scales": {"sales": 0}},
+        {"seed": -1},
+    ], ids=["unknown-func", "target-without-attr", "no-samples", "zero-scale", "negative-seed"])
+    def test_bad_template_content_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys,
+                                                            change):
+        template = json.loads((pipeline / "template.json").read_text())
+        (tmp_path / "template.json").write_text(json.dumps({**template, **change}))
+        code = run("generate", "--data", pipeline / "data.csv", "--schema",
+                   pipeline / "schema.json", "--template", tmp_path / "template.json",
+                   "--out", tmp_path / "workload.jsonl")
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "CorruptArtifact"
+        assert not (tmp_path / "workload.jsonl").exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("predict", "--workers", "0"),
+        ("eval", "--workers", "0"),
+        ("bench", "--workers", "0"),
+        ("bench", "--workers", "two"),
+        ("bench", "--ql-queries", "-3"),
+        ("label", "--threads", "0"),
+        ("generate", "--seed", "-1"),
+        ("train", "--seed", "-1"),
+        ("train", "--split-seed", "-1"),
+        ("eval", "--split-seed", "-1"),
+    ])
+    def test_out_of_range_number_is_a_usage_error(self, pipeline, tmp_path, capsys,
+                                                  command, flag, value):
+        data = ["--data", pipeline / "data.csv", "--schema", pipeline / "schema.json"]
+        model = ["--checkpoint", pipeline / "model.npz", "--vocab", pipeline / "vocab.json"]
+        encoded = ["--encoded", pipeline / "encoded.npz"]
+        out = ["--out", tmp_path / "out"]
+        argv = {
+            "generate": [*data, "--template", pipeline / "template.json", *out],
+            "label": [*data, "--workload", pipeline / "workload.jsonl", *out],
+            "train": [*encoded, "--vocab", pipeline / "vocab.json", *out],
+            "predict": [*model, "--workload", pipeline / "labeled.jsonl", *out],
+            "eval": [*model, *encoded, *out],
+            "bench": [*model, *encoded, *out],
+        }[command]
+        assert run(command, *argv, flag, value) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_stale_dataset_aborts_labeling(self, pipeline, tmp_path, capsys):
         for name in ("data.csv", "schema.json", "workload.jsonl"):

@@ -63,6 +63,18 @@ class TestVocabulary:
         assert v.sequence_length == 1 + 3 * 1 + 2 * 1
         assert v.row_width == 6
 
+    def test_slots_give_each_filter_block_its_first_row(self):
+        v = TokenVocabulary(
+            targets=("avg(sales)",),
+            cont_attrs=("sales", "units"),
+            nom_attrs=("region", "category"),
+            members={"region": ("north",), "category": ("food",)},
+            numeric_scales={},
+            bit_width=5,
+        )
+        assert v.slots == (("sales", 1), ("units", 4), ("region", 7), ("category", 9))
+        assert v.sequence_length == 11
+
     def test_unknown_token(self):
         with pytest.raises(UnknownToken):
             small_vocab().token_id("median(sales)")
@@ -370,6 +382,91 @@ class TestDecode:
         v = small_vocab()
         mat = encode(FlatQuery(AggregationTarget(AVG, "sales")), v).copy()
         mat[0, 1:] = [0, 0, 0, 1, 0]  # ID 2 = 'sales', not a target
+        with pytest.raises(MalformedMatrix):
+            decode(mat, v)
+
+
+def decodes_exactly(mat, vocab) -> bool:
+    """False if decode rejects `mat`; else True, after checking that the
+    query it returns encodes to `mat` bit for bit."""
+    try:
+        q = decode(mat, vocab)
+    except MalformedMatrix:
+        return False
+    np.testing.assert_array_equal(encode(q, vocab), mat)
+    return True
+
+
+class TestDecodeAcceptsExactlyEncodings:
+    """decode either raises MalformedMatrix or returns the query whose
+    encoding is the matrix it was given, for corrupted encodings too."""
+
+    # (attribute, first row, rows) of each filter block in the sample's layout
+    BLOCKS = (("sales", 1, 3), ("units", 4, 3), ("region", 7, 2), ("category", 9, 2))
+
+    @pytest.fixture
+    def sample(self, transactions):
+        template = QueryTemplate.build(
+            transactions,
+            targets=[AggregationTarget(COUNT, "region"), AggregationTarget(AVG, "units")],
+            cont_filter_attrs=["sales", "units"],
+            nom_filter_attrs=["region", "category"],
+            n_cont_samples=4,
+            seed=3,
+            numeric_scales={"units": 10.0},
+        )
+        queries, _ = generate_workload(transactions, template)
+        vocab = build_vocabulary(queries, template)
+        assert vocab.sequence_length == 11
+        picked = np.random.default_rng(0).choice(len(queries), 50, replace=False)
+        return vocab, [queries[i] for i in picked], encode_workload(queries, vocab)[picked]
+
+    def test_every_single_bit_flip(self, sample):
+        vocab, _, X = sample
+        accepted = 0
+        for mat in X:
+            for r, c in np.ndindex(mat.shape):
+                flipped = mat.copy()
+                flipped[r, c] ^= 1
+                accepted += decodes_exactly(flipped, vocab)
+        assert 0 < accepted < X.size  # some flips give another query, most none
+
+    def test_swapped_blocks(self, sample):
+        vocab, _, X = sample
+        (_, b0, _), (_, b1, _), (_, n0, _), (_, n1, _) = self.BLOCKS
+        for mat in X[:10]:
+            for a, b, height in ((b0, b1, 3), (n0, n1, 2)):
+                swapped = mat.copy()
+                swapped[a : a + height] = mat[b : b + height]
+                swapped[b : b + height] = mat[a : a + height]
+                assert not decodes_exactly(swapped, vocab)
+
+    def test_literal_flags_in_a_padding_block(self, sample):
+        vocab, queries, _ = sample
+        for q in queries[:10]:
+            for attr, j, height in self.BLOCKS:
+                padded = encode(FlatQuery(
+                    q.target,
+                    tuple(f for f in q.between_filters if f.attr != attr),
+                    tuple(f for f in q.in_filters if f.attr != attr),
+                ), vocab)
+                assert decodes_exactly(padded, vocab)
+                padded[j + 1 : j + height, 0] = 1  # every row after the attribute row
+                assert not decodes_exactly(padded, vocab)
+
+    def test_member_token_in_the_target_row(self, sample):
+        vocab, _, X = sample
+        for mat in X[:10]:
+            for _, j, _ in self.BLOCKS[2:]:
+                corrupted = mat.copy()
+                corrupted[0] = mat[j + 1]
+                assert not decodes_exactly(corrupted, vocab)
+
+    def test_literal_that_float64_rounds_out_of_range(self):
+        v = small_vocab(bit_width=60)
+        q = FlatQuery(AggregationTarget(AVG, "sales"), (BetweenFilter("sales", 1.0, 2.0),))
+        mat = encode(q, v).copy()
+        mat[3, 1:] = 1  # upper bound 2**60 - 1, which float64 rounds to 2**60
         with pytest.raises(MalformedMatrix):
             decode(mat, v)
 
