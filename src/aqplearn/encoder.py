@@ -22,18 +22,23 @@ attribute's quantization scale; decoding returns k / scale. Literals must
 fit in B bits and be non-negative, otherwise NumericOverflow; B is at most
 63, so every payload fits an int64.
 
-encode_workload is the one encoder: a Python pass over the query fields
-fills an (n, L) payload array, and array operations scale and range-check
-the literals and expand the payloads to bits. encode() is its one-query
-case. decode() accepts a query it reads back only if encode() gives the
-matrix again, bit for bit; row_token_ids() reads payloads with the same bit
-weights. as_bits() is the one 0/1 rule for every reader of bits.
+encode_workload is the one encoder. A query has three parts (its target,
+its BETWEEN tuple and its IN tuple) and a workload has few distinct ones,
+so one walk numbers the distinct parts and only those are encoded: a
+payload row each, then array operations scale and range-check the
+literals and expand the payloads to bits. Parts fill disjoint rows, so a
+query's matrix is the OR of its parts' matrices. encode() is its
+one-query case. decode() accepts a query it reads back only if encode()
+gives the matrix again, bit for bit; row_token_ids() reads payloads with
+the same bit weights. as_bits() is the one 0/1 rule for every reader of
+bits.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,10 +74,10 @@ class TokenVocabulary:
     IDs are assigned from 1 (0 is padding): targets first, then per
     continuous attribute its name token, then per nominal attribute its
     name token followed by its member tokens in sorted order. bit_width is
-    the payload width B, wide enough for the largest ID and the largest
-    quantized literal seen when the vocabulary was built. slots gives the
-    (attribute, first row) of each filter block, in layout order, and
-    sequence_length the row count L.
+    the payload width B, wide enough for the largest ID (else ValueError)
+    and the largest quantized literal seen when the vocabulary was built.
+    slots gives the (attribute, first row) of each filter block, in layout
+    order, and sequence_length the row count L.
     """
 
     targets: tuple[str, ...]
@@ -92,6 +97,8 @@ class TokenVocabulary:
             entries[attr] = len(entries) + 1
             for m in self.members[attr]:
                 entries[member_token(attr, m)] = len(entries) + 1
+        if len(entries) >> self.bit_width:
+            raise ValueError(f"token IDs up to {len(entries)} do not fit in {self.bit_width} bits")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_id_to_token", {i: t for t, i in entries.items()})
         slots, row = [], 1
@@ -101,6 +108,21 @@ class TokenVocabulary:
                 row += height
         object.__setattr__(self, "slots", tuple(slots))
         object.__setattr__(self, "sequence_length", row)
+        # Constants of encode_workload: (first row, attribute id) of each
+        # filter block; per literal row, its block's first row, attribute
+        # and bound; and the scale of every row (1 for token rows).
+        n_cont = len(self.cont_attrs)
+        blocks = [(a, (j, entries[a])) for a, j in slots]
+        literals = {j + k: (j, a, bound) for a, j in slots[:n_cont]
+                    for k, bound in ((1, "lower"), (2, "upper"))}
+        scale_row = np.ones(row)
+        scale_row[list(literals)] = [self.scale(a) for _, a, _ in literals.values()]
+        object.__setattr__(self, "_cont_blocks", dict(blocks[:n_cont]))
+        object.__setattr__(self, "_nom_blocks", dict(blocks[n_cont:]))
+        object.__setattr__(self, "_literals", literals)
+        object.__setattr__(self, "_lit_rows", np.array(list(literals), dtype=np.intp))
+        object.__setattr__(self, "_lit_attr_rows", np.array([j for j, _, _ in literals.values()], dtype=np.intp))
+        object.__setattr__(self, "_scale_row", scale_row)
 
     @property
     def row_width(self) -> int:
@@ -145,7 +167,49 @@ class TokenVocabulary:
         )
 
 
-def build_vocabulary(queries: list, template) -> TokenVocabulary:
+def _number_parts(queries: Iterable) -> tuple[list, np.ndarray]:
+    """Number the distinct parts of a workload in one walk: (parts, index).
+
+    A query's parts are its target, its BETWEEN tuple and its IN tuple
+    (columns 0, 1, 2). parts lists each distinct (column, part) in the
+    order the walk first meets it, and index[i, c] is the number of query
+    i's part in column c. A part is looked up by identity first and by
+    value on a miss, so equal parts that are separate objects share one
+    number. The value is a plain tuple of the part's fields, which hashes
+    and compares in C where the frozen dataclasses would run Python. Every
+    part looked up by identity stays referenced until the walk ends, so no
+    id is reused when `queries` is a generator.
+    """
+    parts, index, kept = [], [], []
+    by_id, by_value = ({}, {}, {}), ({}, {}, {})
+
+    def number(c, part):
+        if c == 0:  # AggregationFunction members are singletons
+            key = (id(part.func), part.attr)
+        elif c == 1:
+            key = tuple([(f.attr, f.lower, f.upper) for f in part])
+        else:
+            key = tuple([(f.attr, f.member) for f in part])
+        k = by_id[c][id(part)] = by_value[c].setdefault(key, len(parts))
+        if k == len(parts):
+            parts.append((c, part))
+        kept.append(part)
+        return k
+
+    get0, get1, get2 = by_id[0].get, by_id[1].get, by_id[2].get
+    for q in queries:
+        fq = q.query if isinstance(q, LabeledQuery) else q
+        t, b, i = fq.target, fq.between_filters, fq.in_filters
+        k0, k1, k2 = get0(id(t)), get1(id(b)), get2(id(i))
+        index += (
+            number(0, t) if k0 is None else k0,
+            number(1, b) if k1 is None else k1,
+            number(2, i) if k2 is None else k2,
+        )
+    return parts, np.array(index, dtype=np.intp).reshape(-1, 3)
+
+
+def build_vocabulary(queries: Iterable, template) -> TokenVocabulary:
     """Derive the vocabulary and payload width from a workload.
 
     Targets and filterable attributes come from the template; nominal
@@ -154,16 +218,15 @@ def build_vocabulary(queries: list, template) -> TokenVocabulary:
     """
     members: dict[str, set] = {a: set() for a in template.nom_filter_attrs}
     max_literal = 0
-    for q in queries:
-        fq = q.query if isinstance(q, LabeledQuery) else q
-        for f in fq.in_filters:
-            if f.attr not in members:
-                raise UnknownToken(f"IN filter on {f.attr!r} not covered by the template")
-            members[f.attr].add(f.member)
-        for f in fq.between_filters:
-            s = template.scale(f.attr)
-            k = int(np.rint(f.upper * s))
-            max_literal = max(max_literal, k)
+    for c, part in _number_parts(queries)[0]:
+        if c == 2:
+            for f in part:
+                if f.attr not in members:
+                    raise UnknownToken(f"IN filter on {f.attr!r} not covered by the template")
+                members[f.attr].add(f.member)
+        elif c == 1:
+            for f in part:
+                max_literal = max(max_literal, int(np.rint(f.upper * template.scale(f.attr))))
     vocab_size = (
         len(template.targets)
         + len(template.cont_filter_attrs)
@@ -193,74 +256,74 @@ def _payload_weights(bit_width: int) -> np.ndarray:
     return 1 << np.arange(bit_width - 1, -1, -1, dtype=np.int64)
 
 
-# Queries per np.unpackbits call; bounds the transient bit arrays.
-_UNPACK_CHUNK = 8192
-
-
 def encode(query: FlatQuery, vocab: TokenVocabulary) -> np.ndarray:
     """Encode one flat query as an (L, 1+B) uint8 matrix."""
     return encode_workload([query], vocab)[0]
 
 
-def encode_workload(queries: list, vocab: TokenVocabulary) -> np.ndarray:
-    """Encode a list of (optionally labeled) queries into an (n, L, 1+B) tensor.
+def encode_workload(queries: Iterable, vocab: TokenVocabulary) -> np.ndarray:
+    """Encode (optionally labeled) queries into an (n, L, 1+B) tensor.
 
-    One pass over the query fields fills an (n, L) array of payloads: token
-    IDs, and filter bounds that are then scaled and rounded to literals in
-    one step. A BETWEEN block is present where its attribute token is
-    non-zero, which gives the literal-flag plane. One range check covers
-    every literal, and np.unpackbits of the big-endian payloads gives the
-    bits. Raises UnknownToken and NumericOverflow like a per-query encoder
-    would; B may be at most 63.
+    One walk numbers the distinct parts of the queries (_number_parts), and
+    each distinct part fills one row of a payload array: token IDs, and
+    filter bounds that are then scaled and rounded to literals in one step.
+    One range check covers every literal, a BETWEEN block is present where
+    its attribute token is non-zero, which gives the literal flags, and
+    np.unpackbits of the big-endian payloads gives each part's bits. Parts
+    fill disjoint rows, so each query's matrix is the OR of its parts'.
+    Parts are encoded in the order the walk first meets them, so
+    UnknownToken and NumericOverflow name what a per-query encoder would
+    raise first; B may be at most 63.
     """
     L, B = vocab.sequence_length, vocab.bit_width
     if B > 63:
         raise NumericOverflow(f"payload width {B} exceeds 63 bits")
-    n_cont = len(vocab.cont_attrs)
-    slots = [(a, (j, vocab.token_id(a))) for a, j in vocab.slots]
-    cont_slots, nom_slots = dict(slots[:n_cont]), dict(slots[n_cont:])
+    parts, index = _number_parts(queries)
+    cont_blocks, nom_blocks = vocab._cont_blocks, vocab._nom_blocks
+    members = {}  # (attr, member) -> (first row, attribute id, member id)
+
+    def member_ids(attr, member):
+        if attr not in nom_blocks:
+            raise UnknownToken(f"IN filter on {attr!r} not covered by the vocabulary")
+        ids = members[attr, member] = (*nom_blocks[attr], vocab.token_id(member_token(attr, member)))
+        return ids
 
     rows = []
-    for q in queries:
-        fq = q.query if isinstance(q, LabeledQuery) else q
+    for c, part in parts:
         row = [0] * L
-        row[0] = vocab.token_id(fq.target.token())
-        for f in fq.between_filters:
-            if f.attr not in cont_slots:
-                raise UnknownToken(f"BETWEEN filter on {f.attr!r} not covered by the vocabulary")
-            j, attr_id = cont_slots[f.attr]
-            row[j : j + 3] = attr_id, f.lower, f.upper
-        for f in fq.in_filters:
-            if f.attr not in nom_slots:
-                raise UnknownToken(f"IN filter on {f.attr!r} not covered by the vocabulary")
-            j, attr_id = nom_slots[f.attr]
-            row[j : j + 2] = attr_id, vocab.token_id(member_token(f.attr, f.member))
+        if c == 2:
+            for f in part:
+                j, attr_id, member_id = members.get((f.attr, f.member)) or member_ids(f.attr, f.member)
+                row[j] = attr_id
+                row[j + 1] = member_id
+        elif c == 1:
+            for f in part:
+                if f.attr not in cont_blocks:
+                    raise UnknownToken(f"BETWEEN filter on {f.attr!r} not covered by the vocabulary")
+                j, attr_id = cont_blocks[f.attr]
+                row[j : j + 3] = attr_id, f.lower, f.upper
+        else:
+            row[0] = vocab.token_id(part.token())
         rows.append(row)
     payload = np.array(rows, dtype=np.float64).reshape(len(rows), L)
-
-    # Columns of the lower and upper bound of each BETWEEN block, in order.
-    attr_cols = [j for j, _ in cont_slots.values() for _ in (1, 2)]
-    lit_cols = [j + k for j, _ in cont_slots.values() for k in (1, 2)]
-    scales = [vocab.scale(a) for a in vocab.cont_attrs for _ in (1, 2)]
-    lits = np.rint(payload[:, lit_cols] * scales)
-    bad = ~((lits >= 0) & (lits < (1 << B)))
-    if bad.any():
-        i, c = np.argwhere(bad)[0]
+    np.rint(payload * vocab._scale_row, out=payload)
+    fits = (payload >= 0) & (payload < (1 << B))
+    if not fits.all():
+        i, j = np.argwhere(~fits)[0]  # token IDs fit, so a literal
+        _, attr, bound = vocab._literals[j]
         raise NumericOverflow(
-            f"literal {lits[i, c]:.0f} for {vocab.cont_attrs[c // 2]} "
-            f"{('lower', 'upper')[c % 2]} bound does not fit in {B} unsigned bits"
+            f"literal {payload[i, j]:.0f} for {attr} {bound} bound does not fit in {B} unsigned bits"
         )
-    payload[:, lit_cols] = lits
-    is_literal = np.zeros(payload.shape, dtype=bool)
-    is_literal[:, lit_cols] = payload[:, attr_cols] != 0
 
-    out = np.empty((len(rows), L, 1 + B), dtype=np.uint8)
-    out[:, :, 0] = is_literal
-    size = next(s for s in (1, 2, 4, 8) if 8 * s >= B)
-    for start in range(0, len(rows), _UNPACK_CHUNK):
-        chunk = payload[start : start + _UNPACK_CHUNK].astype(f">u{size}")
-        bits = np.unpackbits(chunk[..., None].view(np.uint8), axis=-1)
-        out[start : start + _UNPACK_CHUNK, :, 1:] = bits[..., 8 * size - B :]
+    # Each payload as a (1+B)-bit big-endian word: its top bit, the flag,
+    # is 0 after the range check and is then set for literals.
+    size = next(s for s in (1, 2, 4, 8) if 8 * s > B)
+    words = payload.astype(f">u{size}")[..., None].view(np.uint8)
+    part_bits = np.ascontiguousarray(np.unpackbits(words, axis=-1)[..., 8 * size - 1 - B :])
+    part_bits[:, vocab._lit_rows, 0] = payload[:, vocab._lit_attr_rows] != 0
+    out = part_bits.take(index[:, 0], axis=0)
+    for c in (1, 2):
+        out |= part_bits.take(index[:, c], axis=0)
     return out
 
 

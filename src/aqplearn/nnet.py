@@ -88,8 +88,8 @@ class ModelConfig:
         for name in ("patience", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ queries, and a full-size model -- is built once in a session fixture and
 shared by the accuracy, latency, and throughput checks.
 """
 
+import hashlib
 import json
 import math
 import statistics
@@ -264,6 +265,24 @@ def test_a3_encoding_round_trip_and_injectivity():
         f"{report.n_queries} queries, decode(encode(q)) == q for all, "
         f"{distinct_queries} distinct queries -> {len(seen)} distinct matrices, "
         f"{elapsed:.1f}s < {FAST_BUDGET_S:.0f}s",
+    )
+
+
+# SHA-256 of the benchmark workload's tensor (20k rows, 12 windows x 200
+# member tuples), as the per-query encoder produced it.
+A3_BENCHMARK_SHA256 = "30355e8b06cd011e7d8a10e664c06305a1c8f6de9199306c0b2c4a510fb208f6"
+
+
+def test_a3_benchmark_encoding_is_pinned():
+    ds = synth.make_benchmark_table(20_000, seed=7)
+    template = synth.benchmark_template(ds, 12, 11)
+    queries, _ = generate_workload(ds, template)
+    X = encode_workload(queries, build_vocabulary(queries, template))
+    digest = hashlib.sha256(X.tobytes()).hexdigest()
+    _verdict(
+        "A3 benchmark encoding pinned",
+        X.shape == (2400, 10, 12) and digest == A3_BENCHMARK_SHA256,
+        f"shape {X.shape}, SHA-256 {digest[:16]}...",
     )
 
 

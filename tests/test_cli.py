@@ -181,6 +181,8 @@ class TestFailureModes:
         ('{"lstm_units": 8, "dense_', "CorruptArtifact"),
         ('{"lstm_unitz": 8}', "InvalidConfig"),
         ('{"seed": -1}', "InvalidConfig"),
+        ('{"learning_rate": NaN}', "InvalidConfig"),
+        ('{"learning_rate": Infinity}', "InvalidConfig"),
     ])
     def test_bad_train_config_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys,
                                                         text, error):
@@ -191,6 +193,15 @@ class TestFailureModes:
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == error
+        assert not (tmp_path / "model.npz").exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys, lr):
+        code = run("train", "--encoded", pipeline / "encoded.npz", "--vocab",
+                   pipeline / "vocab.json", "--out", tmp_path / "model.npz", "--lr", lr)
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidConfig"
         assert not (tmp_path / "model.npz").exists()
 
     def test_truncated_template_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys):

@@ -21,7 +21,7 @@ from aqplearn import (
     load_vocabulary,
     save_vocabulary,
 )
-from aqplearn.encoder import load_encoded, member_token, row_token_ids, save_encoded
+from aqplearn.encoder import _number_parts, load_encoded, member_token, row_token_ids, save_encoded
 from aqplearn.errors import (
     CorruptArtifact,
     MalformedMatrix,
@@ -74,6 +74,10 @@ class TestVocabulary:
         )
         assert v.slots == (("sales", 1), ("units", 4), ("region", 7), ("category", 9))
         assert v.sequence_length == 11
+
+    def test_ids_must_fit_the_bit_width(self):
+        with pytest.raises(ValueError, match="do not fit in 2 bits"):
+            small_vocab(bit_width=2)  # five tokens
 
     def test_unknown_token(self):
         with pytest.raises(UnknownToken):
@@ -256,7 +260,7 @@ class TestEncodeWorkload:
         batch = [
             FlatQuery(AggregationTarget(AVG, "sales"),
                       (BetweenFilter("sales", float(k % 31), float(top - k % 31)),))
-            for k in range(9000)  # more than one unpacking chunk
+            for k in range(9000)  # 9,000 queries over 31 windows
         ]
         X = encode_workload(batch, v)
         assert X.shape == (9000, 6, 1 + bit_width)
@@ -284,6 +288,91 @@ class TestEncodeWorkload:
             encode_workload([ok, FlatQuery(ok.target, (), (InFilter("region", "west"),))], v)
         with pytest.raises(UnknownToken):
             encode_workload([ok, FlatQuery(AggregationTarget(COUNT, "sales"))], v)
+
+
+class TestSharedParts:
+    """encode_workload encodes each distinct target, BETWEEN tuple and IN
+    tuple once; however the parts are shared, every query's matrix is the
+    one it encodes to on its own."""
+
+    @pytest.fixture
+    def workload(self, transactions):
+        template = QueryTemplate.build(
+            transactions,
+            targets=[AggregationTarget(AVG, "sales"), AggregationTarget(COUNT, "region")],
+            cont_filter_attrs=["sales", "units"],
+            nom_filter_attrs=["region", "category"],
+            n_cont_samples=6,
+            seed=5,
+            numeric_scales={"units": 10.0},
+        )
+        queries, _ = generate_workload(transactions, template)
+        # Shuffled, so that consecutive queries mostly differ in every part.
+        order = np.random.default_rng(1).permutation(len(queries))
+        queries = [queries[i] for i in order]
+        vocab = build_vocabulary(queries, template)
+        alone = np.stack([encode(q, vocab) for q in queries])
+        return queries, vocab, alone
+
+    def test_generated_parts_are_shared_objects(self, workload):
+        queries, vocab, alone = workload
+        assert len({id(q.between_filters) for q in queries}) < len(queries)
+        np.testing.assert_array_equal(encode_workload(queries, vocab), alone)
+
+    def test_equal_parts_that_are_separate_objects(self, workload):
+        queries, vocab, alone = workload
+        rebuilt = [FlatQuery.from_record(q.to_record()) for q in queries]
+        assert len({id(q.between_filters) for q in rebuilt}) == len(rebuilt)
+        assert len(_number_parts(rebuilt)[0]) == len(_number_parts(queries)[0]) < len(rebuilt)
+        np.testing.assert_array_equal(encode_workload(rebuilt, vocab), alone)
+
+    def test_generator_of_fresh_queries(self, workload):
+        queries, vocab, alone = workload
+
+        def fresh():
+            for q in queries:
+                yield FlatQuery.from_record(q.to_record())  # referenced by no one else
+
+        np.testing.assert_array_equal(encode_workload(fresh(), vocab), alone)
+
+    def test_labeled_and_flat_queries_mixed(self, workload):
+        queries, vocab, alone = workload
+        mixed = [LabeledQuery(q, 1.0, 1) if i % 3 else q for i, q in enumerate(queries)]
+        np.testing.assert_array_equal(encode_workload(mixed, vocab), alone)
+
+    def test_first_unknown_token_in_query_order(self):
+        v = small_vocab()
+        ok = FlatQuery(AggregationTarget(AVG, "sales"), (BetweenFilter("sales", 1.0, 2.0),),
+                       (InFilter("region", "north"),))
+        bad_member = FlatQuery(ok.target, ok.between_filters, (InFilter("region", "west"),))
+        bad_target = FlatQuery(AggregationTarget(COUNT, "sales"), (), ok.in_filters)
+        bad_between = FlatQuery(ok.target, (BetweenFilter("units", 1.0, 2.0),),
+                                (InFilter("region", "west"),))
+        messages = {
+            bad_member: "token 'region=west' is not in the vocabulary",
+            bad_target: "token 'count(sales)' is not in the vocabulary",
+            bad_between: "BETWEEN filter on 'units' not covered by the vocabulary",
+        }
+        for order in ([bad_member, bad_target, bad_between], [bad_between, bad_target, bad_member],
+                      [bad_target, bad_member, bad_between]):
+            batch = [ok, *order, ok, *order]
+            with pytest.raises(UnknownToken) as exc:
+                encode_workload(batch, v)
+            assert str(exc.value) == messages[order[0]]
+
+    def test_bad_window_shared_by_many_queries(self):
+        v = small_vocab()
+        target = AggregationTarget(AVG, "sales")
+        good, too_wide = (BetweenFilter("sales", 1.0, 2.0),), (BetweenFilter("sales", 1.0, 40.0),)
+        negative = (BetweenFilter("sales", -3.0, 2.0),)
+        members = [(), (InFilter("region", "north"),), (InFilter("region", "south"),)]
+        batch = [FlatQuery(target, w, m) for w in (good, too_wide, negative, too_wide) for m in members]
+        with pytest.raises(NumericOverflow) as exc:
+            encode_workload(batch, v)
+        assert str(exc.value) == "literal 40 for sales upper bound does not fit in 5 unsigned bits"
+        with pytest.raises(NumericOverflow) as exc:
+            encode_workload(batch[6:], v)
+        assert str(exc.value) == "literal -3 for sales lower bound does not fit in 5 unsigned bits"
 
 
 class TestDecode:

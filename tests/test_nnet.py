@@ -493,6 +493,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ModelConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_learning_rate(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            ModelConfig(learning_rate=lr)
+
 
 class TestFloat32:
     """Float32 is the compute dtype; a stray float64 array would promote
