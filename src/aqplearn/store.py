@@ -3,22 +3,21 @@
 Continuous columns are stored as float64 vectors, nominal columns as
 dictionary-encoded member ids (int32) plus a per-column member list in
 sorted order: id k is the k-th member, so ids, member lists and anything
-ordered by id do not depend on row order. This module owns the one cell
-converter and the one member encoder that both constructors use. Arrays
-are flagged read-only; a Dataset never changes after construction and is
-safe to share across concurrent readers.
+ordered by id do not depend on row order. Both constructors read numbers
+as float() does and share one member encoder, and this module owns the
+CSV grammar that load_csv accepts. Arrays are flagged read-only; a
+Dataset never changes after construction and is safe to share across
+concurrent readers.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import logging
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +33,15 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
-# Rows load_csv parses and converts at a time: large enough that numpy does
-# the converting, small enough that the raw cells of one chunk stay small
-# next to the table they become.
-CSV_CHUNK_ROWS = 1 << 16
+# Bytes load_csv reads at a time: large enough that numpy does the
+# tokenizing and converting, small enough that one block's field ranges
+# stay small next to the table they become.
+CSV_BLOCK_BYTES = 1 << 22
+# Rows dump_csv formats at a time, so that only one chunk's cell strings
+# are alive at once.
+DUMP_CHUNK_ROWS = 1 << 16
+
+_QUOTE, _COMMA, _CR, _LF = b'",\r\n'
 
 
 class Kind(Enum):
@@ -106,24 +110,32 @@ def dump_schema(schema: list[AttributeSchema], path: str | Path) -> None:
     write_json(path, [{"name": a.name, "kind": a.kind.value} for a in schema])
 
 
-def _float_column(cells, where) -> np.ndarray:
-    """`cells` as a float64 vector, each parsed as float() parses it. A
-    non-numeric, NaN or infinite cell raises ParseError naming the first
-    one by where(i), its position in `cells`."""
+def _parse_cells(cells) -> tuple[np.ndarray, dict[int, str]]:
+    """float() of each cell as a float64 vector. A cell float() rejects
+    reads NaN, and the reason is kept under its position."""
     try:
-        values = np.array(cells, dtype=np.float64)
+        return np.array(cells, dtype=np.float64), {}
     except (TypeError, ValueError):
-        for i, cell in enumerate(cells):
-            try:
-                float(cell)
-            except (TypeError, ValueError):
-                raise ParseError(f"non-numeric value {cell!r} at {where(i)}") from None
-        raise  # every cell parses alone, so the cells do not form a vector
+        pass
+    values = np.empty(len(cells))
+    failed = {}
+    for i, cell in enumerate(cells):
+        try:
+            values[i] = float(cell)
+        except (TypeError, ValueError):
+            values[i] = np.nan
+            failed[i] = f"non-numeric value {cell!r}"
+    return values, failed
+
+
+def _first_bad(values: np.ndarray, failed: dict[int, str]) -> tuple[int, str] | None:
+    """(position, reason) of the first value of _parse_cells' result that is
+    not a finite number, or None."""
     finite = np.isfinite(values)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ParseError(f"non-finite value {float(values[i])} at {where(i)}")
-    return values
+    if finite.all():
+        return None
+    i = int(np.argmin(finite))
+    return i, failed.get(i, f"non-finite value {float(values[i])}")
 
 
 def _member_ids(cells, lookup: dict[str, int]) -> np.ndarray:
@@ -182,9 +194,10 @@ class Dataset:
         """Build a Dataset from in-memory columns keyed by attribute name.
 
         Continuous columns take any float-convertible sequence; nominal
-        columns take sequences of strings (other values go through str),
-        dictionary-encoded here with ids in sorted member order. A
-        non-numeric, NaN or infinite continuous value raises ParseError.
+        columns take sequences of non-empty strings (other values go through
+        str), dictionary-encoded here with ids in sorted member order. A
+        non-numeric, NaN or infinite continuous value or an empty member
+        raises ParseError.
         """
         missing = [a.name for a in schema if a.name not in columns]
         if missing:
@@ -199,12 +212,20 @@ class Dataset:
         for attr in schema:
             vals = columns[attr.name]
             if attr.kind is Kind.CONTINUOUS:
-                arrays[attr.name] = _float_column(
-                    vals, lambda i: f"index {i} of continuous column {attr.name!r}"
-                )
+                arrays[attr.name], failed = _parse_cells(vals)
+                bad = _first_bad(arrays[attr.name], failed)
+                if bad is not None:
+                    raise ParseError(
+                        f"{bad[1]} at index {bad[0]} of continuous column {attr.name!r}"
+                    )
             else:
                 lookup: dict[str, int] = {}
                 ids = _member_ids(list(map(str, vals)), lookup)
+                if "" in lookup:  # load_csv would read it as a null
+                    i = int(np.argmax(ids == lookup[""]))
+                    raise ParseError(
+                        f"empty member at index {i} of nominal column {attr.name!r}"
+                    )
                 arrays[attr.name], members[attr.name] = _sorted_members(ids, lookup)
         return cls(schema, arrays, members, n)
 
@@ -257,6 +278,151 @@ class Dataset:
             return None
 
 
+def _record_blocks(fh):
+    """The bytes of `fh` as uint8 blocks of whole records, about
+    CSV_BLOCK_BYTES each: yields (buf, quotes, ends), the positions of the
+    block's quotes and of its record ends. A record ends at a LF with an
+    even number of quotes before it in the block, and each block starts
+    right after a record end, so a block's parity starts even. A record
+    longer than a block is read on until it ends; each byte is scanned
+    once. A final record without a LF gets one appended, which ends it
+    even when its quotes do not pair up, so that _split_fields can name
+    the fault."""
+    carried, carried_quotes = [], 0  # the bytes after the last record end
+    while data := fh.read(CSV_BLOCK_BYTES):
+        chunk = np.frombuffer(data, np.uint8)
+        quotes = np.flatnonzero(chunk == _QUOTE)
+        lfs = np.flatnonzero(chunk == _LF)
+        ends = lfs[((np.searchsorted(quotes, lfs) + carried_quotes) & 1) == 0]
+        if not len(ends):
+            carried.append(data)
+            carried_quotes += len(quotes)
+            continue
+        cut = int(ends[-1]) + 1
+        head = b"".join(carried)
+        head_quotes = np.flatnonzero(np.frombuffer(head, np.uint8) == _QUOTE)
+        buf = np.frombuffer(head + data[:cut], np.uint8)
+        yield buf, np.concatenate((head_quotes, quotes[quotes < cut] + len(head))), ends + len(head)
+        carried, carried_quotes = [data[cut:]], int(np.sum(quotes >= cut))
+    if rest := b"".join(carried):
+        buf = np.frombuffer(rest + b"\n", np.uint8)
+        yield buf, np.flatnonzero(buf == _QUOTE), np.array([len(buf) - 1])
+
+
+def _split_fields(buf, quotes, ends):
+    """The fields of a block's records, as byte ranges.
+
+    Returns (starts, stops, first, widths, fault). Fields are in record
+    order, and record i's fields begin at index first[i] (first[-1] is the
+    field count). A comma is a separator only with an even number of quotes
+    before it. A record's width is its number of fields, 0 for a blank
+    line, which still takes one empty field slot. A CR before a record's LF
+    belongs to no field. `fault` is (record, field in record, reason) for
+    the first field that breaks the quote grammar, else None: a quote in a
+    field that does not start with one, text after the closing quote, or a
+    quote that is never closed.
+    """
+    commas = np.flatnonzero(buf == _COMMA)
+    commas = commas[(np.searchsorted(quotes, commas) & 1) == 0]
+    rec_starts = np.concatenate(([0], ends[:-1] + 1))
+    rec_stops = ends - ((ends > rec_starts) & (buf[ends - 1] == _CR))
+    slots = np.diff(np.searchsorted(commas, ends), prepend=0) + 1
+    first = np.concatenate(([0], np.cumsum(slots)))
+    last = first[1:] - 1
+    stops = np.empty(first[-1], np.int64)
+    inner = np.ones(len(stops), bool)
+    inner[last] = False
+    stops[inner] = commas
+    stops[last] = rec_stops
+    starts = np.empty_like(stops)
+    starts[1:] = stops[:-1] + 1
+    starts[first[:-1]] = rec_starts
+    widths = np.where(rec_stops > rec_starts, slots, 0)
+
+    # Within a well-formed quoted field the quotes are the opening one (rank
+    # 0), doubled pairs at ranks (1, 2), (3, 4), ... and the closing one at
+    # its last byte; a field that does not start with a quote has none.
+    owner = np.searchsorted(starts, quotes, "right") - 1
+    before = np.searchsorted(quotes, starts[owner])
+    count = np.searchsorted(quotes, stops[owner]) - before
+    rank = np.arange(len(quotes)) - before
+    paired = np.append(quotes[1:] == quotes[:-1] + 1, False)
+    quoted = buf[starts[owner]] == _QUOTE
+    reasons = (
+        (~quoted, "quote inside an unquoted field"),
+        (quoted & (count % 2 == 1) & (rank == count - 1), "unterminated quote"),
+        ((rank == count - 1) & (quotes != stops[owner] - 1), "text after a closing quote"),
+        ((rank % 2 == 1) & (rank < count - 1) & ~paired, "text after a closing quote"),
+    )
+    faults = [(np.argmax(bad), reason) for bad, reason in reasons if bad.any()]
+    if not faults:
+        return starts, stops, first, widths, None
+    q, reason = min(faults, key=lambda f: f[0])
+    field = owner[q]
+    record = int(np.searchsorted(first, field, "right")) - 1
+    return starts, stops, first, widths, (record, int(field - first[record]), reason)
+
+
+def _by_length(buf, starts, stops):
+    """For each byte length n among the fields: the positions of the fields
+    of length n, and their bytes as a (count, n) uint8 array."""
+    size = stops - starts
+    for n in np.flatnonzero(np.bincount(size)).tolist():
+        at = np.flatnonzero(size == n)
+        yield at, np.lib.stride_tricks.sliding_window_view(buf, n)[starts[at]]
+
+
+def _text(raw: bytes) -> str:
+    """A well-formed field's text: unquoted, then decoded as UTF-8."""
+    if raw[:1] == b'"':
+        raw = raw[1:-1].replace(b'""', b'"')
+    return raw.decode("utf-8")
+
+
+def _float_fields(buf, starts, stops) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """float() of each field's text, and (position, reason) of the first
+    field that is not a finite number, or None. Fields are cast in groups
+    of one byte length, as exact S{len} arrays; only a group that numpy
+    rejects, such as one holding a quoted field, goes through float() one
+    field at a time."""
+    values = np.empty(len(starts))
+    failed: dict[int, str] = {}
+    for at, grid in _by_length(buf, starts, stops):
+        if grid[:, -1].all():  # an S cell drops trailing NUL bytes, which float() rejects
+            try:
+                values[at] = grid.view(f"S{grid.shape[1]}")[:, 0].astype(np.float64)
+                continue
+            except ValueError:
+                pass
+        group, group_failed = _parse_cells([_text(raw.tobytes()) for raw in grid])
+        values[at] = group
+        failed.update((int(at[i]), reason) for i, reason in group_failed.items())
+    return values, _first_bad(values, failed)
+
+
+def _member_fields(buf, starts, stops, lookup: dict[str, int]) -> np.ndarray:
+    """Provisional member ids of the fields under `lookup`, as _member_ids
+    gives them. Fields are keyed by their exact bytes in groups of one byte
+    length: a uint64 for up to 8 bytes, V{len} beyond. Only each distinct
+    key is unquoted and decoded, so a quoted and an unquoted spelling of one
+    member share its id."""
+    codes = np.empty(len(starts), np.int64)
+    keys: list[bytes] = []
+    for at, grid in _by_length(buf, starts, stops):
+        n = grid.shape[1]
+        if n <= 8:
+            padded = np.zeros((len(at), 8), np.uint8)
+            padded[:, :n] = grid
+            uniq, inverse = np.unique(padded.view("<u8")[:, 0], return_inverse=True)
+            uniq = uniq.view(np.uint8).reshape(-1, 8)[:, :n]
+        else:
+            uniq, inverse = np.unique(grid.view(f"V{n}")[:, 0], return_inverse=True)
+            uniq = uniq.view(np.uint8).reshape(-1, n)
+        codes[at] = len(keys) + inverse
+        keys.extend(key.tobytes() for key in uniq)
+    return _member_ids([_text(key) for key in keys], lookup)[codes]
+
+
 def load_csv(
     path: str | Path,
     schema: list[AttributeSchema],
@@ -264,57 +430,106 @@ def load_csv(
 ) -> Dataset:
     """Load a header-first, comma-separated RFC-4180 CSV file into a Dataset.
 
-    The header must name the `schema` attributes in order. Empty cells are
-    nulls: under DROP_ROW the whole row is dropped and the total is logged,
-    under REJECT a ParseError is raised. A row of the wrong width raises
-    MalformedRow, and a non-numeric, NaN or infinite value in a continuous
-    column raises ParseError; both name the data row (1-based, dropped
-    rows counted) and the column. The file is read CSV_CHUNK_ROWS rows at
-    a time, and each chunk is converted column by column before the next
-    is read.
+    The file must be UTF-8. Records end at LF or CRLF, the last one may
+    lack it, and a field is either plain text without quotes, commas, CR
+    or LF, or a quoted field, in which a doubled quote stands for one
+    quote. The header must name the `schema` attributes in order. Empty
+    cells (also "") are nulls: under DROP_ROW the whole row is dropped and
+    the total is logged, under REJECT a ParseError is raised. A row of the
+    wrong width, a blank line or a quote outside this grammar raises
+    MalformedRow; invalid UTF-8, or a non-numeric, NaN or infinite value in
+    a continuous column, raises ParseError. Each names the data row
+    (1-based, dropped rows counted) and the column, and the first faulty
+    row in the file is the one reported.
+
+    The file is read in blocks of about CSV_BLOCK_BYTES, each cut after its
+    last record end. Separators, field ranges, widths and nulls are found
+    with array operations over a block's bytes; continuous fields are cast
+    to float64 in groups of one byte length (the same bits as float()), and
+    nominal fields are keyed by their bytes so that only distinct values
+    are decoded in Python.
     """
     width = len(schema)
     declared = [a.name for a in schema]
     lookups: dict[str, dict[str, int]] = {a.name: {} for a in schema if a.kind is Kind.NOMINAL}
     parts = {a.name: [np.empty(0, np.int32 if a.name in lookups else np.float64)] for a in schema}
     dropped = 0
+    row = 0  # file row of the block's first record; the header is row 0
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        head = next(reader, None)
-        if head is None:
-            raise MalformedRow(f"{path}: empty file but header expected")
-        if [h.strip() for h in head] != declared:
-            raise MalformedRow(
-                f"{path}: header {head} does not match declared attributes {declared}"
-            )
-        first = 1  # data row number of the chunk's first row
-        while chunk := list(itertools.islice(reader, CSV_CHUNK_ROWS)):
-            rownums = range(first, first + len(chunk))
-            first += len(chunk)
-            if set(map(len, chunk)) != {width} or any("" in row for row in chunk):
-                keep = []
-                for rownum, row in zip(rownums, chunk):
-                    if len(row) != width:
-                        raise MalformedRow(
-                            f"{path}: row {rownum} has {len(row)} fields, expected {width}"
-                        )
-                    if "" in row and null_policy is NullPolicy.REJECT:
-                        col = schema[row.index("")].name
-                        raise ParseError(f"{path}: null value at row {rownum}, column {col!r}")
-                    keep.append("" not in row)
-                dropped += keep.count(False)
-                rownums = list(itertools.compress(rownums, keep))
-                chunk = list(itertools.compress(chunk, keep))
-            for k, attr in enumerate(schema):
-                cells = list(map(itemgetter(k), chunk))
-                if attr.kind is Kind.CONTINUOUS:
-                    values = _float_column(
-                        cells, lambda i: f"row {rownums[i]}, column {attr.name!r} of {path}"
+    def field_name(k):
+        return f"column {declared[k]!r}" if k < width else f"field {k + 1}"
+
+    def record_name(rec):
+        return "header" if row + rec == 0 else f"row {row + rec}"
+
+    with open(path, "rb") as fh:
+        for buf, quotes, ends in _record_blocks(fh):
+            starts, stops, first, widths, fault = _split_fields(buf, quotes, ends)
+            # Records from `faulty` on are not loaded; `error` names the
+            # first fault found so far, and an earlier one replaces it.
+            faulty, error = len(ends), None
+            if fault is not None:
+                faulty, k, reason = fault
+                error = MalformedRow(f"{path}: {record_name(faulty)}, {field_name(k)}: {reason}")
+            # UTF-8 never splits a character at an ASCII byte, so decoding the
+            # records before `faulty` whole checks each of their fields.
+            try:
+                buf[: ends[faulty - 1] + 1 if faulty else 0].tobytes().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                faulty = int(np.searchsorted(ends, exc.start))
+                k = int(np.searchsorted(starts, exc.start, "right")) - 1 - int(first[faulty])
+                error = ParseError(
+                    f"{path}: invalid UTF-8 at {record_name(faulty)}, {field_name(k)}"
+                )
+            lo = 0
+            if row == 0:
+                if faulty == 0:
+                    raise error
+                head = [_text(buf[a:b].tobytes()) for a, b in
+                        zip(starts[: widths[0]].tolist(), stops[: widths[0]].tolist())]
+                if [h.strip() for h in head] != declared:
+                    raise MalformedRow(
+                        f"{path}: header {head} does not match declared attributes {declared}"
                     )
+                lo = 1
+            wrong = np.flatnonzero(widths[lo:faulty] != width)
+            if len(wrong):
+                faulty = lo + int(wrong[0])
+                error = MalformedRow(
+                    f"{path}: {record_name(faulty)} has {widths[faulty]} fields, expected {width}"
+                )
+            span = slice(first[lo], first[lo] + (faulty - lo) * width)
+            cell_starts = starts[span].reshape(faulty - lo, width)
+            cell_stops = stops[span].reshape(faulty - lo, width)
+            size = cell_stops - cell_starts
+            null = (size == 0) | ((size == 2) & (buf[cell_starts] == _QUOTE))
+            null_rows = null.any(axis=1)
+            if null_policy is NullPolicy.REJECT and null_rows.any():
+                r = int(np.argmax(null_rows))
+                error = ParseError(f"{path}: null value at {record_name(lo + r)}, "
+                                   f"{field_name(int(np.argmax(null[r])))}")
+                null_rows = null_rows[:r]
+            kept = np.flatnonzero(~null_rows)
+            bad_cells = []
+            for k, attr in enumerate(schema):
+                fields = (buf, cell_starts[kept, k], cell_stops[kept, k])
+                if attr.kind is Kind.CONTINUOUS:
+                    values, bad = _float_fields(*fields)
+                    if bad is not None:
+                        bad_cells.append((bad[0], k, bad[1]))
                 else:
-                    values = _member_ids(cells, lookups[attr.name])
+                    values = _member_fields(*fields, lookups[attr.name])
                 parts[attr.name].append(values)
+            if bad_cells:
+                i, k, reason = min(bad_cells)
+                raise ParseError(f"{reason} at {record_name(lo + int(kept[i]))}, "
+                                 f"{field_name(k)} of {path}")
+            if error is not None:
+                raise error
+            dropped += len(null_rows) - len(kept)
+            row += len(ends)
+    if row == 0:
+        raise MalformedRow(f"{path}: empty file but header expected")
 
     if dropped:
         logger.info("load_csv(%s): dropped %d rows containing nulls", path, dropped)
@@ -322,26 +537,32 @@ def load_csv(
     members = {}
     for name, lookup in lookups.items():
         columns[name], members[name] = _sorted_members(columns[name], lookup)
-    return Dataset(schema, columns, members, first - 1 - dropped)
+    return Dataset(schema, columns, members, row - 1 - dropped)
 
 
 def dump_csv(ds: Dataset, path: str | Path) -> None:
-    """Write a Dataset back out as a header-first CSV file.
+    """Write a Dataset back out as a header-first CSV file, DUMP_CHUNK_ROWS
+    rows at a time.
 
     Continuous cells use repr(float), which round-trips exactly through
     load_csv.
     """
-    columns = []
-    for attr in ds.schema:
-        if attr.kind is Kind.CONTINUOUS:
-            columns.append([repr(float(v)) for v in ds.continuous_values(attr.name)])
-        else:
-            members = ds.members(attr.name)
-            columns.append([members[i] for i in ds.nominal_id_values(attr.name)])
+    members = {
+        a.name: np.array(ds.members(a.name), dtype=object)
+        for a in ds.schema if a.kind is Kind.NOMINAL
+    }
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([a.name for a in ds.schema])
-        writer.writerows(zip(*columns))
+        for start in range(0, ds.row_count, DUMP_CHUNK_ROWS):
+            rows = slice(start, start + DUMP_CHUNK_ROWS)
+            columns = [
+                map(repr, ds.continuous_values(a.name)[rows].tolist())
+                if a.kind is Kind.CONTINUOUS
+                else members[a.name][ds.nominal_id_values(a.name)[rows]].tolist()
+                for a in ds.schema
+            ]
+            writer.writerows(zip(*columns))
 
 
 def continuous_stats(ds: Dataset, attr: str) -> ContinuousStats:

@@ -160,6 +160,17 @@ class TestFailureModes:
         err = json.loads(capsys.readouterr().err)
         assert "nope" in err["message"]
 
+    def test_invalid_utf8_data_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys):
+        lines = (pipeline / "data.csv").read_bytes().split(b"\n")
+        lines[2] = b"\xff\xfe" + lines[2][lines[2].index(b","):]
+        (tmp_path / "data.csv").write_bytes(b"\n".join(lines))
+        code = run("profile", "--data", tmp_path / "data.csv", "--schema", pipeline / "schema.json")
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ParseError" and "row 2, column 'region'" in err["message"]
+
     def test_truncated_schema_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys):
         text = (pipeline / "schema.json").read_text()
         (tmp_path / "schema.json").write_text(text[: len(text) // 2])

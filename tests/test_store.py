@@ -1,5 +1,7 @@
 """Columnar store: CSV parsing, typing, stats and immutability."""
 
+import csv
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -36,6 +38,94 @@ from aqplearn.errors import (
 def one_column(values) -> Dataset:
     schema = make_schema([("x", Kind.CONTINUOUS)])
     return Dataset.from_columns(schema, {"x": list(values)})
+
+
+# -- a reference CSV reader, built from Python's csv module ---------------------
+
+def reference_load(path, schema, null_policy=NullPolicy.DROP_ROW) -> Dataset:
+    """What load_csv must return or raise for an RFC-4180 file: csv.reader
+    splits the records, each row is checked in file order (width, then
+    nulls, then each continuous cell in column order), and from_columns
+    builds the table from the kept rows."""
+    names = [a.name for a in schema]
+    with open(path, newline="", encoding="utf-8") as fh:
+        head, *rows = csv.reader(fh)
+    assert head == names
+    kept = []
+    for n, row in enumerate(rows, 1):
+        if len(row) != len(schema):
+            raise MalformedRow(f"{path}: row {n} has {len(row)} fields, expected {len(schema)}")
+        if "" in row:
+            if null_policy is NullPolicy.REJECT:
+                raise ParseError(f"{path}: null value at row {n}, column {names[row.index('')]!r}")
+            continue
+        for attr, cell in zip(schema, row):
+            if attr.kind is Kind.CONTINUOUS:
+                where = f"at row {n}, column {attr.name!r} of {path}"
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(f"non-numeric value {cell!r} {where}") from None
+                if not math.isfinite(value):
+                    raise ParseError(f"non-finite value {value} {where}")
+        kept.append(row)
+    return Dataset.from_columns(schema, {
+        a.name: [float(r[a.index]) if a.kind is Kind.CONTINUOUS else r[a.index] for r in kept]
+        for a in schema
+    })
+
+
+MEMBERS = ["a", "b", "b,c", 'say "hi"', "two\nlines", "cr\r\nlf", "\u00fcml\u00e4ut",
+           "a member over eight bytes", "\u65e5\u672c\u8a9e\u306e\u30e1\u30f3\u30d0", " pad ", '"']
+NUMBERS = ["1", "-2.5", "1e3", " 7 ", "1_0", "0.1", "3.141592653589793", "-0.0", "Infinity", "nan",
+           "abc", "1.5.2"]
+
+
+def random_csv(rng, schema, n_rows) -> str:
+    """An RFC-4180 file over `schema`: random quoting, LF or CRLF record
+    ends, optional final newline, nulls, bad numbers and rows of the wrong
+    width at low rates."""
+    def field(text):
+        if any(c in text for c in ',"\r\n') or rng.random() < 0.2:
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    def cell(attr):
+        if rng.random() < 0.04:
+            return ""
+        if attr.kind is Kind.NOMINAL:
+            return MEMBERS[rng.integers(len(MEMBERS))]
+        if rng.random() < 0.03:
+            return NUMBERS[rng.integers(len(NUMBERS))]
+        return repr(float(rng.normal(0.0, 10.0 ** rng.integers(-3, 6))))
+
+    records = [",".join(field(a.name) for a in schema)]
+    for _ in range(n_rows):
+        cells = [cell(a) for a in schema]
+        if rng.random() < 0.01:
+            cells.append("extra")
+        records.append(",".join(map(field, cells)))
+    ends = ["\n", "\r\n"]
+    text = "".join(r + ends[rng.integers(2)] for r in records)
+    return text if rng.random() < 0.5 else text.rstrip("\r\n")
+
+
+def outcome(load, *args):
+    try:
+        return load(*args)
+    except (MalformedRow, ParseError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_table(ds, ref):
+    assert ds.row_count == ref.row_count
+    for attr in ref.schema:
+        if attr.kind is Kind.CONTINUOUS:
+            got, want = ds.continuous_values(attr.name), ref.continuous_values(attr.name)
+        else:
+            assert ds.members(attr.name) == ref.members(attr.name)
+            got, want = ds.nominal_id_values(attr.name), ref.nominal_id_values(attr.name)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestContinuousStats:
@@ -152,6 +242,13 @@ class TestDataset:
         with pytest.raises(UnknownAttribute):
             Dataset.from_columns(schema, {})
 
+    def test_empty_member_rejected(self):
+        """load_csv reads an empty cell as a null, so a table holding an empty
+        member would lose that row on a dump and load."""
+        schema = make_schema([("g", Kind.NOMINAL), ("x", Kind.CONTINUOUS)])
+        with pytest.raises(ParseError, match=r"index 1 of nominal column 'g'"):
+            Dataset.from_columns(schema, {"g": ["a", "", "b"], "x": [1.0, 2.0, 3.0]})
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_value_rejected(self, value):
         with pytest.raises(ParseError, match=r"index 1 .*'x'"):
@@ -198,10 +295,10 @@ class TestLoadCsv:
             load_csv(path, schema)
 
     def test_chunks_equal_from_columns(self, tmp_path, monkeypatch):
-        """A file read four rows at a time, whose members first appear in
-        later chunks and out of sorted order, with a dropped row, loads to
+        """A file read 16 bytes at a time, whose members first appear in
+        later blocks and out of sorted order, with a dropped row, loads to
         the table from_columns builds from the kept rows."""
-        monkeypatch.setattr("aqplearn.store.CSV_CHUNK_ROWS", 4)
+        monkeypatch.setattr("aqplearn.store.CSV_BLOCK_BYTES", 16)
         rng = np.random.default_rng(1)
         n = 23
         g = ["k"] * 5 + [("k", "b", "x", "a")[v] for v in rng.integers(0, 4, n - 5)]
@@ -234,7 +331,7 @@ class TestLoadCsv:
     ])
     def test_bad_cell_past_the_first_chunk_names_its_file_row(self, tmp_path, monkeypatch,
                                                               cell, policy, error, message):
-        monkeypatch.setattr("aqplearn.store.CSV_CHUNK_ROWS", 4)
+        monkeypatch.setattr("aqplearn.store.CSV_BLOCK_BYTES", 16)
         rows = [f"m{i},{i}.5" for i in range(1, 10)]
         if policy is NullPolicy.DROP_ROW:
             rows[4] = "m5,"  # data row 5, dropped in the chunk that holds the bad row
@@ -244,6 +341,55 @@ class TestLoadCsv:
         schema = make_schema([("g", Kind.NOMINAL), ("x", Kind.CONTINUOUS)])
         with pytest.raises(error, match=message):
             load_csv(path, schema, null_policy=policy)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_rfc4180_files_load_as_the_csv_module_reads_them(self, tmp_path, monkeypatch,
+                                                                   seed):
+        """Records and quoted fields straddle blocks of a few bytes; columns,
+        members and row_count are bit-equal to the reference's, and an error
+        has the reference's type and message."""
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr("aqplearn.store.CSV_BLOCK_BYTES", int(rng.integers(1, 64)))
+        schema = make_schema([("g", Kind.NOMINAL), ("x", Kind.CONTINUOUS), ("h", Kind.NOMINAL),
+                              ("y", Kind.CONTINUOUS)][: int(rng.integers(1, 5))])
+        path = tmp_path / "random.csv"
+        path.write_bytes(random_csv(rng, schema, int(rng.integers(0, 60))).encode("utf-8"))
+        for policy in NullPolicy:
+            got = outcome(load_csv, path, schema, policy)
+            want = outcome(reference_load, path, schema, policy)
+            if isinstance(want, Dataset):
+                assert isinstance(got, Dataset), got
+                assert_same_table(got, want)
+            else:
+                assert got == want
+
+    @pytest.mark.parametrize("line, reason", [
+        ('m2,a"b', "quote inside an unquoted field"),
+        ('m2,"ab"c', "text after a closing quote"),
+        ('m2,"a"b"', "text after a closing quote"),
+        ('m2,"ab', "unterminated quote"),
+        ("", "has 0 fields"),
+    ])
+    @pytest.mark.parametrize("block_bytes", [3, 1 << 22])
+    def test_input_outside_rfc4180_names_its_row(self, tmp_path, monkeypatch, line, reason,
+                                                 block_bytes):
+        monkeypatch.setattr("aqplearn.store.CSV_BLOCK_BYTES", block_bytes)
+        path = tmp_path / "bad.csv"
+        path.write_text(f"g,h\nm1,a\n{line}\nm3,c\n")
+        schema = make_schema([("g", Kind.NOMINAL), ("h", Kind.NOMINAL)])
+        with pytest.raises(MalformedRow, match=f"row 2.*{reason}"):
+            load_csv(path, schema)
+
+    @pytest.mark.parametrize("column", ["g", "x"])
+    def test_invalid_utf8_names_row_and_column(self, tmp_path, column):
+        cells = {"g": "m2", "x": "2.5"}
+        cells[column] = b"\xff\xfe"
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"g,x\nm1,1.5\n" + b",".join(
+            c if isinstance(c, bytes) else c.encode() for c in cells.values()) + b"\nm3,3.5\n")
+        schema = make_schema([("g", Kind.NOMINAL), ("x", Kind.CONTINUOUS)])
+        with pytest.raises(ParseError, match=f"invalid UTF-8 at row 2, column '{column}'"):
+            load_csv(path, schema)
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -274,6 +420,20 @@ class TestLoadCsv:
             back.continuous_values("units"), transactions.continuous_values("units")
         )
         assert back.members("category") == transactions.members("category")
+
+    def test_dump_in_chunks_writes_what_csv_writer_writes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("aqplearn.store.DUMP_CHUNK_ROWS", 3)
+        schema = make_schema([("g", Kind.NOMINAL), ("x", Kind.CONTINUOUS)])
+        g = ["b,c", 'say "hi"', "a", "two\nlines", "a", "\u00fcml\u00e4ut", "a"]
+        x = [0.1, -2.5, 1e300, 3.0, 5e-324, 7.25, -0.0]
+        ds = Dataset.from_columns(schema, {"g": g, "x": x})
+        path = tmp_path / "out.csv"
+        dump_csv(ds, path)
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["g", "x"], *zip(g, map(repr, x))])
+        assert path.read_bytes() == want.read_bytes()
+        assert_same_table(load_csv(path, schema), ds)
 
 
 class TestSchemaFiles:
