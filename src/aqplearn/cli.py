@@ -120,6 +120,7 @@ def cmd_label(args) -> int:
     _check_upstream(header, "dataset_sha256", data_hash, f"dataset {args.data}")
     labeled, report = executor.label_workload(ds, queries, threads=args.threads)
     meta = {
+        "labeled": True,  # also when every query was excluded and no record says so
         "dataset_sha256": data_hash,
         "workload_sha256": _sha256_file(args.workload),
         "template": header.get("template"),

@@ -391,7 +391,11 @@ def save_encoded(path, X: np.ndarray, y: np.ndarray, support: np.ndarray,
 def load_encoded(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     meta, arrays = read_artifact(path, "encoded", ENCODED_VERSION)
     with parsing(path, "encoded"):
-        return arrays["X"], arrays["y"], arrays["support"], meta
+        X, y, support = arrays["X"], arrays["y"], arrays["support"]
+        bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise CorruptArtifact(f"{path}: label {bad[0]} is {y[bad[0]]}, not a finite number")
+    return X, y, support, meta
 
 
 # -- vocabulary files -------------------------------------------------------

@@ -28,18 +28,17 @@ One forward pass serves training and answering, and it runs each step
 once per distinct query prefix. The encoding puts the target row first,
 then the window rows, then the member rows, so the queries of one GROUP
 BY share their first rows and, with them, the LSTM state after those
-rows. The model reads the encoder's uint8 bits without a float copy: it
-sorts a batch by each query's bits packed into bytes (np.packbits), runs
-step t only on the distinct prefixes of length t + 1 and casts only
-their rows to float32. Training backpropagates through those shared
-states: a state's gradient is the sum of its children's. The sums run on
-the H-wide side: each child's 4H-wide gate gradient is multiplied by
-W_h^T before its run is summed, and dW_h pairs it with its parent's
-hidden state, gathered by parent id. predict, validation and the
-gradient check call the same pass; predict cuts its input into
-fixed-size chunks, so an answer never depends on the worker count. fit
-sorts the validation set into prefix order once, so each validation
-chunk shares its prefixes.
+rows. The model reads the encoder's uint8 bits without a float copy. The
+pass compares each query's bits, packed into bytes (np.packbits), with
+the row before and runs step t once per run of equal first t + 1 rows,
+casting only those rows to float32. Its callers sort each batch by the
+packed bits once, so equal prefixes are adjacent: predict and
+validation sort the whole batch and cut it into fixed-size chunks, so an
+answer depends on neither the worker count nor the input order. Training
+backpropagates through the shared states: a state's gradient is the sum
+of its children's. The sums run on the H-wide side: each child's 4H-wide
+gate gradient is multiplied by W_h^T before its run is summed, and dW_h
+pairs it with its parent's hidden state, gathered by parent id.
 """
 
 from __future__ import annotations
@@ -126,19 +125,23 @@ def _sum_runs(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return a if starts.all() else np.add.reduceat(a, np.flatnonzero(starts), axis=0)
 
 
-def _prefix_order(X: np.ndarray):
-    """Sort a (n, L, D) uint8 batch by its packed bits; returns (order,
-    keys), where keys (n, L) holds the sorted rows with each step's bytes
-    as one np.void element."""
+def _prefix_keys(X: np.ndarray) -> np.ndarray:
+    """The bits of a (n, L, D) uint8 batch packed into bytes: (n, L), each
+    step's bytes one np.void element."""
     n, L, D = X.shape
     width = -(-D // 8)
     # One flat packbits over steps zero-padded to whole bytes gives the
     # bytes of packbits(X, axis=2) without an inner loop per step.
     bits = np.zeros((n, L, 8 * width), dtype=np.uint8)
     bits[..., :D] = X
-    keys = np.packbits(bits.reshape(-1)).reshape(n, L * width)
-    order = np.argsort(keys.view(np.dtype((np.void, L * width)))[:, 0])
-    return order, keys[order].view(np.dtype((np.void, width)))
+    return np.packbits(bits.reshape(-1)).reshape(n, L * width).view(np.dtype((np.void, width)))
+
+
+def _prefix_order(X: np.ndarray) -> np.ndarray:
+    """The order that sorts a batch by its packed bits, byte by byte, so
+    rows with equal prefixes are adjacent."""
+    keys = _prefix_keys(X)
+    return np.argsort(keys.view(np.dtype((np.void, keys.itemsize * X.shape[1])))[:, 0])
 
 
 class LstmModel:
@@ -198,24 +201,23 @@ class LstmModel:
         return (dense @ self.params["W_y"])[:, 0] + self.params["b_y"][0], pre_d, dense
 
     def _forward(self, X: np.ndarray):
-        """Run the network on a (n, L, D) uint8 batch, each step once per
-        distinct prefix instead of once per row; returns (normalized outputs
-        in input order, cache for backpropagation).
+        """Run the network on a (n, L, D) uint8 batch; returns (normalized
+        outputs, cache for backpropagation).
 
         Rows that agree on their first t+1 rows have the same state after
-        step t. One sort of the packed rows numbers those prefixes: the sort
-        compares keys byte by byte, so equal prefixes end up adjacent, and in
-        sorted order a prefix starts a new state wherever it differs from
-        the one before. Step t runs on the distinct (parent state, row)
-        pairs only and gathers each parent's recurrent product and cell
-        state; the outputs of the distinct final states are scattered back
-        to the input order. Within a step parent ids never decrease and
-        every state has a child, so the children of one state are one run.
+        step t. A row starts a new state after step t where its packed
+        first t+1 steps differ from the row before, so adjacent equal
+        prefixes share one state and a batch in _prefix_order runs each
+        step once per distinct prefix; any order gives the same answers.
+        Step t runs on the new (parent state, row) pairs and gathers each
+        parent's recurrent product and cell state. Within a step parent ids
+        never decrease and every state has a child, so the children of one
+        state are one run.
         """
         n, L, _ = X.shape
-        order, keys = _prefix_order(X)
+        keys = _prefix_keys(X)
         # Column 0 is the zero state every row starts from; column t + 1
-        # marks the sorted rows whose prefix is new after step t.
+        # marks the rows whose prefix is new after step t.
         new = np.zeros((n, L + 1), dtype=bool)
         new[0] = True
         new[1:, 1:] = np.logical_or.accumulate(keys[1:] != keys[:-1], axis=1)
@@ -223,7 +225,7 @@ class LstmModel:
         step, row = np.nonzero(new[:, 1:].T)  # distinct step-rows, ordered by step
         parent = ids[row, step]
         first = new[row, step]  # the step-row is its parent's first child
-        X_rows = X[order[row], step].astype(self.params["W_x"].dtype)
+        X_rows = X[row, step].astype(self.params["W_x"].dtype)
         # Pre-activations, which each step turns into its gates in place.
         gates = X_rows @ self.params["W_x"]
         gates += self.params["b"]
@@ -243,27 +245,28 @@ class LstmModel:
             h = h_next
             lo = hi
         yhat, pre_d, dense = self._head(h)
-        out = np.empty(n, dtype=gates.dtype)
-        out[order] = yhat[ids[:, -1]]
-        return out, (X_rows, order, first, parent, new[:, -1], gates, steps, h, pre_d, dense)
+        return yhat[ids[:, -1]], (X_rows, first, parent, new[:, -1], gates, steps, h, pre_d, dense)
 
     def _forward_chunks(self, X: np.ndarray, n_workers: int = 1) -> np.ndarray:
-        """Normalized outputs, computed in fixed-size chunks so results do
-        not depend on n_workers. More than one worker splits the chunks into
-        one contiguous run per worker on a thread pool."""
+        """Normalized outputs in input order. The batch is sorted into
+        prefix order once and cut into fixed-size chunks, so results depend
+        on neither n_workers nor the input order. More than one worker splits
+        the chunks into one contiguous run per worker on a thread pool."""
+        order = _prefix_order(X)
         n_chunks = -(-len(X) // PREDICT_CHUNK)
         cuts = [min(len(X), PREDICT_CHUNK * (n_chunks * w // n_workers)) for w in range(n_workers + 1)]
 
         def run(lo, hi):
-            return [self._forward(X[s : s + PREDICT_CHUNK])[0] for s in range(lo, hi, PREDICT_CHUNK)]
+            return [self._forward(X[order[s : s + PREDICT_CHUNK]])[0] for s in range(lo, hi, PREDICT_CHUNK)]
 
         if n_workers > 1:
             with ThreadPoolExecutor(max_workers=n_workers) as pool:
                 runs = list(pool.map(run, cuts[:-1], cuts[1:]))
         else:
             runs = [run(0, len(X))]
-        outs = [out for chunks in runs for out in chunks]
-        return np.concatenate(outs) if outs else np.zeros(0)
+        out = np.empty(len(X), dtype=self.params["W_x"].dtype)
+        out[order] = np.concatenate([out[:0], *(y for chunks in runs for y in chunks)])
+        return out
 
     def predict(self, X, n_workers: int = 1) -> np.ndarray:
         """Estimate labels for encoded queries, in original label units, as
@@ -289,16 +292,17 @@ class LstmModel:
 
     def _loss_and_grads(self, X: np.ndarray, z: np.ndarray):
         """MSE on normalized labels plus gradients for every parameter,
-        backpropagated through the prefix states of _forward. A state's
-        dh and dc are sums over its children, one run each. Both sums are
-        H wide: dh sums the children's da @ W_h^T, not their 4H-wide da,
-        and dW_h takes h_prev[parent]^T @ da, which gathers H-wide rows."""
+        backpropagated through the prefix states of _forward on the batch in
+        prefix order. A state's dh and dc are sums over its children, one run
+        each. Both sums are H wide: dh sums the children's da @ W_h^T, not
+        their 4H-wide da, and dW_h takes h_prev[parent]^T @ da (H-wide rows)."""
         H = self.config.lstm_units
-        yhat, (X_rows, order, first, parent, last, gates, steps, hL, pre_d, dense) = self._forward(X)
-        z = z.astype(yhat.dtype)
+        order = _prefix_order(X)
+        yhat, (X_rows, first, parent, last, gates, steps, hL, pre_d, dense) = self._forward(X[order])
+        z = z[order].astype(yhat.dtype)
         loss = float(np.mean((yhat - z) ** 2))
 
-        dy = _sum_runs(((2.0 / len(X)) * (yhat - z))[order], last)[:, None]
+        dy = _sum_runs((2.0 / len(X)) * (yhat - z), last)[:, None]
         grads = {
             "W_y": dense.T @ dy,
             "b_y": dy.sum(axis=0),
@@ -385,11 +389,7 @@ class LstmModel:
             std = float(np.std(y))
             self.label_std = std if std > 1e-12 else 1.0
         z = self._normalize(y)
-        if has_val:
-            # In prefix order each validation chunk shares its prefixes;
-            # the order moves the mean squared error only by rounding.
-            order = _prefix_order(X_val)[0]
-            X_val, z_val = X_val[order], self._normalize(y_val)[order]
+        z_val = self._normalize(y_val) if has_val else None
 
         n = len(X)
         bs = self.config.batch_size

@@ -22,8 +22,8 @@ from aqplearn import (
     save_vocabulary,
     write_workload,
 )
-from aqplearn.artifacts import atomic_open
-from aqplearn.encoder import load_encoded, save_encoded
+from aqplearn.artifacts import atomic_open, save_npz
+from aqplearn.encoder import ENCODED_VERSION, load_encoded, save_encoded
 from aqplearn.errors import CorruptArtifact, VersionMismatch
 from aqplearn.querygen import QueryTemplate
 from aqplearn.store import AttributeSchema, dump_csv, dump_schema, make_schema
@@ -142,6 +142,18 @@ class TestTruncatedArtifacts:
         arrays["y"] = arrays["y"][:2]
         np.savez(path, **arrays)
         with pytest.raises(CorruptArtifact, match="count"):
+            load_encoded(path)
+
+    @pytest.mark.parametrize("label", [np.nan, np.inf, -np.inf])
+    def test_encoded_non_finite_label(self, tmp_path, label):
+        path = tmp_path / "e.npz"
+        save_encoded(path, np.zeros((3, 2, 2), dtype=np.uint8), np.zeros(3), np.ones(3))
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k != "meta"}
+            meta = json.loads(bytes(data["meta"]))
+        arrays["y"][1] = label
+        save_npz(path, "encoded", ENCODED_VERSION, arrays, meta)
+        with pytest.raises(CorruptArtifact, match="label 1 is"):
             load_encoded(path)
 
     def test_edited_vocabulary_missing_a_field(self, tmp_path):

@@ -1,12 +1,13 @@
 """End-to-end command-line pipeline tests."""
 
+import dataclasses
 import json
 import shutil
 
 import numpy as np
 import pytest
 
-from aqplearn import cli, read_workload, synth, write_workload
+from aqplearn import BetweenFilter, cli, read_workload, synth, write_workload
 from aqplearn.encoder import load_encoded, save_encoded
 from aqplearn.store import dump_csv, dump_schema
 
@@ -362,6 +363,23 @@ class TestFailureModes:
                    "--out", pipeline / "dup.jsonl")
         assert code == 1
         capsys.readouterr()
+
+    def test_labeling_that_excludes_every_query_still_marks_the_output_labeled(
+            self, pipeline, tmp_path, capsys):
+        header, queries = read_workload(pipeline / "workload.jsonl")
+        nowhere = (BetweenFilter("sales", 1e9, 2e9),)  # above every sales value
+        write_workload(tmp_path / "w.jsonl",
+                       [dataclasses.replace(q, between_filters=nowhere) for q in queries],
+                       {"dataset_sha256": header["dataset_sha256"]})
+        label = ["label", "--data", pipeline / "data.csv", "--schema", pipeline / "schema.json",
+                 "--workload", tmp_path / "w.jsonl", "--out", tmp_path / "l.jsonl"]
+        assert run(*label) == 0
+        assert f"labeled 0/{len(queries)} queries" in capsys.readouterr().out
+        header, records = read_workload(tmp_path / "l.jsonl")
+        assert header["labeled"] is True and records == []
+        assert run(*label[:-4], "--workload", tmp_path / "l.jsonl",
+                   "--out", tmp_path / "again.jsonl") == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ShapeMismatch"
 
     def test_foreign_vocabulary_rejected_at_predict(self, pipeline, tmp_path, capsys):
         make_inputs(tmp_path, targets=[{"func": "sum", "attr": "sales"}])

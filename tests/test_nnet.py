@@ -17,7 +17,7 @@ from aqplearn.errors import (
     VersionMismatch,
     VocabularyMismatch,
 )
-from aqplearn.nnet import PREDICT_CHUNK
+from aqplearn.nnet import PREDICT_CHUNK, _prefix_order
 
 L, D = 5, 7
 
@@ -202,9 +202,35 @@ class TestDistinctPrefixes:
         m = small_model()
         X = shared_prefixes(3 * PREDICT_CHUNK + 37, seed=40)
         self.assert_matches_per_row(m, X)
-        # Chunk boundaries are fixed, so the batch equals its chunks answered apart.
-        apart = [m.predict(X[s : s + PREDICT_CHUNK]) for s in range(0, len(X), PREDICT_CHUNK)]
-        np.testing.assert_array_equal(m.predict(X), np.concatenate(apart))
+        # Chunks are cut at fixed positions of the prefix order, so the batch
+        # equals its sorted chunks answered apart.
+        order = _prefix_order(m._check_input(X))
+        apart = [m.predict(X[order[s : s + PREDICT_CHUNK]]) for s in range(0, len(X), PREDICT_CHUNK)]
+        np.testing.assert_array_equal(m.predict(X)[order], np.concatenate(apart))
+
+    @staticmethod
+    def with_duplicates(n, seed):
+        rng = np.random.default_rng(seed)
+        X = shared_prefixes(n, seed=seed)
+        X[rng.integers(0, n, n // 4)] = X[rng.integers(0, n, n // 4)]
+        return X
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_permuted_batch_gets_permuted_answers(self, workers):
+        m = small_model()
+        X = self.with_duplicates(3 * PREDICT_CHUNK + 37, seed=52)
+        perm = np.random.default_rng(53).permutation(len(X))
+        out = m.predict(X, n_workers=workers)
+        np.testing.assert_array_equal(m.predict(X[perm], n_workers=workers), out[perm])
+
+    def test_shuffled_chunks_share_the_prefixes_of_the_whole_batch(self, monkeypatch):
+        m = small_model()
+        X = self.with_duplicates(3 * PREDICT_CHUNK + 37, seed=54)
+        rows = count_step_rows(monkeypatch, m)
+        m.predict(X[_prefix_order(m._check_input(X))])
+        presorted, rows[:] = rows[:], []
+        m.predict(X)
+        assert len(presorted) == 4 * L and rows == presorted
 
     def test_duplicate_queries_get_bit_equal_answers(self):
         m = small_model()
@@ -468,8 +494,8 @@ class TestTraining:
         assert m.adam_t == 0
 
     def test_validation_mse_does_not_depend_on_the_order(self):
-        # fit answers the validation set in prefix order; more than two
-        # chunks of shuffled queries make its chunks differ from predict's.
+        # fit and predict both answer in prefix order; more than two chunks
+        # of shuffled queries make the order decide what each chunk shares.
         X, y = counting_task(64, seed=19)
         Xv = shared_prefixes(2 * PREDICT_CHUNK + 100, seed=20)
         yv = Xv.sum(axis=(1, 2))
