@@ -25,7 +25,7 @@ import numpy as np
 
 from . import encoder, executor, metrics, nnet, querygen, store
 from .artifacts import atomic_open, parsing, write_json, write_jsonl
-from .errors import AqpError, HashMismatch, InvalidConfig, InvalidTarget, ShapeMismatch
+from .errors import AqpError, EmptyList, HashMismatch, InvalidConfig, InvalidTarget, ShapeMismatch
 
 
 def _sha256_file(path) -> str:
@@ -142,6 +142,8 @@ def cmd_encode(args) -> int:
     if not header.get("labeled"):
         raise ShapeMismatch(f"{args.workload} is not labeled; run the label stage first")
     _check_upstream(header, "dataset_sha256", _sha256_file(args.data), f"dataset {args.data}")
+    if not records:
+        raise EmptyList(f"{args.workload} holds no labeled queries; there is nothing to encode")
     vocab = encoder.build_vocabulary(records, template)
     X = encoder.encode_workload(records, vocab)
     y = np.array([lq.label for lq in records], dtype=np.float64)

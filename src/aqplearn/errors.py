@@ -104,4 +104,4 @@ class DegenerateRange(AqpError):
 
 
 class EmptyList(AqpError):
-    """At least one column is required."""
+    """An input that must hold at least one item holds none."""

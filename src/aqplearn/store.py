@@ -13,6 +13,7 @@ concurrent readers.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import threading
@@ -149,9 +150,11 @@ def _member_ids(cells, lookup: dict[str, int]) -> np.ndarray:
 
 def _sorted_members(ids: np.ndarray, lookup: dict[str, int]) -> tuple[np.ndarray, tuple[str, ...]]:
     """`ids` renumbered so that id k is the k-th member in sorted order,
-    and the members in that order."""
-    members = tuple(sorted(lookup))
-    rank = np.empty(len(members), dtype=np.int32)
+    and the members in that order. `lookup` maps each member to its
+    provisional id; a member whose id does not occur in `ids` is left out."""
+    seen = np.bincount(ids, minlength=len(lookup)) > 0
+    members = tuple(sorted(m for m, i in lookup.items() if seen[i]))
+    rank = np.empty(len(seen), dtype=np.int32)
     rank[[lookup[m] for m in members]] = np.arange(len(members), dtype=np.int32)
     return rank[ids], members
 
@@ -540,20 +543,28 @@ def load_csv(
     return Dataset(schema, columns, members, row - 1 - dropped)
 
 
-def dump_csv(ds: Dataset, path: str | Path) -> None:
-    """Write a Dataset back out as a header-first CSV file, DUMP_CHUNK_ROWS
-    rows at a time.
+def _csv_field(text: str) -> str:
+    """A non-empty `text` as csv.writer writes it as a field of a row."""
+    out = io.StringIO()
+    csv.writer(out).writerow([text])
+    return out.getvalue()[:-2]
 
-    Continuous cells use repr(float), which round-trips exactly through
-    load_csv.
+
+def dump_csv(ds: Dataset, path: str | Path) -> None:
+    """Write a Dataset back out as a header-first CSV file, the bytes
+    csv.writer writes, DUMP_CHUNK_ROWS rows at a time.
+
+    The header goes through csv.writer. Each chunk is then joined into one
+    string: continuous cells use repr(float), which round-trips exactly
+    through load_csv and never needs quoting, and each distinct member
+    (never empty) is quoted once, up front.
     """
     members = {
-        a.name: np.array(ds.members(a.name), dtype=object)
+        a.name: np.array([_csv_field(m) for m in ds.members(a.name)], dtype=object)
         for a in ds.schema if a.kind is Kind.NOMINAL
     }
     with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([a.name for a in ds.schema])
+        csv.writer(fh).writerow([a.name for a in ds.schema])
         for start in range(0, ds.row_count, DUMP_CHUNK_ROWS):
             rows = slice(start, start + DUMP_CHUNK_ROWS)
             columns = [
@@ -562,7 +573,7 @@ def dump_csv(ds: Dataset, path: str | Path) -> None:
                 else members[a.name][ds.nominal_id_values(a.name)[rows]].tolist()
                 for a in ds.schema
             ]
-            writer.writerows(zip(*columns))
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def continuous_stats(ds: Dataset, attr: str) -> ContinuousStats:

@@ -4,7 +4,9 @@ The benchmark table is built so that the learning task is solvable but
 not trivial: aggregate labels vary smoothly with the nominal group and
 with the position of the BETWEEN window, while per-row noise keeps labels
 from being exactly recoverable. The small transactions table is a quick
-stand-in for a real fact table in demos and CLI walkthroughs.
+stand-in for a real fact table in demos and CLI walkthroughs. Both are
+built from integer member codes, with no string per cell, and equal the
+Dataset that Dataset.from_columns builds from the same rows.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .querygen import QueryTemplate
-from .store import Dataset, Kind, make_schema
+from .store import Dataset, Kind, _sorted_members, make_schema
 
 BENCHMARK_SCHEMA = [
     ("region", Kind.NOMINAL),
@@ -21,6 +23,23 @@ BENCHMARK_SCHEMA = [
     ("x", Kind.CONTINUOUS),
     ("value", Kind.CONTINUOUS),
 ]
+
+
+def _table(spec, n_rows: int, columns: dict) -> Dataset:
+    """A Dataset from finite float64 columns and, for each nominal
+    attribute, (codes, members) with row r holding members[codes[r]]. Only
+    the members that occur are kept, numbered in sorted order as every
+    Dataset numbers them."""
+    schema = make_schema(spec)
+    arrays, members = {}, {}
+    for attr in schema:
+        if attr.kind is Kind.CONTINUOUS:
+            arrays[attr.name] = columns[attr.name]
+        else:
+            codes, names = columns[attr.name]
+            lookup = {name: code for code, name in enumerate(names)}
+            arrays[attr.name], members[attr.name] = _sorted_members(codes, lookup)
+    return Dataset(schema, arrays, members, n_rows)
 
 
 def make_benchmark_table(n_rows: int = 1_000_000, seed: int = 7) -> Dataset:
@@ -45,15 +64,13 @@ def make_benchmark_table(n_rows: int = 1_000_000, seed: int = 7) -> Dataset:
         + 15.0 * np.sin(2.0 * np.pi * x / 1000.0)
         + rng.normal(0.0, 8.0, n_rows)
     )
-    schema = make_schema(BENCHMARK_SCHEMA)
-    columns = {  # each member string is built once and shared by its rows
-        "region": np.array([f"r{v}" for v in range(4)], dtype=object)[i].tolist(),
-        "channel": np.array([f"c{v}" for v in range(5)], dtype=object)[j].tolist(),
-        "product": np.array([f"p{v:02d}" for v in range(10)], dtype=object)[k].tolist(),
+    return _table(BENCHMARK_SCHEMA, n_rows, {
+        "region": (i, [f"r{v}" for v in range(4)]),
+        "channel": (j, [f"c{v}" for v in range(5)]),
+        "product": (k, [f"p{v:02d}" for v in range(10)]),
         "x": x,
         "value": value,
-    }
-    return Dataset.from_columns(schema, columns)
+    })
 
 
 def benchmark_template(ds: Dataset, n_cont_samples: int = 260, seed: int = 11) -> QueryTemplate:
@@ -91,11 +108,9 @@ def make_transactions_table(n_rows: int = 800, seed: int = 3) -> Dataset:
     ci = rng.integers(0, len(categories), n_rows)
     sales = np.round(100.0 + 80.0 * ri + 50.0 * ci + rng.gamma(2.0, 60.0, n_rows), 2)
     discount = np.round(rng.uniform(0.0, 0.5, n_rows), 3)
-    schema = make_schema(TRANSACTIONS_SCHEMA)
-    columns = {
-        "region": [regions[v] for v in ri],
-        "category": [categories[v] for v in ci],
+    return _table(TRANSACTIONS_SCHEMA, n_rows, {
+        "region": (ri, regions),
+        "category": (ci, categories),
         "sales": sales,
         "discount": discount,
-    }
-    return Dataset.from_columns(schema, columns)
+    })

@@ -1,6 +1,6 @@
 """Atomic artifact writes and named errors for unreadable artifacts."""
 
-import csv
+import contextlib
 import json
 
 import numpy as np
@@ -58,16 +58,21 @@ class TestAtomicWrites:
 
         class HeaderThenFail:
             def __init__(self, fh):
-                self.fh = fh
+                self.fh, self.writes = fh, 0
 
-            def writerow(self, row):
-                self.fh.write(",".join(row) + "\n")
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError("disk full")
+                return self.fh.write(text)
 
-            def writerows(self, rows):
-                raise OSError("disk full")
+        @contextlib.contextmanager
+        def header_then_fail(path, **kwargs):
+            with atomic_open(path, **kwargs) as fh:
+                yield HeaderThenFail(fh)
 
-        monkeypatch.setattr(csv, "writer", HeaderThenFail)
-        with pytest.raises(OSError):
+        monkeypatch.setattr("aqplearn.store.atomic_open", header_then_fail)
+        with pytest.raises(OSError, match="disk full"):
             dump_csv(ds, csv_path)
         assert csv_path.read_bytes() == csv_before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "schema.json", "w.jsonl"]

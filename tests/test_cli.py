@@ -381,6 +381,26 @@ class TestFailureModes:
                    "--out", tmp_path / "again.jsonl") == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ShapeMismatch"
 
+    def test_encoding_a_labeled_workload_with_no_queries_fails_before_writing(
+            self, pipeline, tmp_path, capsys):
+        header, queries = read_workload(pipeline / "workload.jsonl")
+        nowhere = (BetweenFilter("sales", 1e9, 2e9),)  # above every sales value
+        write_workload(tmp_path / "w.jsonl",
+                       [dataclasses.replace(q, between_filters=nowhere) for q in queries],
+                       {"dataset_sha256": header["dataset_sha256"]})
+        assert run("label", "--data", pipeline / "data.csv", "--schema", pipeline / "schema.json",
+                   "--workload", tmp_path / "w.jsonl", "--out", tmp_path / "l.jsonl") == 0
+        capsys.readouterr()
+        code = run("encode", "--data", pipeline / "data.csv", "--schema", pipeline / "schema.json",
+                   "--template", pipeline / "template.json", "--workload", tmp_path / "l.jsonl",
+                   "--out-vocab", tmp_path / "vocab.json", "--out-encoded", tmp_path / "e.npz")
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        err = json.loads(err)
+        assert err["error"] == "EmptyList" and str(tmp_path / "l.jsonl") in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["l.jsonl", "w.jsonl"]
+
     def test_foreign_vocabulary_rejected_at_predict(self, pipeline, tmp_path, capsys):
         make_inputs(tmp_path, targets=[{"func": "sum", "attr": "sales"}])
         for step in (

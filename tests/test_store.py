@@ -1,6 +1,7 @@
 """Columnar store: CSV parsing, typing, stats and immutability."""
 
 import csv
+import io
 import math
 import sys
 import time
@@ -33,6 +34,7 @@ from aqplearn.errors import (
     UnknownAttribute,
     WrongKind,
 )
+from aqplearn.store import DUMP_CHUNK_ROWS
 
 
 def one_column(values) -> Dataset:
@@ -433,6 +435,65 @@ class TestLoadCsv:
         with open(want, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows([["g", "x"], *zip(g, map(repr, x))])
         assert path.read_bytes() == want.read_bytes()
+        assert_same_table(load_csv(path, schema), ds)
+
+
+# -- dump_csv against csv.writer -----------------------------------------------
+
+# Text that csv.writer quotes, or that must pass through unquoted as it is.
+AWKWARD = ["b,c", 'say "hi"', "c\rr", "l\nf", "cr\r\nlf", " lead", "trail ", "ümläut", "a"]
+
+
+def csv_writer_bytes(ds) -> bytes:
+    """What csv.writer writes for `ds`: the header, then each row with its
+    continuous cells as repr(float)."""
+    columns = [
+        [repr(v) for v in ds.continuous_values(a.name).tolist()]
+        if a.kind is Kind.CONTINUOUS
+        else [ds.members(a.name)[i] for i in ds.nominal_id_values(a.name).tolist()]
+        for a in ds.schema
+    ]
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows([[a.name for a in ds.schema], *zip(*columns)])
+    return out.getvalue().encode("utf-8")
+
+
+def awkward_table(n_rows, names=("g,1", 'q"2', "c\rr", "l\nf", "cr\r\nlf", "", "äx")):
+    """n_rows rows over one continuous and six nominal columns named `names`
+    (the continuous one last), every member drawn from AWKWARD."""
+    rng = np.random.default_rng(n_rows)
+    schema = make_schema([(n, Kind.NOMINAL) for n in names[:-1]] + [(names[-1], Kind.CONTINUOUS)])
+    columns = {n: [AWKWARD[i] for i in rng.integers(len(AWKWARD), size=n_rows)] for n in names[:-1]}
+    columns[names[-1]] = rng.normal(0.0, 1e3, n_rows) * rng.choice([1.0, 1e-300, 1e300], n_rows)
+    return Dataset.from_columns(schema, columns)
+
+
+class TestDumpCsv:
+    @pytest.mark.parametrize("chunk", [1, 3, None])
+    @pytest.mark.parametrize("chunks", [0, 1, 2, 2.5])
+    def test_writes_what_csv_writer_writes_and_loads_back(self, tmp_path, monkeypatch,
+                                                          chunk, chunks):
+        if chunk is not None:
+            monkeypatch.setattr("aqplearn.store.DUMP_CHUNK_ROWS", chunk)
+        ds = awkward_table(int(chunks * (chunk or DUMP_CHUNK_ROWS)))
+        path = tmp_path / "out.csv"
+        dump_csv(ds, path)
+        assert path.read_bytes() == csv_writer_bytes(ds)
+        assert_same_table(load_csv(path, list(ds.schema)), ds)
+
+    def test_header_names_with_surrounding_spaces(self, tmp_path):
+        # Bytes only: load_csv strips the names it reads from the header.
+        ds = awkward_table(5, names=(" lead", "trail ", " both ", "\tx", "y\r", "z\n", "v"))
+        path = tmp_path / "out.csv"
+        dump_csv(ds, path)
+        assert path.read_bytes() == csv_writer_bytes(ds)
+
+    def test_single_empty_attribute_name_is_quoted(self, tmp_path):
+        schema = make_schema([("", Kind.CONTINUOUS)])
+        ds = Dataset.from_columns(schema, {"": [1.5, -0.0]})
+        path = tmp_path / "out.csv"
+        dump_csv(ds, path)
+        assert path.read_bytes() == csv_writer_bytes(ds) == b'""\r\n1.5\r\n-0.0\r\n'
         assert_same_table(load_csv(path, schema), ds)
 
 
