@@ -130,7 +130,7 @@ def cmd_label(args) -> int:
     print(
         f"labeled {report.labeled}/{report.total} queries "
         f"({report.zero_filled} zero-support kept, "
-        f"{report.excluded_empty} empty excluded) -> {args.out}"
+        f"{report.excluded_empty} empty excluded, {report.scans} scans) -> {args.out}"
     )
     return 0
 

@@ -52,7 +52,7 @@ from .queries import (
     BetweenFilter,
     FlatQuery,
     InFilter,
-    LabeledQuery,
+    number_parts,
 )
 
 VOCAB_VERSION = 1
@@ -167,48 +167,6 @@ class TokenVocabulary:
         )
 
 
-def _number_parts(queries: Iterable) -> tuple[list, np.ndarray]:
-    """Number the distinct parts of a workload in one walk: (parts, index).
-
-    A query's parts are its target, its BETWEEN tuple and its IN tuple
-    (columns 0, 1, 2). parts lists each distinct (column, part) in the
-    order the walk first meets it, and index[i, c] is the number of query
-    i's part in column c. A part is looked up by identity first and by
-    value on a miss, so equal parts that are separate objects share one
-    number. The value is a plain tuple of the part's fields, which hashes
-    and compares in C where the frozen dataclasses would run Python. Every
-    part looked up by identity stays referenced until the walk ends, so no
-    id is reused when `queries` is a generator.
-    """
-    parts, index, kept = [], [], []
-    by_id, by_value = ({}, {}, {}), ({}, {}, {})
-
-    def number(c, part):
-        if c == 0:  # AggregationFunction members are singletons
-            key = (id(part.func), part.attr)
-        elif c == 1:
-            key = tuple([(f.attr, f.lower, f.upper) for f in part])
-        else:
-            key = tuple([(f.attr, f.member) for f in part])
-        k = by_id[c][id(part)] = by_value[c].setdefault(key, len(parts))
-        if k == len(parts):
-            parts.append((c, part))
-        kept.append(part)
-        return k
-
-    get0, get1, get2 = by_id[0].get, by_id[1].get, by_id[2].get
-    for q in queries:
-        fq = q.query if isinstance(q, LabeledQuery) else q
-        t, b, i = fq.target, fq.between_filters, fq.in_filters
-        k0, k1, k2 = get0(id(t)), get1(id(b)), get2(id(i))
-        index += (
-            number(0, t) if k0 is None else k0,
-            number(1, b) if k1 is None else k1,
-            number(2, i) if k2 is None else k2,
-        )
-    return parts, np.array(index, dtype=np.intp).reshape(-1, 3)
-
-
 def build_vocabulary(queries: Iterable, template) -> TokenVocabulary:
     """Derive the vocabulary and payload width from a workload.
 
@@ -218,7 +176,7 @@ def build_vocabulary(queries: Iterable, template) -> TokenVocabulary:
     """
     members: dict[str, set] = {a: set() for a in template.nom_filter_attrs}
     max_literal = 0
-    for c, part in _number_parts(queries)[0]:
+    for c, part in number_parts(queries)[0]:
         if c == 2:
             for f in part:
                 if f.attr not in members:
@@ -264,7 +222,7 @@ def encode(query: FlatQuery, vocab: TokenVocabulary) -> np.ndarray:
 def encode_workload(queries: Iterable, vocab: TokenVocabulary) -> np.ndarray:
     """Encode (optionally labeled) queries into an (n, L, 1+B) tensor.
 
-    One walk numbers the distinct parts of the queries (_number_parts), and
+    One walk numbers the distinct parts of the queries (number_parts), and
     each distinct part fills one row of a payload array: token IDs, and
     filter bounds that are then scaled and rounded to literals in one step.
     One range check covers every literal, a BETWEEN block is present where
@@ -278,7 +236,7 @@ def encode_workload(queries: Iterable, vocab: TokenVocabulary) -> np.ndarray:
     L, B = vocab.sequence_length, vocab.bit_width
     if B > 63:
         raise NumericOverflow(f"payload width {B} exceeds 63 bits")
-    parts, index = _number_parts(queries)
+    parts, index = number_parts(queries)
     cont_blocks, nom_blocks = vocab._cont_blocks, vocab._nom_blocks
     members = {}  # (attr, member) -> (first row, attribute id, member id)
 

@@ -4,16 +4,23 @@ Flat queries are evaluated by a full scan with boolean masks. Group-by
 queries go through a group index, built once per (Dataset, tuple of
 nominal attributes) and shared by every query that groups by that tuple:
 the stable argsort of the composite group code over all rows, the start
-of each group in that order, each group's member tuple, and permuted
-copies of the columns queries ask for, made on first use. A query then
-costs one BETWEEN mask over the permuted columns, one binary search of
-the matched positions for the group supports, one gather per target
-column and the aggregation kernel on contiguous slices. The executor
-supplies the training labels and doubles as the correctness oracle for
-the learned model, so exactness and determinism matter more than speed
-here. label_workload evaluates every query this way; a query without IN
-filters groups by the empty tuple, whose index is one group of every
-row in table order and reads the columns in place.
+of each group in that order, each group's member tuple and the group of
+each member tuple, and permuted copies of the columns queries ask for,
+made on first use. One scan kernel, _group_scan, serves execute_groupby
+and label_workload: one BETWEEN mask over the permuted columns, one
+binary search of the matched positions for every group's support, one
+gather per target column and the aggregation kernel on each non-empty
+group's contiguous slice, returned as arrays. The executor supplies the
+training labels and doubles as the correctness oracle for the learned
+model, so exactness and determinism matter more than speed here.
+
+label_workload is an array program over one walk of the workload: the
+walk numbers its distinct targets, BETWEEN tuples and IN tuples, each IN
+tuple maps to its group, np.unique groups the queries into one scan per
+(BETWEEN tuple, IN attribute tuple), and one gather reads every label and
+support from the scans' arrays. A query without IN filters groups by the
+empty tuple, whose index is one group of every row in table order and
+reads the columns in place.
 
 Filter semantics: BETWEEN is inclusive on both bounds; IN binds a nominal
 attribute to exactly one member. Median of an even-sized multiset is the
@@ -44,6 +51,7 @@ from .queries import (
     GroupByQuery,
     InFilter,
     LabeledQuery,
+    number_parts,
     target_allowed,
 )
 from .store import Dataset, Kind
@@ -73,6 +81,7 @@ class LabelReport:
     labeled: int
     zero_filled: int
     excluded_empty: int
+    scans: int  # group scans run, one per (BETWEEN tuple, IN attribute tuple)
 
 
 def _aggregate(func: AggregationFunction, values: np.ndarray) -> float:
@@ -81,12 +90,13 @@ def _aggregate(func: AggregationFunction, values: np.ndarray) -> float:
         return float(len(values))
     if func is AggregationFunction.COUNT_DISTINCT:
         return float(len(np.unique(values)))
+    # np.add.reduce is the sum np.sum and np.mean run, without their wrappers.
     if func is AggregationFunction.SUM:
-        return float(np.sum(values)) if len(values) else 0.0
+        return float(np.add.reduce(values)) if len(values) else 0.0
     if len(values) == 0:
         raise EmptyAggregate(f"{func.value} over zero matched rows")
     if func is AggregationFunction.AVG:
-        return float(np.mean(values))
+        return float(np.add.reduce(values)) / len(values)
     if func is AggregationFunction.MEDIAN:
         return float(np.median(values))
     if func is AggregationFunction.MIN:
@@ -146,7 +156,8 @@ class _GroupIndex:
     rows, so each group's rows are contiguous in it and keep dataset row
     order; group g starts at order[starts[g]]. Member ids follow sorted
     member order, so code order is the lexicographic order of the member
-    tuples. Columns are permuted into `order` on first use and kept. For
+    tuples, and `group_of` maps each observed member tuple to its group.
+    Columns are permuted into `order` on first use and kept. For
     the empty tuple `order` is a basic slice, so columns are views and
     nothing is copied.
     """
@@ -170,6 +181,7 @@ class _GroupIndex:
                 tuple(member_lists[k][i] for k, i in enumerate(combo))
                 for combo in zip(*(axis.tolist() for axis in ids))
             ]
+        self.group_of = {members: g for g, members in enumerate(self.members)}
         self._columns: dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
 
@@ -190,6 +202,39 @@ def _group_index(ds: Dataset, attrs: tuple[str, ...]) -> _GroupIndex:
     return ds.derived(("group_index", attrs), lambda: _GroupIndex(ds, attrs))
 
 
+def _group_scan(
+    ds: Dataset,
+    index: _GroupIndex,
+    between: tuple[BetweenFilter, ...],
+    targets: tuple[AggregationTarget, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The scan kernel: every group's support and every target's value there.
+
+    One BETWEEN mask over the index's columns, one binary search of the
+    matched positions for the supports, one gather per target column and
+    the aggregation kernel per non-empty group. Returns (supports, values):
+    supports[g] is group g's matched row count and values[g, k] target k's
+    value over those rows, NaN where the group matched no row.
+    """
+    columns = {t.attr: _target_column(ds, t) for t in targets}
+    mask = np.ones(ds.row_count, dtype=bool)
+    for f in between:
+        v = index.column(f.attr, ds.continuous_values(f.attr))
+        mask &= (v >= f.lower) & (v <= f.upper)
+    positions = np.flatnonzero(mask)
+    # Group g's matched rows are positions[bounds[g]:bounds[g + 1]].
+    bounds = np.searchsorted(positions, np.append(index.starts, ds.row_count))
+    supports = np.diff(bounds)
+    values = np.full((len(supports), len(targets)), np.nan)
+    nonempty = np.flatnonzero(supports)
+    spans = list(zip(bounds[nonempty].tolist(), bounds[nonempty + 1].tolist()))
+    matched = {attr: index.column(attr, col)[positions] for attr, col in columns.items()}
+    for k, t in enumerate(targets):
+        v = matched[t.attr]
+        values[nonempty, k] = [_aggregate(t.func, v[s:e]) for s, e in spans]
+    return supports, values
+
+
 def execute_groupby(ds: Dataset, gq: GroupByQuery) -> GroupByResult:
     """Evaluate a group-by query exactly over the rows passing its filters.
 
@@ -199,23 +244,15 @@ def execute_groupby(ds: Dataset, gq: GroupByQuery) -> GroupByResult:
     members (), or none when no row matches.
     """
     index = _group_index(ds, gq.groupby_attrs)
-    columns = {t.attr: _target_column(ds, t) for t in gq.targets}
-    mask = np.ones(ds.row_count, dtype=bool)
-    for f in gq.between_filters:
-        v = index.column(f.attr, ds.continuous_values(f.attr))
-        mask &= (v >= f.lower) & (v <= f.upper)
-    positions = np.flatnonzero(mask)
-    # Group g's matched rows are positions[bounds[g]:bounds[g + 1]].
-    bounds = np.searchsorted(positions, np.append(index.starts, ds.row_count)).tolist()
-    matched = {attr: index.column(attr, col)[positions] for attr, col in columns.items()}
-
-    rows: list[GroupByRow] = []
-    for g, members in enumerate(index.members):
-        s, e = bounds[g], bounds[g + 1]
-        if e > s:
-            values = tuple(_aggregate(t.func, matched[t.attr][s:e]) for t in gq.targets)
-            rows.append(GroupByRow(members, values, e - s))
-    return GroupByResult(tuple(gq.groupby_attrs), tuple(gq.targets), tuple(rows))
+    supports, values = _group_scan(ds, index, gq.between_filters, gq.targets)
+    nonempty = np.flatnonzero(supports)
+    rows = tuple(
+        GroupByRow(index.members[g], tuple(cells), support)
+        for g, cells, support in zip(
+            nonempty.tolist(), values[nonempty].tolist(), supports[nonempty].tolist()
+        )
+    )
+    return GroupByResult(tuple(gq.groupby_attrs), tuple(gq.targets), rows)
 
 
 def extract_member_combinations(ds: Dataset, nominal_attrs: list[str]) -> list[tuple[str, ...]]:
@@ -232,55 +269,75 @@ def label_workload(
 ) -> tuple[list[LabeledQuery], LabelReport]:
     """Label a batch of flat queries against the dataset.
 
-    Queries sharing the same BETWEEN filters and nominal attributes are
-    evaluated through one execute_groupby call each, over the group index
-    of their nominal attributes, which is what makes labeling hundreds of
-    thousands of generated queries tractable; the per-group aggregation
-    kernel is the one execute_flat uses, so the shortcut is exact. Queries
-    without IN filters go through the same call with the empty GROUP BY
-    tuple, one group of every matched row, so the queries of one window
-    share one scan. Zero-support queries get label 0 for counting
-    aggregates (Count/CountDistinct/Sum) and are excluded otherwise.
-    Output order matches input order minus exclusions.
+    One walk numbers the distinct targets, BETWEEN tuples and IN tuples
+    (number_parts). Each distinct IN tuple maps to its attribute tuple and
+    to its group in that tuple's group index; a query without IN filters
+    groups by the empty tuple, one group of every matched row. Queries
+    sharing a BETWEEN tuple and IN attributes share one scan, run by the
+    kernel execute_groupby uses, so labels equal execute_flat's bit for
+    bit; with threads > 1 the scans run on a pool. One gather over the
+    scans' arrays reads every query's label and support. Zero-support
+    queries get label 0 for counting aggregates (Count/CountDistinct/Sum)
+    and are excluded otherwise. Output order matches input order minus
+    exclusions.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, q in enumerate(queries):
-        key = (q.between_filters, tuple(f.attr for f in q.in_filters))
-        groups.setdefault(key, []).append(i)
+    parts, index = number_parts(queries)
+    n = len(parts)
+    counting = np.zeros(n, dtype=bool)  # per target part
+    attr_set = np.zeros(n, dtype=np.intp)  # per IN part, into group_indexes
+    group = np.zeros(n, dtype=np.intp)  # per IN part, its group; -1 if never observed
+    attr_sets: dict[tuple[str, ...], int] = {}
+    group_indexes: list[_GroupIndex] = []
+    for k, (c, part) in enumerate(parts):
+        if c == 0:
+            counting[k] = part.func in COUNTING_FUNCS
+        elif c == 2:
+            attrs = tuple(f.attr for f in part)
+            if attrs not in attr_sets:
+                attr_sets[attrs] = len(group_indexes)
+                group_indexes.append(_group_index(ds, attrs))
+            attr_set[k] = attr_sets[attrs]
+            group[k] = group_indexes[attr_set[k]].group_of.get(tuple(f.member for f in part), -1)
 
-    def run_group(key: tuple, idxs: list[int]) -> list[tuple[int, LabeledQuery | None]]:
-        between, in_attrs = key
-        targets = tuple(dict.fromkeys(queries[i].target for i in idxs))
-        res = execute_groupby(ds, GroupByQuery(targets, between, in_attrs))
-        by_members = {row.members: row for row in res.rows}
-        t_index = {t: k for k, t in enumerate(targets)}
-        out: list[tuple[int, LabeledQuery | None]] = []
-        for i in idxs:
-            q = queries[i]
-            row = by_members.get(tuple(f.member for f in q.in_filters))
-            if row is not None:
-                out.append((i, LabeledQuery(q, row.values[t_index[q.target]], row.support)))
-            elif q.target.func in COUNTING_FUNCS:
-                out.append((i, LabeledQuery(q, 0.0, 0)))
-            else:
-                out.append((i, None))
-        return out
+    # A scan is a (BETWEEN part, IN attribute set) pair, and its cells are
+    # its distinct targets; both are numbered in sorted key order.
+    scan_keys, scan_of = np.unique(index[:, 1] * n + attr_set[index[:, 2]], return_inverse=True)
+    cell_keys, cell_of = np.unique(scan_of * n + index[:, 0], return_inverse=True)
+    first_cell = np.searchsorted(cell_keys // n, np.arange(len(scan_keys) + 1))
 
-    if threads > 1 and len(groups) > 1:
+    def scan(s: int) -> tuple[np.ndarray, np.ndarray]:
+        between = parts[scan_keys[s] // n][1]
+        cells = cell_keys[first_cell[s] : first_cell[s + 1]] % n
+        targets = tuple(parts[t][1] for t in cells.tolist())
+        return _group_scan(ds, group_indexes[scan_keys[s] % n], between, targets)
+
+    if threads > 1 and len(scan_keys) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(lambda kv: run_group(*kv), groups.items())
-            resolved = [item for chunk in chunks for item in chunk]
+            scans = list(pool.map(scan, range(len(scan_keys))))
     else:
-        resolved = [item for key, idxs in groups.items() for item in run_group(key, idxs)]
+        scans = [scan(s) for s in range(len(scan_keys))]
 
-    results: list[LabeledQuery | None] = [None] * len(queries)
-    for i, lq in resolved:
-        results[i] = lq
-    labeled = [lq for lq in results if lq is not None]
+    # Every scan's arrays end to end, then a 0 support and a NaN value read
+    # by queries whose members were never observed.
+    supports = np.concatenate([sup for sup, _ in scans] + [[0]])
+    values = np.concatenate([val.ravel() for _, val in scans] + [[np.nan]])
+    sup_start = np.cumsum([0] + [len(sup) for sup, _ in scans])[scan_of]
+    val_start = np.cumsum([0] + [val.size for _, val in scans])[scan_of]
+    g = group[index[:, 2]]
+    width = np.diff(first_cell)[scan_of]
+    observed = g >= 0
+    support = supports[np.where(observed, sup_start + g, -1)]
+    label = values[np.where(observed, val_start + g * width + cell_of - first_cell[scan_of], -1)]
+    keep = np.flatnonzero((support > 0) | counting[index[:, 0]])
+    label = np.where(support > 0, label, 0.0)[keep]
+    support = support[keep]
+    kept = map(queries.__getitem__, keep.tolist())
+    labeled = list(map(LabeledQuery, kept, label.tolist(), support.tolist()))
     report = LabelReport(
         total=len(queries),
         labeled=len(labeled),
-        zero_filled=sum(lq.support == 0 for lq in labeled),
+        zero_filled=int(np.count_nonzero(support == 0)),
         excluded_empty=len(queries) - len(labeled),
+        scans=len(scan_keys),
     )
     return labeled, report

@@ -9,8 +9,11 @@ built and evaluated structurally.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import InvalidTarget
 from .store import Dataset, Kind
@@ -206,3 +209,45 @@ class LabeledQuery:
             label=float(rec["label"]),
             support=int(rec["support"]),
         )
+
+
+def number_parts(queries: Iterable) -> tuple[list, np.ndarray]:
+    """Number the distinct parts of a workload in one walk: (parts, index).
+
+    A query's parts are its target, its BETWEEN tuple and its IN tuple
+    (columns 0, 1, 2). parts lists each distinct (column, part) in the
+    order the walk first meets it, and index[i, c] is the number of query
+    i's part in column c. A part is looked up by identity first and by
+    value on a miss, so equal parts that are separate objects share one
+    number. The value is a plain tuple of the part's fields, which hashes
+    and compares in C where the frozen dataclasses would run Python. Every
+    part looked up by identity stays referenced until the walk ends, so no
+    id is reused when `queries` is a generator.
+    """
+    parts, index, kept = [], [], []
+    by_id, by_value = ({}, {}, {}), ({}, {}, {})
+
+    def number(c, part):
+        if c == 0:  # AggregationFunction members are singletons
+            key = (id(part.func), part.attr)
+        elif c == 1:
+            key = tuple([(f.attr, f.lower, f.upper) for f in part])
+        else:
+            key = tuple([(f.attr, f.member) for f in part])
+        k = by_id[c][id(part)] = by_value[c].setdefault(key, len(parts))
+        if k == len(parts):
+            parts.append((c, part))
+        kept.append(part)
+        return k
+
+    get0, get1, get2 = by_id[0].get, by_id[1].get, by_id[2].get
+    for q in queries:
+        fq = q.query if isinstance(q, LabeledQuery) else q
+        t, b, i = fq.target, fq.between_filters, fq.in_filters
+        k0, k1, k2 = get0(id(t)), get1(id(b)), get2(id(i))
+        index += (
+            number(0, t) if k0 is None else k0,
+            number(1, b) if k1 is None else k1,
+            number(2, i) if k2 is None else k2,
+        )
+    return parts, np.array(index, dtype=np.intp).reshape(-1, 3)

@@ -436,7 +436,7 @@ def load_csv(
     The file must be UTF-8. Records end at LF or CRLF, the last one may
     lack it, and a field is either plain text without quotes, commas, CR
     or LF, or a quoted field, in which a doubled quote stands for one
-    quote. The header must name the `schema` attributes in order. Empty
+    quote. The header must name the `schema` attributes in order, exactly. Empty
     cells (also "") are nulls: under DROP_ROW the whole row is dropped and
     the total is logged, under REJECT a ParseError is raised. A row of the
     wrong width, a blank line or a quote outside this grammar raises
@@ -490,9 +490,10 @@ def load_csv(
                     raise error
                 head = [_text(buf[a:b].tobytes()) for a, b in
                         zip(starts[: widths[0]].tolist(), stops[: widths[0]].tolist())]
-                if [h.strip() for h in head] != declared:
+                if head != declared:  # exact, so names with surrounding whitespace load back
                     raise MalformedRow(
-                        f"{path}: header {head} does not match declared attributes {declared}"
+                        f"{path}: header names {', '.join(map(repr, head))} do not match "
+                        f"declared attributes {', '.join(map(repr, declared))}"
                     )
                 lo = 1
             wrong = np.flatnonzero(widths[lo:faulty] != width)

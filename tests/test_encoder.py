@@ -21,13 +21,14 @@ from aqplearn import (
     load_vocabulary,
     save_vocabulary,
 )
-from aqplearn.encoder import _number_parts, load_encoded, member_token, row_token_ids, save_encoded
+from aqplearn.encoder import load_encoded, member_token, row_token_ids, save_encoded
 from aqplearn.errors import (
     CorruptArtifact,
     MalformedMatrix,
     NumericOverflow,
     UnknownToken,
 )
+from aqplearn.queries import number_parts
 from conftest import build_transactions
 
 AVG = AggregationFunction.AVG
@@ -323,7 +324,7 @@ class TestSharedParts:
         queries, vocab, alone = workload
         rebuilt = [FlatQuery.from_record(q.to_record()) for q in queries]
         assert len({id(q.between_filters) for q in rebuilt}) == len(rebuilt)
-        assert len(_number_parts(rebuilt)[0]) == len(_number_parts(queries)[0]) < len(rebuilt)
+        assert len(number_parts(rebuilt)[0]) == len(number_parts(queries)[0]) < len(rebuilt)
         np.testing.assert_array_equal(encode_workload(rebuilt, vocab), alone)
 
     def test_generator_of_fresh_queries(self, workload):

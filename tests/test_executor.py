@@ -1,8 +1,11 @@
 """Exact execution engine, checked against a naive pure-Python reference."""
 
 import gc
+import hashlib
 import math
+import re
 import statistics
+import sys
 import weakref
 
 import numpy as np
@@ -17,11 +20,15 @@ from aqplearn import (
     GroupByQuery,
     InFilter,
     Kind,
+    LabelReport,
+    QueryTemplate,
     execute_flat,
     execute_groupby,
     extract_member_combinations,
+    generate_workload,
     label_workload,
     make_schema,
+    synth,
 )
 from aqplearn import executor
 from aqplearn.errors import EmptyAggregate, WrongKind
@@ -360,14 +367,23 @@ class TestGroupIndexExactness:
                 out.append((q, value, support))
         return out
 
+    @staticmethod
+    def reference_report(queries, want):
+        """The LabelReport of the reference labels: one scan per distinct
+        (BETWEEN tuple, IN attribute tuple)."""
+        keys = {(q.between_filters, tuple(f.attr for f in q.in_filters)) for q in queries}
+        zero = sum(support == 0 for _, _, support in want)
+        return LabelReport(len(queries), len(want), zero, len(queries) - len(want), len(keys))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_labels_equal_execute_flat_bit_for_bit(self, seed, threads):
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.parametrize("n_rows", [300, 7, 0])
+    def test_labels_equal_execute_flat_bit_for_bit(self, seed, threads, n_rows):
         rng = np.random.default_rng(seed)
-        ds = self.random_table(rng)
+        ds = self.random_table(rng, n_rows)
         targets = [
-            AggregationTarget(f, "v") for f in (COUNT, SUM, AVG, MEDIAN, MIN, MAX)
-        ] + [AggregationTarget(COUNT_DISTINCT, "tier")]
+            AggregationTarget(f, "v") for f in (COUNT, SUM, AVG, MEDIAN, MIN, MAX, COUNT_DISTINCT)
+        ] + [AggregationTarget(COUNT_DISTINCT, "tier"), AggregationTarget(COUNT, "shop")]
         windows = [(BetweenFilter("x", *sorted(rng.uniform(0.0, 100.0, 2))),) for _ in range(6)]
         windows.append((BetweenFilter("x", 40.0, 41.0),))  # most groups empty
         windows.append((BetweenFilter("x", 200.0, 300.0),))  # every group empty
@@ -379,24 +395,54 @@ class TestGroupIndexExactness:
         in_sets += [(InFilter("tier", f"t{k}"),) for k in range(4)]
         in_sets.append(())
         queries = [FlatQuery(t, w, i) for t in targets for w in windows for i in in_sets]
+        # Duplicates: the same objects again, and equal queries rebuilt as
+        # separate objects.
+        picked = rng.choice(len(queries), 200, replace=False).tolist()
+        queries += [queries[k] for k in picked[:100]]
+        queries += [FlatQuery.from_record(queries[k].to_record()) for k in picked[100:]]
         rng.shuffle(queries)
 
-        labeled, report = label_workload(ds, queries, threads=threads)
+        # A short switch interval interleaves the scan threads often, also
+        # while they fill the fresh Dataset's shared column cache.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            labeled, report = label_workload(ds, queries, threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
         got = [(lq.query, lq.label, lq.support) for lq in labeled]
         want = self.expected(ds, queries)
         assert [g[0] for g in got] == [w[0] for w in want]
         assert np.array([g[1] for g in got]).tobytes() == np.array([w[1] for w in want]).tobytes()
         assert [g[2] for g in got] == [w[2] for w in want]
+        assert report == self.reference_report(queries, want)
         assert report.excluded_empty > 0 and report.zero_filled > 0
-        assert report.labeled - report.zero_filled > len(queries) // 4
-        window_only = {w: {lq.query.target.func: lq for lq in labeled
+        window_only = {w: {lq.query.target: lq for lq in labeled
                            if lq.query.between_filters == w and not lq.query.in_filters}
                        for w in windows}
         # Every group empty: counting aggregates zero-filled, the rest excluded.
-        assert {f: (lq.label, lq.support) for f, lq in window_only[windows[7]].items()} == {
+        assert {t.func: (lq.label, lq.support) for t, lq in window_only[windows[7]].items()} == {
             COUNT: (0.0, 0), SUM: (0.0, 0), COUNT_DISTINCT: (0.0, 0)}
-        assert window_only[()][COUNT].support == ds.row_count
-        assert len(window_only[()]) == len(targets)
+        assert window_only[()][targets[0]].support == ds.row_count
+        if n_rows:
+            assert len(window_only[()]) == len(targets)
+        if n_rows == 300:
+            assert report.labeled - report.zero_filled > len(queries) // 4
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("bad, message", [
+        (FlatQuery(AggregationTarget(AVG, "shop")), "avg is not applicable to nominal attribute 'shop'"),
+        (FlatQuery(AggregationTarget(AVG, "v"), (BetweenFilter("shop", 0.0, 1.0),)),
+         "'shop' is nominal, not continuous"),
+        (FlatQuery(AggregationTarget(AVG, "v"), (), (InFilter("x", "1.0"),)),
+         "GROUP BY attribute 'x' must be nominal"),
+    ])
+    def test_errors_name_the_bad_part(self, threads, bad, message):
+        ds = self.random_table(np.random.default_rng(0))
+        good = [FlatQuery(AggregationTarget(f, "v"), (BetweenFilter("x", 10.0, 60.0),), i)
+                for f in (AVG, COUNT) for i in ((), (InFilter("tier", "t1"),))]
+        with pytest.raises(WrongKind, match=f"^{re.escape(message)}$"):
+            label_workload(ds, good + [bad] + good, threads=threads)
 
     def test_index_is_freed_with_its_dataset(self):
         ds = self.random_table(np.random.default_rng(0))
@@ -405,3 +451,41 @@ class TestGroupIndexExactness:
         del ds
         gc.collect()
         assert ref() is None
+
+
+# SHA-256 of the labels (<f8) followed by the supports (<i8) that
+# label_workload gives on make_benchmark_table(20_000, seed), for the A5
+# template (260 windows, template seed seed + 4) and for the window-only
+# template (avg and median of value over 150 x windows, template seed
+# seed + 5), the two workloads the benchmark labels. Pinned from the
+# labeling that predates the array path; one changed bit fails.
+LABEL_DIGESTS_20K = {
+    ("a5", 0): "d470643ab17e90d0ea3373db1525673d301169e7ab1e0e15dfb8ee7e733e8a80",
+    ("window-only", 0): "350bccf774a48537b1b9a3b7e18bbf89bcc2bc7f3633c8c7fe46154363b2ac65",
+    ("a5", 7): "10ed5946aa08e2a15634c4abf9237b50042222ab4d90c3b3f2589a75c9d96c0e",
+    ("window-only", 7): "c1bc530f164e3a9bdce2b636b97b3892a9f2ef08409ce6c80e6327a7cbd4a80b",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_benchmark_labels_are_pinned(seed):
+    ds = synth.make_benchmark_table(20_000, seed)
+    templates = {
+        "a5": synth.benchmark_template(ds, 260, seed + 4),
+        "window-only": QueryTemplate.build(
+            ds,
+            targets=[AggregationTarget(AVG, "value"), AggregationTarget(MEDIAN, "value")],
+            cont_filter_attrs=["x"],
+            nom_filter_attrs=[],
+            n_cont_samples=150,
+            seed=seed + 5,
+            numeric_scales={"x": 1.0},
+        ),
+    }
+    for name, template in templates.items():
+        labeled, _ = label_workload(ds, generate_workload(ds, template)[0])
+        digest = hashlib.sha256(
+            np.array([lq.label for lq in labeled], dtype="<f8").tobytes()
+            + np.array([lq.support for lq in labeled], dtype="<i8").tobytes()
+        ).hexdigest()
+        assert digest == LABEL_DIGESTS_20K[name, seed], name

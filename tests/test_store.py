@@ -482,11 +482,25 @@ class TestDumpCsv:
         assert_same_table(load_csv(path, list(ds.schema)), ds)
 
     def test_header_names_with_surrounding_spaces(self, tmp_path):
-        # Bytes only: load_csv strips the names it reads from the header.
         ds = awkward_table(5, names=(" lead", "trail ", " both ", "\tx", "y\r", "z\n", "v"))
         path = tmp_path / "out.csv"
         dump_csv(ds, path)
         assert path.read_bytes() == csv_writer_bytes(ds)
+        assert_same_table(load_csv(path, list(ds.schema)), ds)
+
+    @pytest.mark.parametrize("name", [" x", "x\t"])
+    def test_continuous_name_with_surrounding_whitespace_loads_back(self, tmp_path, name):
+        ds = awkward_table(3, names=(name,))
+        path = tmp_path / "out.csv"
+        dump_csv(ds, path)
+        assert path.read_bytes() == csv_writer_bytes(ds)
+        assert_same_table(load_csv(path, list(ds.schema)), ds)
+
+    def test_header_mismatch_names_each_side_by_repr(self, tmp_path):
+        path = tmp_path / "out.csv"
+        dump_csv(awkward_table(2, names=("x",)), path)
+        with pytest.raises(MalformedRow, match=r"header names 'x' do not match declared attributes 'x\\t'"):
+            load_csv(path, make_schema([("x\t", Kind.CONTINUOUS)]))
 
     def test_single_empty_attribute_name_is_quoted(self, tmp_path):
         schema = make_schema([("", Kind.CONTINUOUS)])
