@@ -14,7 +14,6 @@ from aqplearn import (
     AggregationTarget,
     QueryTemplate,
     execute_groupby,
-    flatten_groupby,
     generate_workload,
     label_workload,
     synth,
@@ -53,16 +52,15 @@ sup = np.array([lq.support for lq in labeled])
 print(f"labels: min {y.min():.2f}  mean {y.mean():.2f}  max {y.max():.2f}")
 print(f"support per query: min {sup.min()}  median {np.median(sup):.0f}  max {sup.max()}")
 
-# Group-by queries are handled by flattening: each result cell becomes
-# one flat labeled query with the group members as IN filters.
+# Group-by queries are handled by flattening: execute_groupby labels one
+# flat query per group and target, with the group members as IN filters.
 from aqplearn import GroupByQuery
 
 gq = GroupByQuery(
     targets=(AggregationTarget(AggregationFunction.AVG, "sales"),),
     groupby_attrs=("region",),
 )
-result = execute_groupby(ds, gq)
-flat = flatten_groupby(gq, result)
+flat = execute_groupby(ds, gq)
 print(f"group-by over region -> {len(flat)} flat labeled queries:")
 for lq in flat:
     print(f"  {lq.query.to_sql()}  => {lq.label:.2f} (support {lq.support})")

@@ -19,8 +19,6 @@ from .encoder import (
 )
 from .errors import AqpError
 from .executor import (
-    GroupByResult,
-    GroupByRow,
     LabelReport,
     execute_flat,
     execute_groupby,
@@ -51,7 +49,6 @@ from .queries import (
 from .querygen import (
     QueryTemplate,
     build_select_clause,
-    flatten_groupby,
     generate_workload,
     load_template,
     read_workload,

@@ -68,7 +68,8 @@ def read_artifact(path, kind: str, version: int) -> tuple[dict, dict | list]:
     document) of `path`. Any container is read, so another kind is named."""
     with open(path, "rb") as fh, parsing(path, kind):
         if fh.read(4) == b"PK\x03\x04":  # an .npz archive
-            with np.load(path) as data:
+            fh.seek(0)  # read through fh, which closes also when the archive is cut short
+            with np.load(fh) as data:
                 header = json.loads(bytes(data["meta"]))
                 body = {k: data[k] for k in data.files if k != "meta"}
         else:

@@ -162,16 +162,20 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _select_target_rows(X, vocab, target: str | None) -> np.ndarray:
-    if target is None:
+def _select_target_rows(X, vocab, args) -> np.ndarray:
+    """The rows of the encoded file `args.encoded` that hold `args.target`."""
+    if args.target is None:
         if len(vocab.targets) > 1:
             raise InvalidTarget(
                 f"vocabulary holds {len(vocab.targets)} targets {list(vocab.targets)}; "
                 "pick one with --target"
             )
-        return np.arange(len(X))
-    token_id = vocab.token_id(target)
-    return np.flatnonzero(encoder.row_token_ids(X) == token_id)
+        rows = np.arange(len(X))
+    else:
+        rows = np.flatnonzero(encoder.row_token_ids(X) == vocab.token_id(args.target))
+    if len(rows) == 0:
+        raise InvalidTarget(f"no queries for target {args.target!r} in {args.encoded}")
+    return rows
 
 
 def _model_config(args) -> nnet.ModelConfig:
@@ -215,9 +219,7 @@ def _load_vocab_and_check(vocab_path, encoded_meta) -> encoder.TokenVocabulary:
 def cmd_train(args) -> int:
     X, y, _, meta = encoder.load_encoded(args.encoded)
     vocab = _load_vocab_and_check(args.vocab, meta)
-    rows = _select_target_rows(X, vocab, args.target)
-    if len(rows) == 0:
-        raise InvalidTarget(f"no queries for target {args.target!r} in {args.encoded}")
+    rows = _select_target_rows(X, vocab, args)
     X, y = X[rows], y[rows]
     config = _model_config(args)
     tr, va, te = querygen.split_indices(len(X), seed=args.split_seed)
@@ -260,7 +262,7 @@ def cmd_eval(args) -> int:
     X, y, _, meta = encoder.load_encoded(args.encoded)
     vocab = _load_vocab_and_check(args.vocab, meta)
     model = nnet.LstmModel.load(args.checkpoint, expected_vocab_hash=vocab.content_hash())
-    rows = _select_target_rows(X, vocab, args.target)
+    rows = _select_target_rows(X, vocab, args)
     X, y = X[rows], y[rows]
     if args.split == "all":
         X_eval, y_eval = X, y
@@ -362,7 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     p.add_argument("--workload", required=True, help="unlabeled workload file")
     p.add_argument("--out", required=True, help="output labeled workload file")
-    p.add_argument("--threads", type=POSITIVE, default=1, help="executor thread count")
+    p.add_argument("--threads", type=POSITIVE, default=1,
+                   help="threads that run the labeling scans; more than one pays only on "
+                        "large tables, around a million rows")
     p.set_defaults(fn=cmd_label)
 
     p = sub.add_parser("encode", help="build the vocabulary and encode a labeled workload")

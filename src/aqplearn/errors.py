@@ -38,7 +38,7 @@ class EmptyCombos(AqpError):
 
 
 class ShapeMismatch(AqpError):
-    """Result table or tensor shape differs from what the query declares."""
+    """A workload file is labeled where it must not be, or unlabeled where it must be."""
 
 
 class TooFewQueries(AqpError):

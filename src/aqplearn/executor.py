@@ -1,16 +1,18 @@
 """Exact aggregation engine over the columnar store.
 
-Flat queries are evaluated by a full scan with boolean masks. Group-by
-queries go through a group index, built once per (Dataset, tuple of
-nominal attributes) and shared by every query that groups by that tuple:
-the stable argsort of the composite group code over all rows, the start
-of each group in that order, each group's member tuple and the group of
+Flat queries are evaluated by a full scan with boolean masks. Labeling
+goes through a group index, built once per (Dataset, tuple of nominal
+attributes) and shared by every query that groups by that tuple: the
+stable argsort of the composite group code over all rows, the start of
+each group in that order, each group's member tuple and the group of
 each member tuple, and permuted copies of the columns queries ask for,
-made on first use. One scan kernel, _group_scan, serves execute_groupby
-and label_workload: one BETWEEN mask over the permuted columns, one
-binary search of the matched positions for every group's support, one
-gather per target column and the aggregation kernel on each non-empty
-group's contiguous slice, returned as arrays. The executor supplies the
+made on first use. The scan kernel, _group_scan, has one caller,
+label_workload: one BETWEEN mask over the permuted columns, one binary
+search of the matched positions for every group's support, one gather
+per target column and the aggregation kernel on each non-empty group's
+contiguous slice, returned as arrays. A group-by query is labeled as its
+flattened cells: execute_groupby builds one flat query per (group,
+target) and hands them to label_workload. The executor supplies the
 training labels and doubles as the correctness oracle for the learned
 model, so exactness and determinism matter more than speed here.
 
@@ -55,22 +57,6 @@ from .queries import (
     target_allowed,
 )
 from .store import Dataset, Kind
-
-
-@dataclass(frozen=True)
-class GroupByRow:
-    members: tuple[str, ...]
-    values: tuple[float, ...]
-    support: int
-
-
-@dataclass(frozen=True)
-class GroupByResult:
-    """Observed groups only, sorted lexicographically by member tuple."""
-
-    groupby_attrs: tuple[str, ...]
-    targets: tuple[AggregationTarget, ...]
-    rows: tuple[GroupByRow, ...]
 
 
 @dataclass(frozen=True)
@@ -235,24 +221,25 @@ def _group_scan(
     return supports, values
 
 
-def execute_groupby(ds: Dataset, gq: GroupByQuery) -> GroupByResult:
-    """Evaluate a group-by query exactly over the rows passing its filters.
+def execute_groupby(ds: Dataset, gq: GroupByQuery) -> list[LabeledQuery]:
+    """Evaluate a group-by query exactly as its flattened cells.
 
-    Only member tuples observed among the matched rows appear (support is
-    always >= 1), one row per tuple, sorted lexicographically. With no
-    GROUP BY attributes the one group is every matched row: one row with
-    members (), or none when no row matches.
+    One flat query per (member tuple, target), with the query's BETWEEN
+    filters and the member tuple as IN filters, labeled by label_workload.
+    Only groups with matched rows appear (support is always >= 1), member
+    tuples in lexicographic order, then targets in query order. With no
+    GROUP BY attributes the one group is every matched row: members (), or
+    no query when no row matches.
     """
-    index = _group_index(ds, gq.groupby_attrs)
-    supports, values = _group_scan(ds, index, gq.between_filters, gq.targets)
-    nonempty = np.flatnonzero(supports)
-    rows = tuple(
-        GroupByRow(index.members[g], tuple(cells), support)
-        for g, cells, support in zip(
-            nonempty.tolist(), values[nonempty].tolist(), supports[nonempty].tolist()
-        )
-    )
-    return GroupByResult(tuple(gq.groupby_attrs), tuple(gq.targets), rows)
+    members = _group_index(ds, gq.groupby_attrs).members
+    # Checked here too: a table with no group gives label_workload nothing to check.
+    for t in gq.targets:
+        _target_column(ds, t)
+    for f in gq.between_filters:
+        ds.continuous_values(f.attr)
+    in_sets = [tuple(map(InFilter, gq.groupby_attrs, m)) for m in members]
+    queries = [FlatQuery(t, gq.between_filters, ins) for ins in in_sets for t in gq.targets]
+    return [lq for lq in label_workload(ds, queries)[0] if lq.support > 0]
 
 
 def extract_member_combinations(ds: Dataset, nominal_attrs: list[str]) -> list[tuple[str, ...]]:
@@ -273,9 +260,9 @@ def label_workload(
     (number_parts). Each distinct IN tuple maps to its attribute tuple and
     to its group in that tuple's group index; a query without IN filters
     groups by the empty tuple, one group of every matched row. Queries
-    sharing a BETWEEN tuple and IN attributes share one scan, run by the
-    kernel execute_groupby uses, so labels equal execute_flat's bit for
-    bit; with threads > 1 the scans run on a pool. One gather over the
+    sharing a BETWEEN tuple and IN attributes share one scan of
+    _group_scan, so labels equal execute_flat's bit for bit; with
+    threads > 1 the scans run on a pool. One gather over the
     scans' arrays reads every query's label and support. Zero-support
     queries get label 0 for counting aggregates (Count/CountDistinct/Sum)
     and are excluded otherwise. Output order matches input order minus

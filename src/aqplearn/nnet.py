@@ -21,8 +21,6 @@ Float32 is the compute dtype. The parameters are drawn in float64 and
 stored as float32; hidden and cell states, gradients and Adam moments
 all take the parameters' dtype, so one forward and one backward path
 serve any dtype. Answers are scaled back to label units in float64.
-The gradient check runs the same code on a float64 copy of the model,
-because central differences need float64 to resolve a 1e-5 step.
 
 One forward pass serves training and answering, and it runs each step
 once per distinct query prefix. The encoding puts the target row first,
@@ -43,7 +41,6 @@ pairs it with its parent's hidden state, gathered by parent id.
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -395,13 +392,10 @@ class LstmModel:
         bs = self.config.batch_size
         best_val = math.inf
         best_epoch = 0
-        best_params = None
-        since_best = 0
         train_history: list[float] = []
         val_history: list[float] = []
         epoch_seconds: list[float] = []
         grad_norms: list[float] = []
-        epochs_run = 0
         for epoch in range(1, self.config.max_epochs + 1):
             epoch_start = time.perf_counter()
             perm = self._rng.permutation(n)
@@ -415,9 +409,7 @@ class LstmModel:
                 self._adam_step(grads)
                 sq_err += loss * len(idx)
             grad_norms.append(norm_sum / -(-n // bs))
-            train_mse = sq_err / n
-            train_history.append(train_mse)
-            epochs_run = epoch
+            train_history.append(sq_err / n)
             if has_val:
                 val_pred = self._forward_chunks(X_val)
                 val_mse = float(np.mean((val_pred - z_val) ** 2))
@@ -427,22 +419,19 @@ class LstmModel:
             epoch_seconds.append(time.perf_counter() - epoch_start)
             if not has_val:
                 continue
-            if val_mse < best_val:
+            if val_mse < best_val:  # always so in epoch 1: val_mse is finite
                 best_val = val_mse
                 best_epoch = epoch
                 best_params = {k: v.copy() for k, v in self.params.items()}
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best > self.config.patience:
-                    break
-        if has_val and best_params is not None:
+            elif epoch - best_epoch > self.config.patience:
+                break
+        if has_val:
             self.params = best_params
         else:
-            best_epoch = epochs_run
-            best_val = train_history[-1] if train_history else math.inf
+            best_epoch = len(train_history)
+            best_val = train_history[-1]
         return TrainReport(
-            epochs_run=epochs_run,
+            epochs_run=len(train_history),
             best_epoch=best_epoch,
             best_val_mse=float(best_val),
             train_history=tuple(train_history),
@@ -453,56 +442,6 @@ class LstmModel:
             label_std=self.label_std,
             wall_seconds=time.perf_counter() - start,
         )
-
-    # -- verification ------------------------------------------------------
-
-    def gradient_check(self, X, y, samples_per_param: int | None = 4,
-                       step: float = 1e-5, seed: int = 0) -> dict:
-        """Compare analytic gradients against central differences.
-
-        The check runs on a float64 copy of the model and leaves this
-        model's float32 parameters as they are. Returns the worst relative
-        error per parameter group, where the error of one coordinate is
-        |ga - gn| / max(|ga| + |gn|, 1e-12).
-        Each gate's column block of W_x, W_h and b is its own group
-        ("W_x:i" ... "b:o"), followed by the four head tensors; each group
-        samples samples_per_param coordinates, and None checks every one.
-        """
-        model = copy.copy(self)
-        model.params = {k: v.astype(np.float64) for k, v in self.params.items()}
-        X = model._check_input(X)
-        y = np.asarray(y, dtype=np.float64).ravel()
-        z = model._normalize(y)
-        _, grads = model._loss_and_grads(X, z)
-        H = self.config.lstm_units
-        groups = []
-        for gi, g in enumerate(GATES):
-            for k in ("W_x", "W_h", "b"):
-                coords = np.arange(model.params[k].size).reshape(model.params[k].shape)
-                groups.append((f"{k}:{g}", k, coords[..., gi * H : (gi + 1) * H].ravel()))
-        groups += [(k, k, np.arange(model.params[k].size)) for k in ("W_d", "b_d", "W_y", "b_y")]
-        rng = np.random.default_rng(seed)
-        errors = {}
-        for name, k, coords in groups:
-            flat = model.params[k].reshape(-1)
-            if samples_per_param is not None and samples_per_param < coords.size:
-                coords = coords[rng.choice(coords.size, size=samples_per_param, replace=False)]
-            worst = 0.0
-            for j in coords:
-                orig = flat[j]
-                flat[j] = orig + step
-                up = model._forward(X)[0]
-                loss_up = float(np.mean((up - z) ** 2))
-                flat[j] = orig - step
-                dn = model._forward(X)[0]
-                loss_dn = float(np.mean((dn - z) ** 2))
-                flat[j] = orig
-                gn = (loss_up - loss_dn) / (2.0 * step)
-                ga = grads[k].reshape(-1)[j]
-                err = abs(ga - gn) / max(abs(ga) + abs(gn), 1e-12)
-                worst = max(worst, err)
-            errors[name] = worst
-        return errors
 
     # -- persistence -------------------------------------------------------
 

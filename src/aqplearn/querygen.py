@@ -27,13 +27,12 @@ import numpy as np
 
 from . import executor
 from .artifacts import parsing, read_artifact, write_jsonl
-from .errors import EmptyCombos, InvalidTarget, ShapeMismatch, TooFewQueries, WrongKind
+from .errors import EmptyCombos, InvalidTarget, TooFewQueries, WrongKind
 from .queries import (
     AggregationFunction,
     AggregationTarget,
     BetweenFilter,
     FlatQuery,
-    GroupByQuery,
     InFilter,
     LabeledQuery,
 )
@@ -253,35 +252,6 @@ def generate_workload(ds: Dataset, template: QueryTemplate) -> tuple[list[FlatQu
         n_queries=len(queries),
     )
     return queries, report
-
-
-def flatten_groupby(gq: GroupByQuery, result: executor.GroupByResult) -> list[LabeledQuery]:
-    """Expand a group-by result table into one labeled flat query per cell.
-
-    Every row contributes one query per target, carrying the row's member
-    tuple as IN filters and the query's BETWEEN filters; the cell value is
-    the label. Output count is always rows x targets.
-    """
-    if result.groupby_attrs != gq.groupby_attrs:
-        raise ShapeMismatch(
-            f"result grouped by {result.groupby_attrs}, query by {gq.groupby_attrs}"
-        )
-    if result.targets != gq.targets:
-        raise ShapeMismatch("result table targets do not align with the query's targets")
-    flat: list[LabeledQuery] = []
-    for row in result.rows:
-        if len(row.members) != len(gq.groupby_attrs) or len(row.values) != len(gq.targets):
-            raise ShapeMismatch(f"malformed result row: {row}")
-        in_filters = tuple(InFilter(a, m) for a, m in zip(gq.groupby_attrs, row.members))
-        for k, target in enumerate(gq.targets):
-            flat.append(
-                LabeledQuery(
-                    FlatQuery(target, gq.between_filters, in_filters),
-                    label=row.values[k],
-                    support=row.support,
-                )
-            )
-    return flat
 
 
 def split_indices(

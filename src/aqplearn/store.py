@@ -286,30 +286,46 @@ def _record_blocks(fh):
     CSV_BLOCK_BYTES each: yields (buf, quotes, ends), the positions of the
     block's quotes and of its record ends. A record ends at a LF with an
     even number of quotes before it in the block, and each block starts
-    right after a record end, so a block's parity starts even. A record
-    longer than a block is read on until it ends; each byte is scanned
-    once. A final record without a LF gets one appended, which ends it
-    even when its quotes do not pair up, so that _split_fields can name
-    the fault."""
-    carried, carried_quotes = [], 0  # the bytes after the last record end
+    right after a record end, so a block's parity starts even. The bytes
+    after a block's last record end are carried into the next block with
+    their quote positions, so they are not scanned again. A record longer
+    than a block is read on until it ends; of the blocks that hold no
+    record end only the quote parity is kept, and the record's bytes are
+    read back from the file and scanned once more when its end is found. A final record without
+    a LF gets one appended, which ends it even when its quotes do not pair
+    up, so that _split_fields can name the fault. Quotes that do not pair
+    up by the end of the file are a fault whatever follows, so of such a
+    record that outgrew a block only its first block is read back, and on
+    to the end of the line that block ends in. The fault named is the
+    first one in those bytes, read as the whole record: exact when it lies
+    in a field that ends there, else in the right row."""
+    head, head_quotes = b"", np.empty(0, np.intp)  # the record after the last record end
+    start = parity = 0  # its file offset, and the parity of its quotes when head is None
     while data := fh.read(CSV_BLOCK_BYTES):
         chunk = np.frombuffer(data, np.uint8)
         quotes = np.flatnonzero(chunk == _QUOTE)
         lfs = np.flatnonzero(chunk == _LF)
-        ends = lfs[((np.searchsorted(quotes, lfs) + carried_quotes) & 1) == 0]
+        ends = lfs[((np.searchsorted(quotes, lfs) + parity) & 1) == 0]
         if not len(ends):
-            carried.append(data)
-            carried_quotes += len(quotes)
+            head, parity = None, (parity + len(quotes)) & 1
             continue
+        at = fh.tell() - len(data)  # the file offset of data
+        if head is None:
+            fh.seek(start)
+            head = fh.read(at - start)
+            fh.seek(at + len(data))
+            head_quotes = np.flatnonzero(np.frombuffer(head, np.uint8) == _QUOTE)
         cut = int(ends[-1]) + 1
-        head = b"".join(carried)
-        head_quotes = np.flatnonzero(np.frombuffer(head, np.uint8) == _QUOTE)
         buf = np.frombuffer(head + data[:cut], np.uint8)
         yield buf, np.concatenate((head_quotes, quotes[quotes < cut] + len(head))), ends + len(head)
-        carried, carried_quotes = [data[cut:]], int(np.sum(quotes >= cut))
-    if rest := b"".join(carried):
-        buf = np.frombuffer(rest + b"\n", np.uint8)
-        yield buf, np.flatnonzero(buf == _QUOTE), np.array([len(buf) - 1])
+        head, head_quotes = data[cut:], quotes[quotes >= cut] - cut
+        start, parity = at + cut, len(head_quotes) & 1
+    if head is None:
+        fh.seek(start)
+        head = fh.read(CSV_BLOCK_BYTES) + fh.readline() if parity else fh.read()
+        head_quotes = np.flatnonzero(np.frombuffer(head, np.uint8) == _QUOTE)
+    if head:
+        yield np.frombuffer(head + b"\n", np.uint8), head_quotes, np.array([len(head)])
 
 
 def _split_fields(buf, quotes, ends):
@@ -443,7 +459,9 @@ def load_csv(
     MalformedRow; invalid UTF-8, or a non-numeric, NaN or infinite value in
     a continuous column, raises ParseError. Each names the data row
     (1-based, dropped rows counted) and the column, and the first faulty
-    row in the file is the one reported.
+    row in the file is the one reported; of a record whose quotes are
+    still open at the end of the file, only the row is certain (see
+    _record_blocks).
 
     The file is read in blocks of about CSV_BLOCK_BYTES, each cut after its
     last record end. Separators, field ranges, widths and nulls are found

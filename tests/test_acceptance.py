@@ -35,7 +35,6 @@ from aqplearn import (
     encode_workload,
     execute_flat,
     execute_groupby,
-    flatten_groupby,
     generate_workload,
     input_tensor_variance,
     label_workload,
@@ -48,6 +47,7 @@ from aqplearn import (
     write_workload,
 )
 from aqplearn.errors import EmptyAggregate
+from conftest import gradient_check
 
 # Enforced bounds. Runtime limits are generous on purpose: they catch
 # complexity regressions, not scheduler jitter.
@@ -219,8 +219,7 @@ def test_a2_groupby_flattening_round_trip():
             between_filters=between,
             groupby_attrs=group_sets[rng.integers(len(group_sets))],
         )
-        result = execute_groupby(ds, gq)
-        for lq in flatten_groupby(gq, result):
+        for lq in execute_groupby(ds, gq):
             value, support = execute_flat(ds, lq.query)
             assert value == lq.label, lq.query.to_sql()
             assert support == lq.support, lq.query.to_sql()
@@ -302,7 +301,7 @@ def test_a4_gradient_check_all_parameter_groups():
         model = LstmModel(cfg, L, D)
         X = rng.integers(0, 2, (batch, L, D)).astype(np.uint8)
         y = rng.normal(0.0, 1.0, batch)
-        errs = model.gradient_check(X, y, samples_per_param=samples)
+        errs = gradient_check(model, X, y, samples_per_param=samples)
         # One group per gate block of the fused LSTM tensors, plus the head.
         assert set(errs) == {f"{k}:{g}" for k in ("W_x", "W_h", "b") for g in "ifgo"} | {
             "W_d", "b_d", "W_y", "b_y"}

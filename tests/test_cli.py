@@ -420,6 +420,40 @@ class TestFailureModes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "VocabularyMismatch"
 
+    def test_target_without_rows_is_invalid_target_in_train_and_eval(self, tmp_path, capsys):
+        # The vocabulary comes from a template that also declares min(sales);
+        # the workload labeled from the data's own template has no min(sales) row.
+        make_inputs(tmp_path)
+        both = json.loads((tmp_path / "template.json").read_text())
+        both["targets"].append({"func": "min", "attr": "sales"})
+        (tmp_path / "both.json").write_text(json.dumps(both))
+        for step in (
+            ["generate", "--data", tmp_path / "data.csv", "--schema", tmp_path / "schema.json",
+             "--template", tmp_path / "template.json", "--out", tmp_path / "w.jsonl"],
+            ["label", "--data", tmp_path / "data.csv", "--schema", tmp_path / "schema.json",
+             "--workload", tmp_path / "w.jsonl", "--out", tmp_path / "l.jsonl"],
+            ["encode", "--data", tmp_path / "data.csv", "--schema", tmp_path / "schema.json",
+             "--template", tmp_path / "both.json", "--workload", tmp_path / "l.jsonl",
+             "--out-vocab", tmp_path / "vocab.json", "--out-encoded", tmp_path / "e.npz"],
+            ["train", "--encoded", tmp_path / "e.npz", "--vocab", tmp_path / "vocab.json",
+             "--out", tmp_path / "m.npz", "--target", "avg(sales)", "--lstm-units", 8,
+             "--dense-units", 8, "--max-epochs", 1],
+        ):
+            assert run(*step) == 0
+        capsys.readouterr()
+        message = f"no queries for target 'min(sales)' in {tmp_path / 'e.npz'}"
+        model = ["--encoded", tmp_path / "e.npz", "--vocab", tmp_path / "vocab.json",
+                 "--target", "min(sales)"]
+        for argv in (
+            ["train", *model, "--out", tmp_path / "m2.npz"],
+            ["eval", *model, "--checkpoint", tmp_path / "m.npz"],
+            ["eval", *model, "--checkpoint", tmp_path / "m.npz", "--split", "all"],
+        ):
+            assert run(*argv) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert (err["error"], err["message"]) == ("InvalidTarget", message)
+        assert not (tmp_path / "m2.npz").exists()
+
     def test_multi_target_training_requires_target_flag(self, tmp_path, capsys):
         make_inputs(
             tmp_path,

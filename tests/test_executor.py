@@ -165,7 +165,7 @@ class TestExecuteGroupBy:
     def test_group_means_by_hand(self, transactions):
         gq = GroupByQuery((AggregationTarget(AVG, "sales"),), (), ("region",))
         res = execute_groupby(transactions, gq)
-        by_region = {r.members[0]: r.values[0] for r in res.rows}
+        by_region = {lq.query.in_filters[0].member: lq.label for lq in res}
         assert by_region["north"] == 102.0
         assert by_region["south"] == 82.0
 
@@ -176,13 +176,14 @@ class TestExecuteGroupBy:
             ("region", "category"),
         )
         res = execute_groupby(transactions, gq)
-        assert [r.members for r in res.rows] == sorted(r.members for r in res.rows)
+        members = [tuple(f.member for f in lq.query.in_filters) for lq in res]
+        assert members == sorted(members)
         total = execute_flat(
             transactions,
             FlatQuery(AggregationTarget(COUNT, "sales"), (BetweenFilter("sales", 80.0, 120.0),)),
         )[0]
-        assert sum(r.support for r in res.rows) == total
-        assert all(r.support >= 1 for r in res.rows)
+        assert sum(lq.support for lq in res) == total
+        assert all(lq.support >= 1 for lq in res)
 
     def test_cells_match_flat_execution_bitwise(self, transactions):
         targets = (
@@ -193,15 +194,14 @@ class TestExecuteGroupBy:
         between = (BetweenFilter("units", 1.0, 7.0),)
         gq = GroupByQuery(targets, between, ("region", "category"))
         res = execute_groupby(transactions, gq)
-        assert len(res.rows) > 0
-        for row in res.rows:
-            ins = tuple(InFilter(a, m) for a, m in zip(gq.groupby_attrs, row.members))
-            for target, cell in zip(targets, row.values):
-                flat_value, flat_support = execute_flat(
-                    transactions, FlatQuery(target, between, ins)
-                )
-                assert flat_value == cell  # identical bits, not just close
-                assert flat_support == row.support
+        assert len(res) > 0
+        assert [lq.query.target for lq in res] == list(targets) * (len(res) // len(targets))
+        for lq in res:
+            assert lq.query.between_filters == between
+            assert [f.attr for f in lq.query.in_filters] == ["region", "category"]
+            flat_value, flat_support = execute_flat(transactions, lq.query)
+            assert flat_value == lq.label  # identical bits, not just close
+            assert flat_support == lq.support
 
     def test_groupby_on_continuous_rejected(self, transactions):
         gq = GroupByQuery((AggregationTarget(AVG, "sales"),), (), ("units",))
@@ -214,7 +214,7 @@ class TestExecuteGroupBy:
             (BetweenFilter("sales", 9000.0, 9001.0),),
             ("region",),
         )
-        assert execute_groupby(transactions, gq).rows == ()
+        assert execute_groupby(transactions, gq) == []
 
 
     def test_empty_groupby_tuple_is_one_group_of_the_matched_rows(self, transactions):
@@ -225,14 +225,12 @@ class TestExecuteGroupBy:
         )
         window = (BetweenFilter("sales", 60.0, 104.0),)
         res = execute_groupby(transactions, GroupByQuery(targets, window, ()))
-        assert res.groupby_attrs == () and len(res.rows) == 1
-        row = res.rows[0]
-        assert row.members == ()
-        for t, cell in zip(targets, row.values):
-            value, support = execute_flat(transactions, FlatQuery(t, window))
-            assert cell == value and row.support == support
+        assert [lq.query for lq in res] == [FlatQuery(t, window) for t in targets]
+        for lq in res:
+            value, support = execute_flat(transactions, lq.query)
+            assert lq.label == value and lq.support == support
         empty = (BetweenFilter("sales", 9000.0, 9001.0),)
-        assert execute_groupby(transactions, GroupByQuery(targets, empty, ())).rows == ()
+        assert execute_groupby(transactions, GroupByQuery(targets, empty, ())) == []
         with pytest.raises(ValueError):
             GroupByQuery(targets, window, ("region", "region"))
 
@@ -244,7 +242,55 @@ class TestExecuteGroupBy:
         empty = build_transactions([])
         assert executor._group_index(empty, ()).members == []
         gq = GroupByQuery((AggregationTarget(COUNT, "sales"),), (), ())
-        assert execute_groupby(empty, gq).rows == ()
+        assert execute_groupby(empty, gq) == []
+
+    @pytest.mark.parametrize("groupby_attrs", [(), ("region",)])
+    def test_bad_target_or_window_rejected_on_an_empty_table(self, groupby_attrs):
+        empty = build_transactions([])
+        nominal_avg = GroupByQuery((AggregationTarget(AVG, "region"),), (), groupby_attrs)
+        with pytest.raises(WrongKind, match="avg is not applicable to nominal attribute 'region'"):
+            execute_groupby(empty, nominal_avg)
+        nominal_window = GroupByQuery(
+            (AggregationTarget(COUNT, "sales"),), (BetweenFilter("category", 0.0, 1.0),), groupby_attrs
+        )
+        with pytest.raises(WrongKind, match="'category' is nominal, not continuous"):
+            execute_groupby(empty, nominal_window)
+
+    def test_seeded_groupbys_are_pinned(self):
+        """The SQL, label bits and supports of 300 seeded group-bys on a
+        3,000-row table, pinned from the earlier implementation, which built
+        a result table per group-by and flattened its cells; one changed bit
+        fails."""
+        rng = np.random.default_rng(20)
+        n = 3_000
+        rows = list(zip(
+            [f"r{k}" for k in rng.integers(0, 6, n)],
+            [f"c{k}" for k in rng.integers(0, 4, n)],
+            rng.normal(100.0, 30.0, n).round(1).tolist(),  # ties for median and min/max
+            rng.integers(0, 10, n).astype(float).tolist(),
+        ))
+        ds = build_transactions(rows)
+        pool = [AggregationTarget(f, a) for f in AggregationFunction for a in ("sales", "units")]
+        pool += [AggregationTarget(f, a) for f in (COUNT, COUNT_DISTINCT) for a in ("region", "category")]
+        group_sets = ((), ("region",), ("category",), ("region", "category"), ("category", "region"))
+        cells = []
+        for _ in range(300):
+            picked = rng.permutation(len(pool))[: 1 + rng.integers(4)]
+            between = []
+            for attr, lo, hi in (("sales", 0.0, 200.0), ("units", 0.0, 9.0)):
+                if rng.random() < 0.6:
+                    a, b = np.sort(rng.uniform(lo, hi, 2)).tolist()
+                    between.append(BetweenFilter(attr, a, b))
+            gq = GroupByQuery(tuple(pool[i] for i in picked), tuple(between),
+                              group_sets[rng.integers(len(group_sets))])
+            cells += execute_groupby(ds, gq)
+        digest = hashlib.sha256(
+            "\n".join(lq.query.to_sql() for lq in cells).encode()
+            + np.array([lq.label for lq in cells], dtype="<f8").tobytes()
+            + np.array([lq.support for lq in cells], dtype="<i8").tobytes()
+        ).hexdigest()
+        assert len(cells) == 7942
+        assert digest == "9192e4e70b379c525e1fc498b4f4750e5adaa308e4f8d35648544ea1bb119945"
 
 
 class TestMemberCombinations:

@@ -18,6 +18,7 @@ from aqplearn.errors import (
     VocabularyMismatch,
 )
 from aqplearn.nnet import PREDICT_CHUNK, _prefix_order
+from conftest import gradient_check
 
 L, D = 5, 7
 
@@ -322,13 +323,13 @@ class TestGradients:
         m = small_model()
         X = shared_prefixes(40, seed=50)
         y = np.random.default_rng(51).normal(0.0, 1.0, len(X))
-        errors = m.gradient_check(X, y, samples_per_param=None)
+        errors = gradient_check(m, X, y, samples_per_param=None)
         assert max(errors.values()) < 1e-4
 
     def test_every_coordinate_on_a_small_model(self):
         m = small_model()
         X, y = random_batch(6, seed=2)
-        errors = m.gradient_check(X, y, samples_per_param=None)
+        errors = gradient_check(m, X, y, samples_per_param=None)
         assert max(errors.values()) < 1e-4
 
     def test_zero_input_batch(self):
@@ -340,7 +341,7 @@ class TestGradients:
         m.params["b"][12:18] = 0.1  # the cell-input gate block of H=6
         X = np.zeros((4, L, D))
         y = np.array([1.0, -1.0, 0.5, 2.0])
-        errors = m.gradient_check(X, y, samples_per_param=None)
+        errors = gradient_check(m, X, y, samples_per_param=None)
         assert max(errors.values()) < 1e-4
 
     def test_duplicated_examples(self):
@@ -348,14 +349,14 @@ class TestGradients:
         X, y = random_batch(3, seed=5)
         X2 = np.concatenate([X, X])
         y2 = np.concatenate([y, y])
-        errors = m.gradient_check(X2, y2, samples_per_param=None)
+        errors = gradient_check(m, X2, y2, samples_per_param=None)
         assert max(errors.values()) < 1e-4
 
     def test_check_leaves_parameters_untouched(self):
         m = small_model()
         before = {k: v.copy() for k, v in m.params.items()}
         X, y = random_batch(4, seed=6)
-        m.gradient_check(X, y, samples_per_param=2)
+        gradient_check(m, X, y, samples_per_param=2)
         for k in LstmModel.PARAM_KEYS:
             np.testing.assert_array_equal(m.params[k], before[k])
 
@@ -566,7 +567,7 @@ class TestFloat32:
         m = self.fitted()
         before = {k: v.tobytes() for k, v in m.params.items()}
         X, y = random_batch(4, seed=34)
-        errors = m.gradient_check(X, y, samples_per_param=2)
+        errors = gradient_check(m, X, y, samples_per_param=2)
         assert max(errors.values()) < 1e-4
         for k, v in m.params.items():
             assert v.dtype == np.float32 and v.tobytes() == before[k]

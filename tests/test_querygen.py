@@ -14,7 +14,6 @@ from aqplearn import (
     QueryTemplate,
     build_select_clause,
     execute_groupby,
-    flatten_groupby,
     generate_workload,
     load_template,
     read_workload,
@@ -25,12 +24,11 @@ from aqplearn.errors import (
     CorruptArtifact,
     EmptyCombos,
     InvalidTarget,
-    ShapeMismatch,
     TooFewQueries,
     VersionMismatch,
     WrongKind,
 )
-from aqplearn.executor import GroupByResult, GroupByRow, extract_member_combinations
+from aqplearn.executor import extract_member_combinations
 from aqplearn.querygen import gen_between_filters, snap_to_grid
 from aqplearn.store import ContinuousStats
 from conftest import build_transactions
@@ -249,9 +247,8 @@ class TestFlattenGroupBy:
             (),
             ("region",),
         )
-        res = execute_groupby(transactions, gq)
-        flat = flatten_groupby(gq, res)
-        assert len(flat) == len(res.rows) * 2
+        flat = execute_groupby(transactions, gq)
+        assert len(flat) == len(extract_member_combinations(transactions, ["region"])) * 2
         by_key = {
             (lq.query.in_filters[0].member, lq.query.target.func): lq.label for lq in flat
         }
@@ -262,28 +259,11 @@ class TestFlattenGroupBy:
     def test_filters_carried_into_flat_queries(self, transactions):
         between = (BetweenFilter("sales", 80.0, 110.0),)
         gq = GroupByQuery((AggregationTarget(AVG, "sales"),), between, ("region", "category"))
-        flat = flatten_groupby(gq, execute_groupby(transactions, gq))
+        flat = execute_groupby(transactions, gq)
         for lq in flat:
             assert lq.query.between_filters == between
             assert [f.attr for f in lq.query.in_filters] == ["region", "category"]
             assert lq.support >= 1
-
-    def test_result_for_different_query_rejected(self, transactions):
-        gq = GroupByQuery((AggregationTarget(AVG, "sales"),), (), ("region",))
-        other = GroupByQuery((AggregationTarget(AVG, "sales"),), (), ("category",))
-        res = execute_groupby(transactions, gq)
-        with pytest.raises(ShapeMismatch):
-            flatten_groupby(other, res)
-
-    def test_malformed_row_rejected(self):
-        gq = GroupByQuery((AggregationTarget(AVG, "sales"),), (), ("region",))
-        res = GroupByResult(
-            ("region",),
-            (AggregationTarget(AVG, "sales"),),
-            (GroupByRow(("north", "extra"), (1.0,), 1),),
-        )
-        with pytest.raises(ShapeMismatch):
-            flatten_groupby(gq, res)
 
 
 class TestSplit:

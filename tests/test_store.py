@@ -5,6 +5,7 @@ import io
 import math
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -26,6 +27,7 @@ from aqplearn import (
     load_csv,
     load_schema,
     make_schema,
+    synth,
 )
 from aqplearn.errors import (
     EmptyDataset,
@@ -197,7 +199,7 @@ class TestDataset:
             assert column_entropy(a, attr) == column_entropy(b, attr)
         targets = [AggregationTarget(f, "x") for f in AggregationFunction]
         gq = GroupByQuery(targets, (BetweenFilter("x", 10.0, 80.0),), ("h", "g"))
-        assert execute_groupby(a, gq).rows == execute_groupby(b, gq).rows
+        assert execute_groupby(a, gq) == execute_groupby(b, gq)
 
     def test_unknown_attribute(self, transactions):
         with pytest.raises(UnknownAttribute):
@@ -381,6 +383,30 @@ class TestLoadCsv:
         schema = make_schema([("g", Kind.NOMINAL), ("h", Kind.NOMINAL)])
         with pytest.raises(MalformedRow, match=f"row 2.*{reason}"):
             load_csv(path, schema)
+
+    @pytest.mark.parametrize("n_rows", [5_000, 20_000])
+    def test_stray_quote_is_named_in_constant_memory(self, tmp_path, monkeypatch, n_rows):
+        """One stray opening quote in row 2 leaves the rest of the file an
+        unended record; load_csv names it while holding a few blocks of it,
+        however long the file."""
+        block_bytes = 1 << 12
+        monkeypatch.setattr("aqplearn.store.CSV_BLOCK_BYTES", block_bytes)
+        ds = synth.make_benchmark_table(n_rows, 0)
+        path = tmp_path / "stray.csv"
+        dump_csv(ds, path)
+        header, row1, row2, rest = path.read_bytes().split(b"\n", 3)
+        region, channel = row2.split(b",", 1)
+        path.write_bytes(b"\n".join([header, row1, region + b',"' + channel, rest]))
+        assert path.stat().st_size > 50 * block_bytes
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedRow) as exc:
+                load_csv(path, list(ds.schema))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"{path}: row 2, column 'channel': unterminated quote"
+        assert peak < 16 * block_bytes
 
     @pytest.mark.parametrize("column", ["g", "x"])
     def test_invalid_utf8_names_row_and_column(self, tmp_path, column):
