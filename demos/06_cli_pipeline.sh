@@ -2,6 +2,7 @@
 # The same pipeline as the Python demos, driven entirely through the
 # `aqplearn` command. Each stage writes an artifact that embeds the
 # SHA-256 of its input, so stale or edited files fail fast downstream.
+# `encode` reads the template from the labeled workload's header.
 set -euo pipefail
 
 work="$(mktemp -d "${TMPDIR:-/tmp}/aqp_demo_cli.XXXXXX")"
@@ -41,8 +42,8 @@ aqplearn generate   --data data.csv --schema schema.json --template template.jso
 head -2 workload.jsonl.sql
 aqplearn label      --data data.csv --schema schema.json --workload workload.jsonl \
                     --out labeled.jsonl --threads 2
-aqplearn encode     --data data.csv --schema schema.json --template template.json \
-                    --workload labeled.jsonl --out-vocab vocab.json --out-encoded encoded.npz
+aqplearn encode     --schema schema.json --workload labeled.jsonl \
+                    --out-vocab vocab.json --out-encoded encoded.npz
 aqplearn train      --encoded encoded.npz --vocab vocab.json --out model.npz \
                     --lstm-units 32 --dense-units 48 --max-epochs 15 --batch-size 32 \
                     --lr 3e-3

@@ -1,11 +1,11 @@
 """Command-line pipeline: profile, generate, label, encode, train, predict,
 eval, bench.
 
-Each stage reads the previous stage's artifact and writes its own. Files
-embed the SHA-256 of their upstream inputs, and every stage verifies the
-chain before doing work, so a stale or swapped file fails fast instead of
-silently producing labels for the wrong table or predictions under the
-wrong vocabulary.
+Each stage reads the previous stage's artifact and writes its own; encode
+reads its template from the labeled workload's header too. Files embed the
+SHA-256 of their upstream inputs, and stages verify the chain before doing
+work, so a stale or swapped file fails fast instead of silently labeling
+the wrong table or predicting under the wrong vocabulary.
 
 Exit codes: 0 on success, 1 on an expected pipeline error (reported as a
 one-line JSON object on stderr), 2 on bad command-line usage. Output files
@@ -136,12 +136,13 @@ def cmd_label(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    ds = _load_dataset(args)
-    template = querygen.load_template(args.template, ds)
     header, records = querygen.read_workload(args.workload)
     if not header.get("labeled"):
         raise ShapeMismatch(f"{args.workload} is not labeled; run the label stage first")
-    _check_upstream(header, "dataset_sha256", _sha256_file(args.data), f"dataset {args.data}")
+    schema = store.load_schema(args.schema)
+    ds = store.Dataset.from_columns(schema, {a.name: [] for a in schema})  # kinds, no rows
+    with parsing(args.workload, "labeled workload"):  # its header must hold a template dict
+        template = querygen.load_template(dict(header["template"]), ds)
     if not records:
         raise EmptyList(f"{args.workload} holds no labeled queries; there is nothing to encode")
     vocab = encoder.build_vocabulary(records, template)
@@ -369,9 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "large tables, around a million rows")
     p.set_defaults(fn=cmd_label)
 
-    p = sub.add_parser("encode", help="build the vocabulary and encode a labeled workload")
-    _add_data_args(p)
-    p.add_argument("--template", required=True, help="JSON query template")
+    p = sub.add_parser("encode", help="encode a labeled workload under the template it records")
+    p.add_argument("--schema", required=True, help="JSON schema declaration")
     p.add_argument("--workload", required=True, help="labeled workload file")
     p.add_argument("--out-vocab", required=True, help="output vocabulary file")
     p.add_argument("--out-encoded", required=True, help="output encoded tensor file")

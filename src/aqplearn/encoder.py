@@ -229,9 +229,10 @@ def encode_workload(queries: Iterable, vocab: TokenVocabulary) -> np.ndarray:
     its attribute token is non-zero, which gives the literal flags, and
     np.unpackbits of the big-endian payloads gives each part's bits. Parts
     fill disjoint rows, so each query's matrix is the OR of its parts'.
-    Parts are encoded in the order the walk first meets them, so
-    UnknownToken and NumericOverflow name what a per-query encoder would
-    raise first; B may be at most 63.
+    Parts are encoded in the order the walk first meets them, and an
+    UnknownToken stops the walk but gives way to an overflow in the rows
+    filled before it, so the error named is the one a per-query encoder
+    would raise first; B may be at most 63.
     """
     L, B = vocab.sequence_length, vocab.bit_width
     if B > 63:
@@ -246,23 +247,26 @@ def encode_workload(queries: Iterable, vocab: TokenVocabulary) -> np.ndarray:
         ids = members[attr, member] = (*nom_blocks[attr], vocab.token_id(member_token(attr, member)))
         return ids
 
-    rows = []
-    for c, part in parts:
-        row = [0] * L
-        if c == 2:
-            for f in part:
-                j, attr_id, member_id = members.get((f.attr, f.member)) or member_ids(f.attr, f.member)
-                row[j] = attr_id
-                row[j + 1] = member_id
-        elif c == 1:
-            for f in part:
-                if f.attr not in cont_blocks:
-                    raise UnknownToken(f"BETWEEN filter on {f.attr!r} not covered by the vocabulary")
-                j, attr_id = cont_blocks[f.attr]
-                row[j : j + 3] = attr_id, f.lower, f.upper
-        else:
-            row[0] = vocab.token_id(part.token())
-        rows.append(row)
+    rows, unknown = [], None
+    try:
+        for c, part in parts:
+            row = [0] * L
+            rows.append(row)
+            if c == 2:
+                for f in part:
+                    j, attr_id, member_id = members.get((f.attr, f.member)) or member_ids(f.attr, f.member)
+                    row[j] = attr_id
+                    row[j + 1] = member_id
+            elif c == 1:
+                for f in part:
+                    if f.attr not in cont_blocks:
+                        raise UnknownToken(f"BETWEEN filter on {f.attr!r} not covered by the vocabulary")
+                    j, attr_id = cont_blocks[f.attr]
+                    row[j : j + 3] = attr_id, f.lower, f.upper
+            else:
+                row[0] = vocab.token_id(part.token())
+    except UnknownToken as exc:
+        unknown = exc
     payload = np.array(rows, dtype=np.float64).reshape(len(rows), L)
     np.rint(payload * vocab._scale_row, out=payload)
     fits = (payload >= 0) & (payload < (1 << B))
@@ -272,6 +276,8 @@ def encode_workload(queries: Iterable, vocab: TokenVocabulary) -> np.ndarray:
         raise NumericOverflow(
             f"literal {payload[i, j]:.0f} for {attr} {bound} bound does not fit in {B} unsigned bits"
         )
+    if unknown is not None:
+        raise unknown
 
     # Each payload as a (1+B)-bit big-endian word: its top bit, the flag,
     # is 0 after the range check and is then set for literals.

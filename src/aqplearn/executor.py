@@ -6,15 +6,16 @@ attributes) and shared by every query that groups by that tuple: the
 stable argsort of the composite group code over all rows, the start of
 each group in that order, each group's member tuple and the group of
 each member tuple, and permuted copies of the columns queries ask for,
-made on first use. The scan kernel, _group_scan, has one caller,
-label_workload: one BETWEEN mask over the permuted columns, one binary
-search of the matched positions for every group's support, one gather
-per target column and the aggregation kernel on each non-empty group's
-contiguous slice, returned as arrays. A group-by query is labeled as its
-flattened cells: execute_groupby builds one flat query per (group,
-target) and hands them to label_workload. The executor supplies the
-training labels and doubles as the correctness oracle for the learned
-model, so exactness and determinism matter more than speed here.
+made on first use. The Dataset's memo keeps the index and the copies.
+The scan kernel, _group_scan, has one caller, label_workload: one
+BETWEEN mask over the permuted columns, one binary search of the matched
+positions for every group's support, one gather per target column and
+the aggregation kernel on each non-empty group's contiguous slice,
+returned as arrays. A group-by query is labeled as its flattened cells:
+execute_groupby builds one flat query per (group, target) and hands them
+to label_workload. The executor supplies the training labels and doubles
+as the correctness oracle for the learned model, so exactness and
+determinism matter more than speed here.
 
 label_workload is an array program over one walk of the workload: the
 walk numbers its distinct targets, BETWEEN tuples and IN tuples, each IN
@@ -37,7 +38,6 @@ reproduce execute_flat results bit-for-bit.
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -143,12 +143,15 @@ class _GroupIndex:
     order; group g starts at order[starts[g]]. Member ids follow sorted
     member order, so code order is the lexicographic order of the member
     tuples, and `group_of` maps each observed member tuple to its group.
-    Columns are permuted into `order` on first use and kept. For
-    the empty tuple `order` is a basic slice, so columns are views and
-    nothing is copied.
+    _group_column permutes columns into `order`. For the empty tuple
+    `order` is a basic slice, so columns are views and nothing is copied.
+    The index holds no reference to its Dataset: the Dataset's memo holds
+    the index, and the cycle would keep the table alive until a full
+    collection.
     """
 
     def __init__(self, ds: Dataset, attrs: tuple[str, ...]):
+        self.attrs = attrs
         if not attrs:  # no GROUP BY: one group of every row, columns read in place
             self.order = slice(None)
             self.starts = np.zeros(min(ds.row_count, 1), dtype=np.intp)
@@ -168,15 +171,6 @@ class _GroupIndex:
                 for combo in zip(*(axis.tolist() for axis in ids))
             ]
         self.group_of = {members: g for g, members in enumerate(self.members)}
-        self._columns: dict[str, np.ndarray] = {}
-        self._lock = threading.Lock()
-
-    def column(self, name: str, values: np.ndarray) -> np.ndarray:
-        """`values` (the dataset column `name`) in group order."""
-        with self._lock:
-            if name not in self._columns:
-                self._columns[name] = values[self.order]
-            return self._columns[name]
 
 
 def _group_index(ds: Dataset, attrs: tuple[str, ...]) -> _GroupIndex:
@@ -186,6 +180,12 @@ def _group_index(ds: Dataset, attrs: tuple[str, ...]) -> _GroupIndex:
         if ds.kind_of(a) is not Kind.NOMINAL:
             raise WrongKind(f"GROUP BY attribute {a!r} must be nominal")
     return ds.derived(("group_index", attrs), lambda: _GroupIndex(ds, attrs))
+
+
+def _group_column(ds: Dataset, index: _GroupIndex, name: str, values: np.ndarray) -> np.ndarray:
+    """`values`, the Dataset column `name`, in the group order of `index`,
+    permuted on first use and kept by the Dataset."""
+    return ds.derived(("group_column", index.attrs, name), lambda: values[index.order])
 
 
 def _group_scan(
@@ -205,7 +205,7 @@ def _group_scan(
     columns = {t.attr: _target_column(ds, t) for t in targets}
     mask = np.ones(ds.row_count, dtype=bool)
     for f in between:
-        v = index.column(f.attr, ds.continuous_values(f.attr))
+        v = _group_column(ds, index, f.attr, ds.continuous_values(f.attr))
         mask &= (v >= f.lower) & (v <= f.upper)
     positions = np.flatnonzero(mask)
     # Group g's matched rows are positions[bounds[g]:bounds[g + 1]].
@@ -214,7 +214,7 @@ def _group_scan(
     values = np.full((len(supports), len(targets)), np.nan)
     nonempty = np.flatnonzero(supports)
     spans = list(zip(bounds[nonempty].tolist(), bounds[nonempty + 1].tolist()))
-    matched = {attr: index.column(attr, col)[positions] for attr, col in columns.items()}
+    matched = {attr: _group_column(ds, index, attr, col)[positions] for attr, col in columns.items()}
     for k, t in enumerate(targets):
         v = matched[t.attr]
         values[nonempty, k] = [_aggregate(t.func, v[s:e]) for s, e in spans]

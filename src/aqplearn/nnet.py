@@ -42,9 +42,10 @@ pairs it with its parent's hidden state, gathered by parent id.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -78,6 +79,12 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, what = ((numbers.Real, "a real number") if f.name == "learning_rate"
+                          else (numbers.Integral, "an integer"))
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TypeError(f"{f.name} must be {what}, not {value!r}")
         for name in ("lstm_units", "dense_units", "batch_size", "max_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -1,14 +1,28 @@
 """End-to-end command-line pipeline tests."""
 
 import dataclasses
+import hashlib
 import json
 import shutil
 
 import numpy as np
 import pytest
 
-from aqplearn import BetweenFilter, cli, read_workload, synth, write_workload
-from aqplearn.encoder import load_encoded, save_encoded
+from aqplearn import (
+    BetweenFilter,
+    build_vocabulary,
+    cli,
+    decode,
+    encode_workload,
+    load_csv,
+    load_schema,
+    load_template,
+    read_workload,
+    save_vocabulary,
+    synth,
+    write_workload,
+)
+from aqplearn.encoder import load_encoded, load_vocabulary, save_encoded
 from aqplearn.store import dump_csv, dump_schema
 
 
@@ -42,8 +56,8 @@ def pipeline(tmp_path_factory):
         ("label", ["label", "--data", root / "data.csv", "--schema", root / "schema.json",
                    "--workload", root / "workload.jsonl", "--out", root / "labeled.jsonl",
                    "--threads", 2]),
-        ("encode", ["encode", "--data", root / "data.csv", "--schema", root / "schema.json",
-                    "--template", root / "template.json", "--workload", root / "labeled.jsonl",
+        ("encode", ["encode", "--schema", root / "schema.json",
+                    "--workload", root / "labeled.jsonl",
                     "--out-vocab", root / "vocab.json", "--out-encoded", root / "encoded.npz"]),
         ("train", ["train", "--encoded", root / "encoded.npz", "--vocab", root / "vocab.json",
                    "--out", root / "model.npz", "--lstm-units", 8, "--dense-units", 12,
@@ -195,6 +209,11 @@ class TestFailureModes:
         ('{"seed": -1}', "InvalidConfig"),
         ('{"learning_rate": NaN}', "InvalidConfig"),
         ('{"learning_rate": Infinity}', "InvalidConfig"),
+        ('{"lstm_units": 1.5}', "InvalidConfig"),
+        ('{"batch_size": 2.5}', "InvalidConfig"),
+        ('{"seed": 1.5}', "InvalidConfig"),
+        ('{"dense_units": true}', "InvalidConfig"),
+        ('{"learning_rate": true}', "InvalidConfig"),
     ])
     def test_bad_train_config_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys,
                                                         text, error):
@@ -387,12 +406,12 @@ class TestFailureModes:
         nowhere = (BetweenFilter("sales", 1e9, 2e9),)  # above every sales value
         write_workload(tmp_path / "w.jsonl",
                        [dataclasses.replace(q, between_filters=nowhere) for q in queries],
-                       {"dataset_sha256": header["dataset_sha256"]})
+                       {"dataset_sha256": header["dataset_sha256"], "template": header["template"]})
         assert run("label", "--data", pipeline / "data.csv", "--schema", pipeline / "schema.json",
                    "--workload", tmp_path / "w.jsonl", "--out", tmp_path / "l.jsonl") == 0
         capsys.readouterr()
-        code = run("encode", "--data", pipeline / "data.csv", "--schema", pipeline / "schema.json",
-                   "--template", pipeline / "template.json", "--workload", tmp_path / "l.jsonl",
+        code = run("encode", "--schema", pipeline / "schema.json",
+                   "--workload", tmp_path / "l.jsonl",
                    "--out-vocab", tmp_path / "vocab.json", "--out-encoded", tmp_path / "e.npz")
         assert code == 1
         out, err = capsys.readouterr()
@@ -403,16 +422,8 @@ class TestFailureModes:
 
     def test_foreign_vocabulary_rejected_at_predict(self, pipeline, tmp_path, capsys):
         make_inputs(tmp_path, targets=[{"func": "sum", "attr": "sales"}])
-        for step in (
-            ["generate", "--data", tmp_path / "data.csv", "--schema", tmp_path / "schema.json",
-             "--template", tmp_path / "template.json", "--out", tmp_path / "w.jsonl"],
-            ["label", "--data", tmp_path / "data.csv", "--schema", tmp_path / "schema.json",
-             "--workload", tmp_path / "w.jsonl", "--out", tmp_path / "l.jsonl"],
-            ["encode", "--data", tmp_path / "data.csv", "--schema", tmp_path / "schema.json",
-             "--template", tmp_path / "template.json", "--workload", tmp_path / "l.jsonl",
-             "--out-vocab", tmp_path / "vocab.json", "--out-encoded", tmp_path / "e.npz"],
-        ):
-            assert run(*step) == 0
+        generate_and_label(tmp_path)
+        assert run_encode(tmp_path, tmp_path / "l.jsonl") == 0
         code = run("predict", "--checkpoint", pipeline / "model.npz",
                    "--vocab", tmp_path / "vocab.json",
                    "--workload", tmp_path / "l.jsonl", "--out", tmp_path / "p.jsonl")
@@ -421,25 +432,19 @@ class TestFailureModes:
         assert err["error"] == "VocabularyMismatch"
 
     def test_target_without_rows_is_invalid_target_in_train_and_eval(self, tmp_path, capsys):
-        # The vocabulary comes from a template that also declares min(sales);
-        # the workload labeled from the data's own template has no min(sales) row.
-        make_inputs(tmp_path)
-        both = json.loads((tmp_path / "template.json").read_text())
-        both["targets"].append({"func": "min", "attr": "sales"})
-        (tmp_path / "both.json").write_text(json.dumps(both))
-        for step in (
-            ["generate", "--data", tmp_path / "data.csv", "--schema", tmp_path / "schema.json",
-             "--template", tmp_path / "template.json", "--out", tmp_path / "w.jsonl"],
-            ["label", "--data", tmp_path / "data.csv", "--schema", tmp_path / "schema.json",
-             "--workload", tmp_path / "w.jsonl", "--out", tmp_path / "l.jsonl"],
-            ["encode", "--data", tmp_path / "data.csv", "--schema", tmp_path / "schema.json",
-             "--template", tmp_path / "both.json", "--workload", tmp_path / "l.jsonl",
-             "--out-vocab", tmp_path / "vocab.json", "--out-encoded", tmp_path / "e.npz"],
-            ["train", "--encoded", tmp_path / "e.npz", "--vocab", tmp_path / "vocab.json",
-             "--out", tmp_path / "m.npz", "--target", "avg(sales)", "--lstm-units", 8,
-             "--dense-units", 8, "--max-epochs", 1],
-        ):
-            assert run(*step) == 0
+        # The template declares min(sales) as well, so the vocabulary holds it;
+        # the labeled workload, rewritten without its min(sales) records, has no such row.
+        make_inputs(tmp_path, targets=[{"func": "avg", "attr": "sales"},
+                                       {"func": "min", "attr": "sales"}])
+        generate_and_label(tmp_path)
+        header, records = read_workload(tmp_path / "l.jsonl")
+        meta = {k: v for k, v in header.items() if k not in ("kind", "version", "count")}
+        write_workload(tmp_path / "avg.jsonl",
+                       [lq for lq in records if lq.query.target.token() != "min(sales)"], meta)
+        assert run_encode(tmp_path, tmp_path / "avg.jsonl") == 0
+        assert run("train", "--encoded", tmp_path / "e.npz", "--vocab", tmp_path / "vocab.json",
+                   "--out", tmp_path / "m.npz", "--target", "avg(sales)", "--lstm-units", 8,
+                   "--dense-units", 8, "--max-epochs", 1) == 0
         capsys.readouterr()
         message = f"no queries for target 'min(sales)' in {tmp_path / 'e.npz'}"
         model = ["--encoded", tmp_path / "e.npz", "--vocab", tmp_path / "vocab.json",
@@ -459,16 +464,8 @@ class TestFailureModes:
             tmp_path,
             targets=[{"func": "avg", "attr": "sales"}, {"func": "count", "attr": "sales"}],
         )
-        for step in (
-            ["generate", "--data", tmp_path / "data.csv", "--schema", tmp_path / "schema.json",
-             "--template", tmp_path / "template.json", "--out", tmp_path / "w.jsonl"],
-            ["label", "--data", tmp_path / "data.csv", "--schema", tmp_path / "schema.json",
-             "--workload", tmp_path / "w.jsonl", "--out", tmp_path / "l.jsonl"],
-            ["encode", "--data", tmp_path / "data.csv", "--schema", tmp_path / "schema.json",
-             "--template", tmp_path / "template.json", "--workload", tmp_path / "l.jsonl",
-             "--out-vocab", tmp_path / "vocab.json", "--out-encoded", tmp_path / "e.npz"],
-        ):
-            assert run(*step) == 0
+        generate_and_label(tmp_path)
+        assert run_encode(tmp_path, tmp_path / "l.jsonl") == 0
         train = ["train", "--encoded", tmp_path / "e.npz", "--vocab", tmp_path / "vocab.json",
                  "--out", tmp_path / "m.npz", "--lstm-units", 8, "--dense-units", 8,
                  "--max-epochs", 1]
@@ -476,3 +473,98 @@ class TestFailureModes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidTarget"
         assert run(*train, "--target", "count(sales)") == 0
+
+
+def make_demo_06_inputs(root):
+    """The table, schema and template of demos/06_cli_pipeline.sh."""
+    ds = synth.make_transactions_table(n_rows=2000, seed=3)
+    dump_csv(ds, root / "data.csv")
+    dump_schema(list(ds.schema), root / "schema.json")
+    (root / "template.json").write_text(json.dumps({
+        "agg_funcs": ["avg"],
+        "agg_attrs": ["sales"],
+        "cont_filter_attrs": ["sales"],
+        "nom_filter_attrs": ["region", "category"],
+        "n_cont_samples": 150,
+        "seed": 21,
+        "numeric_scales": {"sales": 1.0},
+    }))
+
+
+def generate_and_label(root):
+    """Generate w.jsonl from the inputs under root and label it into l.jsonl."""
+    data = ["--data", root / "data.csv", "--schema", root / "schema.json"]
+    assert run("generate", *data, "--template", root / "template.json",
+               "--out", root / "w.jsonl") == 0
+    assert run("label", *data, "--workload", root / "w.jsonl", "--out", root / "l.jsonl") == 0
+
+
+def run_encode(root, workload):
+    return run("encode", "--schema", root / "schema.json", "--workload", workload,
+               "--out-vocab", root / "vocab.json", "--out-encoded", root / "e.npz")
+
+
+class TestEncodeReadsItsTemplate:
+    """encode takes its template from the labeled workload's header, the
+    template the workload was generated and labeled under."""
+
+    @pytest.mark.parametrize("make", [make_inputs, make_demo_06_inputs],
+                             ids=["cli-tests", "demo-06"])
+    def test_artifacts_equal_those_of_the_template_file_without_the_table(self, tmp_path, make):
+        make(tmp_path)
+        generate_and_label(tmp_path)
+        # What encode wrote when it took --data and --template.
+        ds = load_csv(tmp_path / "data.csv", load_schema(tmp_path / "schema.json"))
+        _, records = read_workload(tmp_path / "l.jsonl")
+        vocab = build_vocabulary(records, load_template(tmp_path / "template.json", ds))
+        workload_hash = hashlib.sha256((tmp_path / "l.jsonl").read_bytes()).hexdigest()
+        save_vocabulary(vocab, tmp_path / "expected_vocab.json",
+                        meta={"workload_sha256": workload_hash})
+        (tmp_path / "data.csv").unlink()
+        (tmp_path / "template.json").unlink()
+        assert run_encode(tmp_path, tmp_path / "l.jsonl") == 0
+        assert ((tmp_path / "vocab.json").read_bytes()
+                == (tmp_path / "expected_vocab.json").read_bytes())
+        X, y, support, _ = load_encoded(tmp_path / "e.npz")
+        np.testing.assert_array_equal(X, encode_workload(records, vocab))
+        np.testing.assert_array_equal(y, [lq.label for lq in records])
+        np.testing.assert_array_equal(support, [lq.support for lq in records])
+
+    def test_encoded_queries_are_the_labeled_ones_under_a_non_unit_scale(self, tmp_path):
+        make_inputs(tmp_path)
+        template = json.loads((tmp_path / "template.json").read_text())
+        template["numeric_scales"] = {"sales": 2.0}
+        (tmp_path / "template.json").write_text(json.dumps(template))
+        generate_and_label(tmp_path)
+        assert run_encode(tmp_path, tmp_path / "l.jsonl") == 0
+        _, records = read_workload(tmp_path / "l.jsonl")
+        X, _, _, _ = load_encoded(tmp_path / "e.npz")
+        vocab, _ = load_vocabulary(tmp_path / "vocab.json")
+        assert any(f.upper % 1 for lq in records for f in lq.query.between_filters)
+        assert [decode(x, vocab) for x in X] == [lq.query for lq in records]
+
+    @pytest.mark.parametrize("flag, name", [("--template", "template.json"),
+                                            ("--data", "data.csv")])
+    def test_template_or_data_option_is_a_usage_error(self, pipeline, tmp_path, capsys,
+                                                     flag, name):
+        assert run("encode", "--schema", pipeline / "schema.json",
+                   "--workload", pipeline / "labeled.jsonl", flag, pipeline / name,
+                   "--out-vocab", tmp_path / "vocab.json", "--out-encoded", tmp_path / "e.npz") == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("meta", [{}, {"template": None}, {"template": "template.json"}],
+                             ids=["no-template", "null-template", "template-path"])
+    def test_header_without_a_template_is_exit_1_with_json_error(self, pipeline, tmp_path,
+                                                                capsys, meta):
+        header, records = read_workload(pipeline / "labeled.jsonl")
+        shutil.copy(pipeline / "schema.json", tmp_path / "schema.json")
+        write_workload(tmp_path / "l.jsonl", records,
+                       {"dataset_sha256": header["dataset_sha256"], **meta})
+        assert run_encode(tmp_path, tmp_path / "l.jsonl") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        err = json.loads(err)
+        assert err["error"] == "CorruptArtifact" and str(tmp_path / "l.jsonl") in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["l.jsonl", "schema.json"]

@@ -361,6 +361,26 @@ class TestSharedParts:
                 encode_workload(batch, v)
             assert str(exc.value) == messages[order[0]]
 
+    def test_overflow_before_an_unknown_token_comes_first(self):
+        v = small_vocab()
+        target = AggregationTarget(AVG, "sales")
+        too_wide = FlatQuery(target, (BetweenFilter("sales", 1.0, 40.0),),
+                             (InFilter("region", "north"),))
+        nowhere = FlatQuery(target, (BetweenFilter("sales", 1.0, 2.0),),
+                            (InFilter("region", "nowhere"),))
+        overflow = "literal 40 for sales upper bound does not fit in 5 unsigned bits"
+        unknown = "token 'region=nowhere' is not in the vocabulary"
+        for batch, message in (([too_wide], overflow), ([nowhere], unknown),
+                               ([too_wide, nowhere], overflow), ([nowhere, too_wide], unknown)):
+            with pytest.raises((NumericOverflow, UnknownToken)) as exc:
+                encode_workload(batch, v)
+            assert str(exc.value) == message
+        # The BETWEEN tuple that names an unknown attribute has filled its sales rows.
+        both = FlatQuery(target, (BetweenFilter("sales", 1.0, 40.0),
+                                  BetweenFilter("units", 1.0, 2.0)))
+        with pytest.raises(NumericOverflow, match="literal 40 for sales upper bound"):
+            encode_workload([both], v)
+
     def test_bad_window_shared_by_many_queries(self):
         v = small_vocab()
         target = AggregationTarget(AVG, "sales")
