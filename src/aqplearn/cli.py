@@ -25,7 +25,15 @@ import numpy as np
 
 from . import encoder, executor, metrics, nnet, querygen, store
 from .artifacts import atomic_open, parsing, write_json, write_jsonl
-from .errors import AqpError, EmptyList, HashMismatch, InvalidConfig, InvalidTarget, ShapeMismatch
+from .errors import (
+    AqpError,
+    CorruptArtifact,
+    EmptyList,
+    HashMismatch,
+    InvalidConfig,
+    InvalidTarget,
+    ShapeMismatch,
+)
 
 
 def _sha256_file(path) -> str:
@@ -141,8 +149,18 @@ def cmd_encode(args) -> int:
         raise ShapeMismatch(f"{args.workload} is not labeled; run the label stage first")
     schema = store.load_schema(args.schema)
     ds = store.Dataset.from_columns(schema, {a.name: [] for a in schema})  # kinds, no rows
-    with parsing(args.workload, "labeled workload"):  # its header must hold a template dict
-        template = querygen.load_template(dict(header["template"]), ds)
+    where = f"{args.workload}: header 'template'"
+    if "template" not in header:
+        raise CorruptArtifact(f"{where} is missing")
+    if not isinstance(header["template"], dict):
+        raise CorruptArtifact(f"{where} is {json.dumps(header['template'])}, not an object")
+    try:
+        template = querygen.load_template(header["template"], ds)
+    except AqpError as exc:
+        reason = exc.__cause__ or exc  # not the CorruptArtifact of parsing, which shows the dict
+        raise CorruptArtifact(
+            f"{where} is not a valid template: {type(reason).__name__} {reason}"
+        ) from exc
     if not records:
         raise EmptyList(f"{args.workload} holds no labeled queries; there is nothing to encode")
     vocab = encoder.build_vocabulary(records, template)

@@ -27,7 +27,11 @@ reads the columns in place.
 
 Filter semantics: BETWEEN is inclusive on both bounds; IN binds a nominal
 attribute to exactly one member. Median of an even-sized multiset is the
-mean of the two middle order statistics.
+mean of the two middle order statistics. The kernel finds them with one
+np.partition at the upper middle, the lower one being the largest value
+before it: numpy 2 runs its fast selection only for a single kth, and
+np.median asks for two or three, so the median is several times faster
+here than np.median and gives the same bits.
 
 Every aggregate, whether reached through execute_flat or through a
 group-by cell, goes through the same kernel on the same row-ordered value
@@ -84,7 +88,13 @@ def _aggregate(func: AggregationFunction, values: np.ndarray) -> float:
     if func is AggregationFunction.AVG:
         return float(np.add.reduce(values)) / len(values)
     if func is AggregationFunction.MEDIAN:
-        return float(np.median(values))
+        # One kth: np.median's two or three (both middles, and -1 for its NaN
+        # check, which finite columns never need) take numpy 2's generic
+        # selection path. The mean is np.median's own last step, so bits match.
+        k = len(values) // 2
+        part = np.partition(values, k)
+        middle = (part[k],) if len(values) % 2 else (part[:k].max(), part[k])
+        return float(np.mean(middle))
     if func is AggregationFunction.MIN:
         return float(np.min(values))
     if func is AggregationFunction.MAX:
@@ -130,7 +140,7 @@ def execute_flat(ds: Dataset, q: FlatQuery) -> tuple[float, int]:
     """
     column = _target_column(ds, q.target)
     mask = _filter_mask(ds, q.between_filters, q.in_filters)
-    values = column[mask]
+    values = np.take(column, np.flatnonzero(mask))  # faster than column[mask], same values
     value = _aggregate(q.target.func, values)
     return value, int(len(values))
 

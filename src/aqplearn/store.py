@@ -600,11 +600,16 @@ def continuous_stats(ds: Dataset, attr: str) -> ContinuousStats:
 
     Quartiles are computed by linear interpolation between the closest
     order statistics, so repeating the call (or shuffling the rows)
-    always yields the same numbers.
+    always yields the same numbers. The summary is computed once per
+    Dataset and kept by it.
     """
     values = ds.continuous_values(attr)
     if ds.row_count == 0:
         raise EmptyDataset(f"cannot compute stats of {attr!r} on an empty dataset")
-    q = np.percentile(values, [0.0, 25.0, 50.0, 75.0, 100.0], method="linear")
-    return ContinuousStats(*(float(v) for v in q))
+    return ds.derived(
+        ("continuous_stats", attr),
+        lambda: ContinuousStats(
+            *np.percentile(values, [0.0, 25.0, 50.0, 75.0, 100.0], method="linear").tolist()
+        ),
+    )
 

@@ -554,10 +554,14 @@ class TestEncodeReadsItsTemplate:
         assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("meta", [{}, {"template": None}, {"template": "template.json"}],
-                             ids=["no-template", "null-template", "template-path"])
+    @pytest.mark.parametrize("meta, reason", [
+        ({}, "is missing"),
+        ({"template": None}, "is null, not an object"),
+        ({"template": "template.json"}, 'is "template.json", not an object'),
+        ({"template": {"targets": [{"func": "avg"}]}}, "is not a valid template: KeyError 'attr'"),
+    ], ids=["no-template", "null-template", "template-path", "target-without-attr"])
     def test_header_without_a_template_is_exit_1_with_json_error(self, pipeline, tmp_path,
-                                                                capsys, meta):
+                                                                capsys, meta, reason):
         header, records = read_workload(pipeline / "labeled.jsonl")
         shutil.copy(pipeline / "schema.json", tmp_path / "schema.json")
         write_workload(tmp_path / "l.jsonl", records,
@@ -566,5 +570,6 @@ class TestEncodeReadsItsTemplate:
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1
         err = json.loads(err)
-        assert err["error"] == "CorruptArtifact" and str(tmp_path / "l.jsonl") in err["message"]
+        assert err["error"] == "CorruptArtifact"
+        assert err["message"] == f"{tmp_path / 'l.jsonl'}: header 'template' {reason}"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["l.jsonl", "schema.json"]

@@ -161,6 +161,54 @@ class TestExecuteFlat:
         assert checked > 20
 
 
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestMedianKernel:
+    """The median kernel partitions once, at the upper middle, and must give
+    np.median's value bit for bit, the sign of a zero included."""
+
+    @staticmethod
+    def samples(rng, n):
+        yield rng.random(n)  # uniform
+        yield rng.integers(0, 4, n).astype(float)  # heavy ties
+        yield np.full(n, 2.5)  # all equal
+        yield rng.choice([0.0, -0.0], n)
+        yield rng.choice([-1.0, -0.0, 0.0, 1.0], n)
+
+    @pytest.mark.parametrize("sizes", [range(1, 301), range(8191, 8194), range(100_000, 100_002)],
+                             ids=["1-300", "8191-8193", "100000-100001"])
+    def test_equals_np_median_bit_for_bit(self, sizes):
+        rng = np.random.default_rng(sizes.start)
+        for n in sizes:
+            for k, values in enumerate(self.samples(rng, n)):
+                kept = values.copy()
+                assert bits(executor._aggregate(MEDIAN, values)) == bits(np.median(values)), (n, k)
+                assert values.tobytes() == kept.tobytes()  # the input is not reordered
+
+    def test_flat_scan_equals_label_workload_for_even_and_odd_support(self):
+        rng = np.random.default_rng(3)
+        n_rows = 2_000
+        ds = Dataset.from_columns(
+            make_schema([("x", Kind.CONTINUOUS), ("v", Kind.CONTINUOUS)]),
+            {"x": rng.permutation(n_rows).astype(float), "v": rng.normal(0.0, 1.0, n_rows).round(1)},
+        )
+        # x holds 0..n_rows-1 once each, so [lo, hi] matches hi - lo + 1 rows.
+        windows = [(float(lo), float(lo + width)) for lo in (0, 17, 400) for width in range(12)]
+        windows += [(0.0, n_rows - 1.0), (1.0, n_rows - 1.0)]
+        queries = [FlatQuery(AggregationTarget(MEDIAN, "v"), (BetweenFilter("x", lo, hi),))
+                   for lo, hi in windows]
+        labeled, _ = label_workload(ds, queries)
+        assert [lq.query for lq in labeled] == queries
+        assert {lq.support % 2 for lq in labeled} == {0, 1}
+        x, v = ds.continuous_values("x"), ds.continuous_values("v")
+        for lq, (lo, hi) in zip(labeled, windows):
+            value, support = execute_flat(ds, lq.query)
+            assert (bits(lq.label), lq.support) == (bits(value), support)
+            assert bits(value) == bits(np.median(v[(x >= lo) & (x <= hi)]))
+
+
 class TestExecuteGroupBy:
     def test_group_means_by_hand(self, transactions):
         gq = GroupByQuery((AggregationTarget(AVG, "sales"),), (), ("region",))

@@ -162,9 +162,19 @@ class TestContinuousStats:
         for (_, hi), (lo, _) in zip(iv, iv[1:]):
             assert hi == lo
 
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(EmptyDataset):
-            continuous_stats(one_column([]), "x")
+    def test_empty_dataset_rejected(self):  # on every call, not only the first
+        ds = one_column([])
+        for _ in range(2):
+            with pytest.raises(EmptyDataset):
+                continuous_stats(ds, "x")
+
+    def test_computed_once_per_dataset(self, monkeypatch):
+        ds = one_column([3.0, 1.0, 2.0])
+        first = continuous_stats(ds, "x")
+        monkeypatch.setattr(np, "percentile", None)  # a second computation would fail
+        assert continuous_stats(ds, "x") is first
+        with pytest.raises(TypeError):
+            continuous_stats(one_column([3.0, 1.0, 2.0]), "x")
 
 
 class TestDataset:
