@@ -27,6 +27,7 @@ from . import encoder, executor, metrics, nnet, querygen, store
 from .artifacts import atomic_open, parsing, write_json, write_jsonl
 from .errors import (
     AqpError,
+    CheckpointMismatch,
     CorruptArtifact,
     EmptyList,
     HashMismatch,
@@ -181,8 +182,9 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _select_target_rows(X, vocab, args) -> np.ndarray:
-    """The rows of the encoded file `args.encoded` that hold `args.target`."""
+def _select_target_rows(X, vocab, args) -> tuple[np.ndarray, str]:
+    """The rows of the encoded file `args.encoded` that hold `args.target`,
+    and that target, which may be left out when the vocabulary has one."""
     if args.target is None:
         if len(vocab.targets) > 1:
             raise InvalidTarget(
@@ -194,7 +196,20 @@ def _select_target_rows(X, vocab, args) -> np.ndarray:
         rows = np.flatnonzero(encoder.row_token_ids(X) == vocab.token_id(args.target))
     if len(rows) == 0:
         raise InvalidTarget(f"no queries for target {args.target!r} in {args.encoded}")
-    return rows
+    return rows, args.target or vocab.targets[0]
+
+
+def _check_trained_on(model, checkpoint, target: str, split_seed: int | None = None) -> None:
+    """The model must have been trained on `target` and, unless None, on
+    the split of `split_seed`; a model that records neither is not checked."""
+    if model.target is not None and model.target != target:
+        raise CheckpointMismatch(
+            f"{checkpoint} answers {model.target!r}, not {target!r}"
+        )
+    if None not in (model.split_seed, split_seed) and model.split_seed != split_seed:
+        raise CheckpointMismatch(
+            f"{checkpoint} was trained with --split-seed {model.split_seed}, not {split_seed}"
+        )
 
 
 def _model_config(args) -> nnet.ModelConfig:
@@ -238,17 +253,18 @@ def _load_vocab_and_check(vocab_path, encoded_meta) -> encoder.TokenVocabulary:
 def cmd_train(args) -> int:
     X, y, _, meta = encoder.load_encoded(args.encoded)
     vocab = _load_vocab_and_check(args.vocab, meta)
-    rows = _select_target_rows(X, vocab, args)
+    rows, target = _select_target_rows(X, vocab, args)
     X, y = X[rows], y[rows]
     config = _model_config(args)
     tr, va, te = querygen.split_indices(len(X), seed=args.split_seed)
     model = nnet.LstmModel(
-        config, vocab.sequence_length, vocab.row_width, vocab_hash=vocab.content_hash()
+        config, vocab.sequence_length, vocab.row_width, vocab_hash=vocab.content_hash(),
+        target=target, split_seed=args.split_seed,
     )
     report = model.fit(X[tr], y[tr], X[va], y[va])
     model.save(args.out)
     sidecar = {
-        "target": args.target,
+        "target": target,
         "split_seed": args.split_seed,
         "n_train": len(tr),
         "n_validation": len(va),
@@ -267,10 +283,12 @@ def cmd_predict(args) -> int:
     vocab, _ = encoder.load_vocabulary(args.vocab)
     model = nnet.LstmModel.load(args.checkpoint, expected_vocab_hash=vocab.content_hash())
     header, records = querygen.read_workload(args.workload)
+    queries = [getattr(rec, "query", rec) for rec in records]
+    for target in sorted({q.target.token() for q in queries}):
+        _check_trained_on(model, args.checkpoint, target)
     X = encoder.encode_workload(records, vocab)
     preds = model.predict_batch(X, n_workers=args.workers)
-    rows = [{"query": getattr(rec, "query", rec).to_record(), "prediction": float(p)}
-            for rec, p in zip(records, preds)]
+    rows = [{"query": q.to_record(), "prediction": float(p)} for q, p in zip(queries, preds)]
     write_jsonl(args.out, "predictions", 1, rows,
                 {"checkpoint_sha256": _sha256_file(args.checkpoint)})
     print(f"predicted {len(records)} queries -> {args.out}")
@@ -281,7 +299,9 @@ def cmd_eval(args) -> int:
     X, y, _, meta = encoder.load_encoded(args.encoded)
     vocab = _load_vocab_and_check(args.vocab, meta)
     model = nnet.LstmModel.load(args.checkpoint, expected_vocab_hash=vocab.content_hash())
-    rows = _select_target_rows(X, vocab, args)
+    rows, target = _select_target_rows(X, vocab, args)
+    _check_trained_on(model, args.checkpoint, target,
+                      None if args.split == "all" else args.split_seed)
     X, y = X[rows], y[rows]
     if args.split == "all":
         X_eval, y_eval = X, y

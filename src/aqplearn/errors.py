@@ -83,6 +83,10 @@ class VocabularyMismatch(AqpError):
     """Checkpoint was trained against a different vocabulary."""
 
 
+class CheckpointMismatch(AqpError):
+    """Checkpoint was trained on another target or split than the one asked for."""
+
+
 # --- artifacts and cli -----------------------------------------------------
 
 class CorruptArtifact(AqpError):

@@ -42,6 +42,7 @@ reproduce execute_flat results bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -149,10 +150,10 @@ class _GroupIndex:
     """The rows of one Dataset grouped by one tuple of nominal attributes.
 
     `order` is the stable argsort of the composite group code over all
-    rows, so each group's rows are contiguous in it and keep dataset row
-    order; group g starts at order[starts[g]]. Member ids follow sorted
-    member order, so code order is the lexicographic order of the member
-    tuples, and `group_of` maps each observed member tuple to its group.
+    rows (int32 below 2**31 rows), so each group's rows are contiguous in
+    it and keep dataset row order; group g starts at order[starts[g]].
+    Member ids follow sorted member order, so code order is the
+    lexicographic order of the member tuples, and `group_of` maps each observed member tuple to its group.
     _group_column permutes columns into `order`. For the empty tuple
     `order` is a basic slice, so columns are views and nothing is copied.
     The index holds no reference to its Dataset: the Dataset's memo holds
@@ -169,7 +170,11 @@ class _GroupIndex:
         else:
             dims = tuple(max(len(ds.members(a)), 1) for a in attrs)
             codes = np.ravel_multi_index([ds.nominal_id_values(a) for a in attrs], dims)
+            # The narrowest codes sort the same, and numpy radix-sorts 8- and 16-bit ones.
+            codes = codes.astype(np.min_scalar_type(math.prod(dims) - 1))
             self.order = np.argsort(codes, kind="stable")
+            if ds.row_count < 2**31:
+                self.order = self.order.astype(np.int32)
             sorted_codes = codes[self.order]
             first = np.ones(len(sorted_codes), dtype=bool)
             first[1:] = sorted_codes[1:] != sorted_codes[:-1]

@@ -59,7 +59,7 @@ from .errors import (
     VocabularyMismatch,
 )
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 GATES = ("i", "f", "g", "o")
 PREDICT_CHUNK = 512
 
@@ -149,16 +149,25 @@ def _prefix_order(X: np.ndarray) -> np.ndarray:
 
 
 class LstmModel:
-    """From-scratch LSTM regressor mapping (L, D) binary matrices to scalars."""
+    """From-scratch LSTM regressor mapping (L, D) binary matrices to scalars.
+
+    `vocab_hash`, `target` and `split_seed` record what the model answers:
+    the vocabulary its inputs are encoded under, the target token it was
+    trained on and the seed of its train/validation/test split. None means
+    unrecorded; a checkpoint keeps all three.
+    """
 
     PARAM_KEYS = ("W_x", "W_h", "b", "W_d", "b_d", "W_y", "b_y")
 
     def __init__(self, config: ModelConfig, sequence_length: int, row_width: int,
-                 vocab_hash: str | None = None):
+                 vocab_hash: str | None = None, target: str | None = None,
+                 split_seed: int | None = None):
         self.config = config
         self.sequence_length = int(sequence_length)
         self.row_width = int(row_width)
         self.vocab_hash = vocab_hash
+        self.target = target
+        self.split_seed = split_seed
         self.label_mean = 0.0
         self.label_std = 1.0
         self._rng = np.random.default_rng(config.seed)
@@ -458,7 +467,8 @@ class LstmModel:
 
     def save(self, path) -> None:
         """Write a self-contained checkpoint (parameters, optimizer moments,
-        shuffle RNG state, label statistics, config, vocabulary hash)."""
+        shuffle RNG state, label statistics, config, vocabulary hash, target
+        and split seed)."""
         meta = {
             "config": asdict(self.config),
             "sequence_length": self.sequence_length,
@@ -467,6 +477,8 @@ class LstmModel:
             "label_std": self.label_std,
             "adam_t": self.adam_t,
             "vocab_hash": self.vocab_hash,
+            "target": self.target,
+            "split_seed": self.split_seed,
             "rng_state": self._rng.bit_generator.state,
         }
         arrays = {f"{p}_{k}": v for p, store in self._stores() for k, v in store.items()}
@@ -486,6 +498,8 @@ class LstmModel:
                 meta["sequence_length"],
                 meta["row_width"],
                 vocab_hash=meta["vocab_hash"],
+                target=meta["target"],
+                split_seed=meta["split_seed"],
             )
             model.label_mean = float(meta["label_mean"])
             model.label_std = float(meta["label_std"])

@@ -114,7 +114,7 @@ def _where_sql(between: tuple[BetweenFilter, ...], in_: tuple[InFilter, ...]) ->
     return " WHERE " + " AND ".join(parts) if parts else ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlatQuery:
     """Single-aggregation query with no GROUP BY; evaluates to one scalar."""
 
@@ -188,7 +188,7 @@ class GroupByQuery:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledQuery:
     """A FlatQuery plus the exact result obtained from the executor."""
 

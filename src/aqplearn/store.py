@@ -41,8 +41,24 @@ CSV_BLOCK_BYTES = 1 << 22
 # Rows dump_csv formats at a time, so that only one chunk's cell strings
 # are alive at once.
 DUMP_CHUNK_ROWS = 1 << 16
+# Fields _float_fields hands _decimal_fields at a time, so that the
+# kernel's temporaries (a few words per field) stay small and in cache.
+DECIMAL_CHUNK_FIELDS = 1 << 14
 
-_QUOTE, _COMMA, _CR, _LF = b'",\r\n'
+_QUOTE, _COMMA, _CR, _LF, _MINUS, _DOT, _ZERO = b'",\r\n-.0'
+
+# Where np.longdouble is the x87 80-bit format, _decimal_fields may round a
+# quotient to its 64-bit significand first (see there). Both tables of
+# powers of ten are exact, since 5**19 < 2**53.
+_EXTENDED = np.finfo(np.longdouble).nmant == 63
+_POW10 = 10.0 ** np.arange(20)
+_POW10_EXTENDED = np.longdouble(10) ** np.arange(20)
+_BYTES = 0x0101010101010101  # times a byte value: a word of 8 such bytes
+_BYTE_MASKS = np.array([(1 << 8 * c) - 1 for c in range(9)], np.uint64)  # a word's first c bytes
+# (mask, multiplier, shift) of the steps that sum the 8 digits of a word,
+# the first digit in its first byte, into one number (Lemire 2021).
+_DIGIT_SUMS = tuple((mask, scale << shift | 1, shift) for mask, scale, shift in (
+    (0x0F0F0F0F0F0F0F0F, 10, 8), (0x00FF00FF00FF00FF, 100, 16), (0x0000FFFF0000FFFF, 10**4, 32)))
 
 
 class Kind(Enum):
@@ -398,15 +414,91 @@ def _text(raw: bytes) -> str:
     return raw.decode("utf-8")
 
 
+def _decimal_fields(buf, starts, stops) -> tuple[np.ndarray, np.ndarray]:
+    """float() of the fields of the form -?digits[.digits] with 1 to 19
+    ASCII digits: (values, exact), where exact marks each field whose value
+    is proven to be float()'s. Elsewhere values is arbitrary.
+
+    The 24 bytes that end a field are read as three little-endian words,
+    the bytes before the field and its sign as "0", and xor with "0" turns
+    each digit into its value. The bytes before the dot move one byte up,
+    over it, so the words hold the digits right-aligned, and three
+    multiplications per word sum its 8 digits (Lemire 2021). That gives the
+    significand m < 10**19 and the k digits after the dot of the value
+    m / 10**k, which one of two routes rounds as float() does:
+
+    - Clinger's fast path (1990): for m <= 2**53, float64(m) / 10.0**k is
+      one correctly rounded division of two exact doubles (k <= 19 < 23).
+    - Where _EXTENDED holds, the quotient of the exact longdoubles m and
+      10**k rounds once, to a 64-bit significand, and then once more, to
+      float64. The result is the correctly rounded one unless the first
+      quotient lies on a float64 midpoint, its low 11 bits 0b10000000000,
+      after an inexact division; such fields are not proven (k == 0 is
+      exact).
+
+    A field that ends within the first 24 bytes of `buf` is not proven
+    either; _float_fields converts the fields this leaves.
+    """
+    if len(buf) < 24:
+        return np.empty(len(starts)), np.zeros(len(starts), bool)
+    size = stops - starts
+    neg = buf[starts] == _MINUS
+    lead = 24 - size + neg  # bytes of the 24 read as "0"
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))  # the 8 bytes from each offset
+    at = np.maximum(stops - 24, 0)
+    digits, dots = [], []  # dots: 1 in each "." byte
+    for j in range(3):
+        fill = _BYTE_MASKS.take(lead - 8 * j, mode="clip")
+        digits.append((words[at + 8 * j] | fill) ^ (_ZERO * _BYTES | fill))
+        t = digits[-1] ^ (_DOT ^ _ZERO) * _BYTES
+        dots.append(~(((t & 0x7F * _BYTES) + 0x7F * _BYTES) | t | 0x7F * _BYTES) >> 7)
+    n_dots = (dots[0] + dots[1] + dots[2]) * _BYTES >> 56
+    count = size - neg - (n_dots == 1)  # digits, if there is at most one dot
+    exact = (stops >= 24) & (n_dots <= 1) & (count >= 1) & (count <= 19)
+    m = np.zeros(len(starts), np.uint64)
+    k = np.zeros(len(starts), np.uint64)  # per byte lane, the words where it follows the dot
+    later = [dots[0] | dots[1] | dots[2], dots[1] | dots[2], dots[2]]  # word j's dot or a later one
+    for j in range(3):
+        moves = later[j] != 0
+        before = (dots[j] - 1) * moves  # the bytes before the dot, all if it lies later
+        after = ~(before | dots[j] * 0xFF)
+        k += after & _BYTES
+        word = (digits[j] & after) | ((digits[j] & before) << 8)
+        if j:
+            word |= (digits[j - 1] >> 56) * moves
+        exact &= (((word + 0x76 * _BYTES) | word) & 0x80 * _BYTES) == 0  # each byte below 10
+        for mask, multiplier, shift in _DIGIT_SUMS:
+            word = (word & mask) * multiplier >> shift
+        m = m * 10**8 + word
+    k = np.where(exact, (k * _BYTES >> 56) % 24, 0)  # 24 bytes follow no dot
+    values = m.astype(np.float64) / _POW10[k]
+    if _EXTENDED:
+        slow = np.flatnonzero(exact & (m > 2**53))
+        quotient = m[slow].astype(np.longdouble) / _POW10_EXTENDED[k[slow]]
+        values[slow] = quotient
+        low = quotient.view(np.uint16)[:: quotient.itemsize // 2]  # the significand's low bits
+        exact[slow] = ((low & 0x7FF) != 0x400) | (k[slow] == 0)  # m itself rounds once
+    else:
+        exact &= m <= 2**53
+    np.negative(values, out=values, where=neg)
+    return values, exact
+
+
 def _float_fields(buf, starts, stops) -> tuple[np.ndarray, tuple[int, str] | None]:
     """float() of each field's text, and (position, reason) of the first
-    field that is not a finite number, or None. Fields are cast in groups
-    of one byte length, as exact S{len} arrays; only a group that numpy
+    field that is not a finite number, or None. _decimal_fields converts
+    the plain decimals it can prove; the other fields are cast in groups of
+    one byte length, as exact S{len} arrays, and only a group that numpy
     rejects, such as one holding a quoted field, goes through float() one
     field at a time."""
-    values = np.empty(len(starts))
+    values, exact = np.empty(len(starts)), np.empty(len(starts), bool)
+    for lo in range(0, len(starts), DECIMAL_CHUNK_FIELDS):
+        part = slice(lo, lo + DECIMAL_CHUNK_FIELDS)
+        values[part], exact[part] = _decimal_fields(buf, starts[part], stops[part])
+    rest = np.flatnonzero(~exact)
     failed: dict[int, str] = {}
-    for at, grid in _by_length(buf, starts, stops):
+    for at, grid in _by_length(buf, starts[rest], stops[rest]):
+        at = rest[at]
         if grid[:, -1].all():  # an S cell drops trailing NUL bytes, which float() rejects
             try:
                 values[at] = grid.view(f"S{grid.shape[1]}")[:, 0].astype(np.float64)
@@ -465,10 +557,13 @@ def load_csv(
 
     The file is read in blocks of about CSV_BLOCK_BYTES, each cut after its
     last record end. Separators, field ranges, widths and nulls are found
-    with array operations over a block's bytes; continuous fields are cast
-    to float64 in groups of one byte length (the same bits as float()), and
-    nominal fields are keyed by their bytes so that only distinct values
-    are decoded in Python.
+    with array operations over a block's bytes. Continuous fields get the
+    bits float() gives: a plain decimal of 1 to 19 digits is converted with
+    integer arithmetic and one rounding proven to be float()'s (see
+    _decimal_fields), and any other field is cast in a group of one byte
+    length or, failing that, read by float() (see _float_fields). Nominal
+    fields are keyed by their bytes so that only distinct values are
+    decoded in Python.
     """
     width = len(schema)
     declared = [a.name for a in schema]

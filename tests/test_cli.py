@@ -23,6 +23,7 @@ from aqplearn import (
     write_workload,
 )
 from aqplearn.encoder import load_encoded, load_vocabulary, save_encoded
+from aqplearn.nnet import LstmModel
 from aqplearn.store import dump_csv, dump_schema
 
 
@@ -128,6 +129,10 @@ class TestPipeline:
         assert report["ql_mean_ms"] > 0
         assert report["qt_qps"] > 0
         assert report["workers"] == 2
+
+    def test_checkpoint_records_the_sole_target_and_split_seed(self, pipeline):
+        model = LstmModel.load(pipeline / "model.npz")
+        assert (model.target, model.split_seed) == ("avg(sales)", 0)
 
     def test_train_report_sidecar(self, pipeline):
         report = json.loads((pipeline / "model.npz.report.json").read_text())
@@ -473,6 +478,62 @@ class TestFailureModes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidTarget"
         assert run(*train, "--target", "count(sales)") == 0
+
+
+class TestCheckpointAnswersItsTarget:
+    """train records its target and split seed in the checkpoint; eval and
+    predict refuse the checkpoint for another target, and eval for another
+    split seed, before they write anything."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("two_targets")
+        make_inputs(root, targets=[{"func": "avg", "attr": "sales"},
+                                   {"func": "sum", "attr": "sales"}])
+        generate_and_label(root)
+        header, records = read_workload(root / "l.jsonl")
+        meta = {k: v for k, v in header.items() if k not in ("kind", "version", "count")}
+        write_workload(root / "avg.jsonl",
+                       [lq for lq in records if lq.query.target.token() == "avg(sales)"], meta)
+        assert run_encode(root, root / "l.jsonl") == 0
+        assert run("train", "--encoded", root / "e.npz", "--vocab", root / "vocab.json",
+                   "--out", root / "m.npz", "--target", "avg(sales)", "--split-seed", 3,
+                   "--lstm-units", 8, "--dense-units", 8, "--max-epochs", 1) == 0
+        return root
+
+    def test_checkpoint_records_target_and_split_seed(self, trained):
+        model = LstmModel.load(trained / "m.npz")
+        assert (model.target, model.split_seed) == ("avg(sales)", 3)
+
+    def test_the_recorded_target_and_split_pass(self, trained, tmp_path):
+        model = ["--checkpoint", trained / "m.npz", "--vocab", trained / "vocab.json"]
+        evaluate = ["eval", *model, "--encoded", trained / "e.npz", "--target", "avg(sales)"]
+        assert run(*evaluate, "--split-seed", 3, "--out", tmp_path / "eval.json") == 0
+        assert run(*evaluate, "--split", "all") == 0  # no split to check
+        assert run("predict", *model, "--workload", trained / "avg.jsonl",
+                   "--out", tmp_path / "preds.jsonl") == 0
+
+    @pytest.mark.parametrize("command, message", [
+        (["eval", "--encoded", "e.npz", "--target", "sum(sales)", "--split-seed", 3],
+         "m.npz answers 'avg(sales)', not 'sum(sales)'"),
+        (["eval", "--encoded", "e.npz", "--target", "avg(sales)"],
+         "m.npz was trained with --split-seed 3, not 0"),
+        (["eval", "--encoded", "e.npz", "--target", "sum(sales)", "--split", "all"],
+         "m.npz answers 'avg(sales)', not 'sum(sales)'"),
+        (["predict", "--workload", "l.jsonl"], "m.npz answers 'avg(sales)', not 'sum(sales)'"),
+    ], ids=["eval-target", "eval-split-seed", "eval-all-target", "predict-target"])
+    def test_another_target_or_split_is_exit_1(self, trained, tmp_path, capsys, command, message):
+        argv = [trained / a if str(a).endswith((".npz", ".jsonl")) else a for a in command]
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert run(*argv, "--checkpoint", trained / "m.npz", "--vocab", trained / "vocab.json",
+                   "--out", out) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "CheckpointMismatch"
+        assert err["message"] == f"{trained}/{message}"
+        assert not out.exists()
 
 
 def make_demo_06_inputs(root):

@@ -341,6 +341,43 @@ class TestExecuteGroupBy:
         assert digest == "9192e4e70b379c525e1fc498b4f4750e5adaa308e4f8d35648544ea1bb119945"
 
 
+class TestGroupIndexOrder:
+    """The index sorts the narrowest unsigned codes that hold every member
+    combination; a stable sort is unique, so its order is the int64 one."""
+
+    @pytest.mark.parametrize("members, dtype", [
+        ((4, 5, 10), np.uint8), ((40, 50), np.uint16), ((300, 300), np.uint32),
+    ])
+    def test_order_is_the_stable_argsort_of_int64_codes(self, monkeypatch, members, dtype):
+        rng = np.random.default_rng(5)
+        names = tuple(f"a{k}" for k in range(len(members)))
+        schema = make_schema([(name, Kind.NOMINAL) for name in names])
+        ds = Dataset.from_columns(schema, {
+            name: [f"m{v:03d}" for v in rng.integers(0, n, 20_000)]
+            for name, n in zip(names, members)
+        })
+        sorted_dtypes = []
+        argsort = np.argsort
+
+        def spy(codes, **kwargs):
+            sorted_dtypes.append(codes.dtype)
+            return argsort(codes, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        index = executor._group_index(ds, names)
+        monkeypatch.undo()
+        assert sorted_dtypes == [dtype]
+        dims = tuple(len(ds.members(name)) for name in names)
+        codes = np.ravel_multi_index([ds.nominal_id_values(name) for name in names], dims)
+        want = np.argsort(codes.astype(np.int64), kind="stable")
+        assert index.order.dtype == np.int32
+        np.testing.assert_array_equal(index.order, want)
+        starts = np.flatnonzero(np.diff(codes[want], prepend=-1))
+        np.testing.assert_array_equal(index.starts, starts)
+        rows = zip(*(np.array(ds.members(n))[ds.nominal_id_values(n)].tolist() for n in names))
+        assert index.members == sorted(set(rows))
+
+
 class TestMemberCombinations:
     def test_observed_combinations_only(self, transactions):
         combos = extract_member_combinations(transactions, ["region", "category"])

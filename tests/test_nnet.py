@@ -611,6 +611,17 @@ class TestPersistence:
         assert back.config == m.config
         assert back._rng.bit_generator.state == m._rng.bit_generator.state
 
+    def test_target_and_split_seed_round_trip_and_default_to_none(self, tmp_path):
+        path = tmp_path / "model.npz"
+        small_model().save(path)
+        back = LstmModel.load(path)
+        assert (back.target, back.split_seed) == (None, None)
+        m = small_model()
+        m.target, m.split_seed = "avg(sales)", 4
+        m.save(path)
+        back = LstmModel.load(path)
+        assert (back.target, back.split_seed) == ("avg(sales)", 4)
+
     def test_vocabulary_mismatch(self, tmp_path):
         m = small_model()
         m.vocab_hash = "abc123"

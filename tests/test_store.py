@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -27,6 +28,7 @@ from aqplearn import (
     load_csv,
     load_schema,
     make_schema,
+    store,
     synth,
 )
 from aqplearn.errors import (
@@ -36,7 +38,7 @@ from aqplearn.errors import (
     UnknownAttribute,
     WrongKind,
 )
-from aqplearn.store import DUMP_CHUNK_ROWS
+from aqplearn.store import DUMP_CHUNK_ROWS, _decimal_fields
 
 
 def one_column(values) -> Dataset:
@@ -478,6 +480,157 @@ class TestLoadCsv:
 
 # Text that csv.writer quotes, or that must pass through unquoted as it is.
 AWKWARD = ["b,c", 'say "hi"', "c\rr", "l\nf", "cr\r\nlf", " lead", "trail ", "ümläut", "a"]
+
+
+# -- the exact decimal kernel ---------------------------------------------------
+
+def decimal_fields(fields: list[bytes]):
+    """_decimal_fields over `fields`, laid out comma-separated after 24 bytes."""
+    sizes = np.array([len(f) for f in fields], np.int64)
+    starts = 24 + np.concatenate(([0], np.cumsum(sizes + 1)[:-1])).astype(np.int64)
+    buf = np.frombuffer(b"x" * 24 + b",".join(fields) + b"\n", np.uint8)
+    return _decimal_fields(buf, starts, starts + sizes)
+
+
+def plain(field: bytes) -> bool:
+    """Whether `field` is in the kernel's grammar: -?digits[.digits] with 1
+    to 19 ASCII digits."""
+    digits = sum(48 <= c <= 57 for c in field)
+    return re.fullmatch(rb"-?[0-9]*\.?[0-9]*", field) is not None and 1 <= digits <= 19
+
+
+def proven(fields: list[bytes]) -> np.ndarray:
+    """Which fields _decimal_fields proves, each checked to be a plain
+    decimal with the bits float() gives."""
+    values, exact = decimal_fields(fields)
+    at = np.flatnonzero(exact)
+    want = np.array([float(fields[i]) for i in at])
+    wrong = at[values[at].view(np.uint64) != want.view(np.uint64)]
+    assert [fields[i] for i in wrong] == []
+    assert all(plain(fields[i]) for i in at)
+    return exact
+
+
+def random_decimals(rng, n: int) -> tuple[list[bytes], np.ndarray]:
+    """n fields of 1 to 20 random digits with a dot at any position or
+    none, half of them with a "-", and each field's digit count."""
+    counts = rng.integers(1, 21, n)
+    dots = rng.integers(-1, counts + 1)  # -1: no dot
+    signs = rng.random(n) < 0.5
+    blob = rng.integers(ord("0"), ord("9") + 1, 20 * n, dtype=np.uint8).tobytes()
+    fields = []
+    for i, (c, d, neg) in enumerate(zip(counts.tolist(), dots.tolist(), signs.tolist())):
+        digits = blob[20 * i : 20 * i + c]
+        fields.append(b"-" * neg + (digits if d < 0 else digits[:d] + b"." + digits[d:]))
+    return fields, counts
+
+
+class TestDecimalFields:
+    """_decimal_fields proves float()'s bits for the plain decimals it
+    accepts, and load_csv reads every other field as before. The seeded
+    cases below check over 1.2M fields against float()."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_repr_across_magnitudes(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(1.0, 10.0, (25, 8000)) * 10.0 ** np.arange(-12, 13)[:, None]
+        values[:, ::2] *= -1
+        fields = [repr(v).encode() for v in values.ravel().tolist()]
+        exact = proven(fields)
+        grammar = np.array([plain(f) for f in fields])
+        assert not exact[~grammar].any()  # such as "1.5e-07"
+        assert exact[grammar].mean() > 0.99
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_digit_strings_with_a_dot_anywhere(self, seed):
+        fields, counts = random_decimals(np.random.default_rng(seed), 200_000)
+        exact = proven(fields)
+        assert not exact[counts > 19].any()
+        assert exact[counts <= 19].mean() > 0.99
+
+    @pytest.mark.parametrize("field", [
+        "0", "-0", "-0.0", "000", "007.50", "-007.50", "1.", ".5", "-.5", "-1.", "0.5",
+        ".0000000000000000001", "-.0000000000000000001", "0.000000000000000001",  # k = 19, 18
+        "1234567890123456789", "-123456789.0123456789", "1234567890123456789.",
+        "9007199254740992", "9007199254740992.0", "-9007199254740992",  # m = 2**53
+        "9007199254740993",  # 2**53 + 1, a float64 midpoint, divided by 10**0
+        "9999999999999999999", "18446744073709551615"[:19], "0.1", "0.3", "2.675",
+        "686.8734353935042", "1.7976931348623157",
+    ])
+    def test_edge_cases_are_proven_with_float_bits(self, field):
+        assert proven([field.encode()]).all()
+
+    def test_negative_zero_keeps_its_sign(self):
+        values, exact = decimal_fields([b"-0", b"-0.0", b"-.0", b"0"])
+        assert exact.all()
+        assert np.signbit(values).tolist() == [True, True, True, False]
+
+    @pytest.mark.parametrize("field", [
+        "9007199254740993.0", "9007199254740995.00", "-9007199254740993.0",
+    ])
+    def test_an_exact_midpoint_after_a_division_is_left_unproven(self, field):
+        assert not proven([field.encode()]).any()
+
+    def test_without_extended_precision_only_the_fast_path_proves(self, monkeypatch):
+        fields = [b"9007199254740992", b"900719925474099.2", b"9007199254740993",
+                  b"686.87343539350421", b"0.12345678901234567"]
+        assert proven(fields).tolist() == [True, True, store._EXTENDED, store._EXTENDED,
+                                           store._EXTENDED]
+        monkeypatch.setattr(store, "_EXTENDED", False)
+        assert proven(fields).tolist() == [True, True, False, False, False]
+
+    OUTSIDE = ["-", ".", "-.", "1.2.3", "--1", "+1", "1e5", "1E5", " 1", "1 ", "1_0",
+               "٣", "12345678901234567890", "-0.12345678901234567890", "1-", "0x10",
+               "Infinity", "nan", '"1.5"', "1,5", "abc"]
+
+    @pytest.mark.parametrize("field", OUTSIDE)
+    def test_fields_outside_the_grammar_are_left_to_float(self, tmp_path, field):
+        assert not decimal_fields([field.encode()])[1].any()
+        schema = make_schema([("g", Kind.NOMINAL), ("x", Kind.CONTINUOUS)])
+        path = tmp_path / "outside.csv"
+        cell = field if '"' not in field and "," not in field else '"' + field.replace('"', '""') + '"'
+        path.write_text("g,x\n" + "a,1.25\n" * 3 + f"b,{cell}\nc,2.5\n", encoding="utf-8")
+        got, want = outcome(load_csv, path, schema), outcome(reference_load, path, schema)
+        if isinstance(want, Dataset):
+            assert_same_table(got, want)
+        else:
+            assert got == want
+
+    def test_fields_within_the_first_24_bytes_are_left_unproven(self):
+        buf = np.frombuffer(b"1.5,22.25,-3\n", np.uint8)
+        starts, stops = np.array([0, 4, 10]), np.array([3, 9, 12])
+        assert not _decimal_fields(buf, starts, stops)[1].any()
+        # The first 24 bytes end in digits, which the first field must not read.
+        buf = np.frombuffer(b"7,1.5,0123456789012345678,22.25\n", np.uint8)
+        starts, stops = np.array([0, 2, 6, 26]), np.array([1, 5, 25, 31])
+        values, exact = _decimal_fields(buf, starts, stops)
+        assert exact.tolist() == [False, False, True, True]
+        assert values[2:].tolist() == [123456789012345678.0, 22.25]
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_extended_path_off_loads_the_same_columns(self, tmp_path, monkeypatch, seed):
+        ds = synth.make_benchmark_table(20_000, seed)
+        path = tmp_path / "bench.csv"
+        dump_csv(ds, path)
+        counts = []
+
+        def counting(*args):
+            values, exact = _decimal_fields(*args)
+            counts[-1] += int(exact.sum())
+            return values, exact
+
+        monkeypatch.setattr(store, "_decimal_fields", counting)
+        monkeypatch.setattr(store, "DECIMAL_CHUNK_FIELDS", 1000)
+        loaded = []
+        for extended in (store._EXTENDED, False):
+            monkeypatch.setattr(store, "_EXTENDED", extended)
+            counts.append(0)
+            loaded.append(load_csv(path, list(ds.schema)))
+        for got in loaded:
+            assert_same_table(got, ds)
+        assert counts[0] >= counts[1] > 0
+        assert counts[0] > 0.99 * 2 * 20_000 or not store._EXTENDED
+
 
 
 def csv_writer_bytes(ds) -> bytes:
