@@ -2,10 +2,12 @@
 eval, bench.
 
 Each stage reads the previous stage's artifact and writes its own; encode
-reads its template from the labeled workload's header too. Files embed the
-SHA-256 of their upstream inputs, and stages verify the chain before doing
-work, so a stale or swapped file fails fast instead of silently labeling
-the wrong table or predicting under the wrong vocabulary.
+reads its template from the labeled workload's header too, and the table's
+mean entropy travels from label through encode to eval the same way. eval
+evaluates the target and split the checkpoint records and loads no table.
+Files embed the SHA-256 of their upstream inputs, and stages verify the
+chain before doing work, so a stale or swapped file fails fast instead of
+silently labeling the wrong table or predicting under the wrong vocabulary.
 
 Exit codes: 0 on success, 1 on an expected pipeline error (reported as a
 one-line JSON object on stderr), 2 on bad command-line usage. Output files
@@ -134,6 +136,7 @@ def cmd_label(args) -> int:
         "workload_sha256": _sha256_file(args.workload),
         "template": header.get("template"),
         "labeling": dataclasses.asdict(report),
+        "mean_entropy_bits": metrics.dataset_entropy(ds)["mean"],
     }
     querygen.write_workload(args.out, labeled, meta)
     print(
@@ -172,7 +175,8 @@ def cmd_encode(args) -> int:
     encoder.save_vocabulary(vocab, args.out_vocab, meta={"workload_sha256": workload_hash})
     encoder.save_encoded(
         args.out_encoded, X, y, support,
-        meta={"workload_sha256": workload_hash, "vocab_content_hash": vocab.content_hash()},
+        meta={"workload_sha256": workload_hash, "vocab_content_hash": vocab.content_hash(),
+              "mean_entropy_bits": header.get("mean_entropy_bits")},
     )
     print(
         f"encoded {len(records)} queries as {X.shape[1]}x{X.shape[2]} matrices "
@@ -182,33 +186,28 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _select_target_rows(X, vocab, args) -> tuple[np.ndarray, str]:
-    """The rows of the encoded file `args.encoded` that hold `args.target`,
-    and that target, which may be left out when the vocabulary has one."""
-    if args.target is None:
+def _select_target_rows(X, vocab, target: str | None, path) -> tuple[np.ndarray, str]:
+    """The rows of the encoded file `path` that hold `target`, and that
+    target, which may be None when the vocabulary has one."""
+    if target is None:
         if len(vocab.targets) > 1:
             raise InvalidTarget(
                 f"vocabulary holds {len(vocab.targets)} targets {list(vocab.targets)}; "
-                "pick one with --target"
+                "train picks one with --target"
             )
-        rows = np.arange(len(X))
-    else:
-        rows = np.flatnonzero(encoder.row_token_ids(X) == vocab.token_id(args.target))
+        return np.arange(len(X)), vocab.targets[0]
+    rows = np.flatnonzero(encoder.row_token_ids(X) == vocab.token_id(target))
     if len(rows) == 0:
-        raise InvalidTarget(f"no queries for target {args.target!r} in {args.encoded}")
-    return rows, args.target or vocab.targets[0]
+        raise InvalidTarget(f"no queries for target {target!r} in {path}")
+    return rows, target
 
 
-def _check_trained_on(model, checkpoint, target: str, split_seed: int | None = None) -> None:
-    """The model must have been trained on `target` and, unless None, on
-    the split of `split_seed`; a model that records neither is not checked."""
+def _check_trained_on(model, checkpoint, target: str) -> None:
+    """The model must have been trained on `target`; a model that records
+    no target is not checked."""
     if model.target is not None and model.target != target:
         raise CheckpointMismatch(
             f"{checkpoint} answers {model.target!r}, not {target!r}"
-        )
-    if None not in (model.split_seed, split_seed) and model.split_seed != split_seed:
-        raise CheckpointMismatch(
-            f"{checkpoint} was trained with --split-seed {model.split_seed}, not {split_seed}"
         )
 
 
@@ -253,7 +252,7 @@ def _load_vocab_and_check(vocab_path, encoded_meta) -> encoder.TokenVocabulary:
 def cmd_train(args) -> int:
     X, y, _, meta = encoder.load_encoded(args.encoded)
     vocab = _load_vocab_and_check(args.vocab, meta)
-    rows, target = _select_target_rows(X, vocab, args)
+    rows, target = _select_target_rows(X, vocab, args.target, args.encoded)
     X, y = X[rows], y[rows]
     config = _model_config(args)
     tr, va, te = querygen.split_indices(len(X), seed=args.split_seed)
@@ -297,30 +296,30 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     X, y, _, meta = encoder.load_encoded(args.encoded)
+    entropy = meta.get("mean_entropy_bits")  # label's, copied by encode; older files lack it
+    if entropy is not None and (type(entropy) is not float or not 0 <= entropy < float("inf")):
+        raise CorruptArtifact(f"{args.encoded}: meta 'mean_entropy_bits' is "
+                              f"{json.dumps(entropy)}, not a finite, non-negative float")
     vocab = _load_vocab_and_check(args.vocab, meta)
     model = nnet.LstmModel.load(args.checkpoint, expected_vocab_hash=vocab.content_hash())
-    rows, target = _select_target_rows(X, vocab, args)
-    _check_trained_on(model, args.checkpoint, target,
-                      None if args.split == "all" else args.split_seed)
+    rows, target = _select_target_rows(X, vocab, model.target, args.encoded)
+    split_seed = 0 if model.split_seed is None else model.split_seed  # train's default
     X, y = X[rows], y[rows]
     if args.split == "all":
         X_eval, y_eval = X, y
     else:
-        tr, va, te = querygen.split_indices(len(X), seed=args.split_seed)
+        tr, va, te = querygen.split_indices(len(X), seed=split_seed)
         part = {"train": tr, "validation": va, "test": te}[args.split]
         X_eval, y_eval = X[part], y[part]
     preds = model.predict_batch(X_eval, n_workers=args.workers)
     report = dataclasses.replace(
         metrics.evaluate_predictions(preds, y_eval),
         input_variance=metrics.input_tensor_variance(X_eval),
-        mean_entropy_bits=(
-            metrics.dataset_entropy(_load_dataset(args))["mean"]
-            if args.data and args.schema else None
-        ),
+        mean_entropy_bits=entropy,
     )
     if args.out:
         doc = report.to_record()
-        doc.update(split=args.split, split_seed=args.split_seed, target=args.target)
+        doc.update(split=args.split, split_seed=split_seed, target=target)
         write_json(args.out, doc)
     print(report.to_text())
     return 0
@@ -335,6 +334,8 @@ def cmd_bench(args) -> int:
     qt = metrics.measure_qt(model.predict_batch, X, n_workers=args.workers)
     doc = {
         "ql_mean_ms": ql.mean_ms,
+        "ql_p50_ms": ql.p50_ms,
+        "ql_p99_ms": ql.p99_ms,
         "ql_max_ms": ql.max_ms,
         "ql_queries": ql.n,
         "qt_qps": qt.qps,
@@ -345,7 +346,8 @@ def cmd_bench(args) -> int:
     if args.out:
         write_json(args.out, doc)
     print(
-        f"QL {ql.mean_ms:.3f} ms/query (max {ql.max_ms:.3f}, n={ql.n})  "
+        f"QL p50 {ql.p50_ms:.3f} ms/query (mean {ql.mean_ms:.3f}, p99 {ql.p99_ms:.3f}, "
+        f"max {ql.max_ms:.3f}, n={ql.n})  "
         f"QT {qt.qps:.0f} queries/s ({qt.queries} queries, {args.workers} workers)"
     )
     return 0
@@ -440,16 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=POSITIVE, default=1, help=WORKERS_HELP)
     p.set_defaults(fn=cmd_predict)
 
-    p = sub.add_parser("eval", help="accuracy report on a split of an encoded workload")
+    p = sub.add_parser("eval", help="accuracy of the checkpoint's target on its split of an "
+                                    "encoded workload, with the entropy the workload records")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--encoded", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--target", default=None, help="target token (must match training)")
     p.add_argument("--split", choices=["train", "validation", "test", "all"], default="test")
-    p.add_argument("--split-seed", type=NON_NEGATIVE, default=0)
     p.add_argument("--workers", type=POSITIVE, default=1, help=WORKERS_HELP)
-    p.add_argument("--data", default=None, help="CSV data file (adds entropy to the report)")
-    p.add_argument("--schema", default=None)
     p.add_argument("--out", default=None, help="optional JSON report file")
     p.set_defaults(fn=cmd_eval)
 

@@ -2,10 +2,10 @@
 
 Accuracy is reported as RMSE and as NRMSE: RMSE normalized by the label
 range and expressed in percent, which makes models comparable across
-targets with different units. Latency (QL) is the mean wall time to answer
-one already-encoded query; throughput (QT) is queries per second over a
-batched run. Both use the monotonic performance clock and exclude warmup
-calls.
+targets with different units. Latency (QL) is the wall time to answer one
+already-encoded query, summarized as mean, median (p50), p99 and max;
+throughput (QT) is queries per second over a batched run. Both use the
+monotonic performance clock and exclude warmup calls.
 
 Entropy (base 2) summarizes how spread out the attribute values are:
 nominal attributes use member frequencies, continuous attributes are
@@ -60,6 +60,14 @@ class LatencyReport:
     @property
     def max_ms(self) -> float:
         return float(np.max(self.latencies_ms))
+
+    @property
+    def p50_ms(self) -> float:
+        return float(np.percentile(self.latencies_ms, 50))
+
+    @property
+    def p99_ms(self) -> float:
+        return float(np.percentile(self.latencies_ms, 99))
 
 
 def measure_ql(predict_fn, inputs, warmup: int = 3, clock=time.perf_counter) -> LatencyReport:
@@ -171,7 +179,7 @@ class EvalReport:
 
     def to_text(self) -> str:
         rows = [
-            ("test queries", f"{self.n_test}"),
+            ("queries", f"{self.n_test}"),
             ("RMSE", f"{self.rmse:.6g}"),
             ("NRMSE", f"{self.nrmse_pct:.4f} %"),
             ("label range", f"[{self.label_min:.6g}, {self.label_max:.6g}]"),

@@ -3,7 +3,10 @@
 import dataclasses
 import hashlib
 import json
+import re
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,17 +17,24 @@ from aqplearn import (
     cli,
     decode,
     encode_workload,
+    evaluate_predictions,
+    input_tensor_variance,
     load_csv,
     load_schema,
     load_template,
     read_workload,
     save_vocabulary,
+    split_indices,
     synth,
     write_workload,
 )
-from aqplearn.encoder import load_encoded, load_vocabulary, save_encoded
+from aqplearn.encoder import load_encoded, load_vocabulary, row_token_ids, save_encoded
+from aqplearn.metrics import dataset_entropy
 from aqplearn.nnet import LstmModel
 from aqplearn.store import dump_csv, dump_schema
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run(*argv) -> int:
@@ -67,8 +77,7 @@ def pipeline(tmp_path_factory):
                      "--workload", root / "labeled.jsonl", "--out", root / "preds.jsonl",
                      "--workers", 2]),
         ("eval", ["eval", "--checkpoint", root / "model.npz", "--encoded", root / "encoded.npz",
-                  "--vocab", root / "vocab.json", "--data", root / "data.csv",
-                  "--schema", root / "schema.json", "--out", root / "eval.json"]),
+                  "--vocab", root / "vocab.json", "--out", root / "eval.json"]),
         ("bench", ["bench", "--checkpoint", root / "model.npz", "--encoded", root / "encoded.npz",
                    "--vocab", root / "vocab.json", "--workers", 2, "--ql-queries", 10,
                    "--out", root / "bench.json"]),
@@ -118,7 +127,8 @@ class TestPipeline:
 
     def test_eval_report_contents(self, pipeline):
         report = json.loads((pipeline / "eval.json").read_text())
-        assert report["split"] == "test"
+        assert (report["split"], report["split_seed"], report["target"]) == (
+            "test", 0, "avg(sales)")
         assert report["n_test"] > 0
         assert report["nrmse_pct"] > 0
         assert report["mean_entropy_bits"] > 0
@@ -127,6 +137,7 @@ class TestPipeline:
     def test_bench_report_contents(self, pipeline):
         report = json.loads((pipeline / "bench.json").read_text())
         assert report["ql_mean_ms"] > 0
+        assert 0 < report["ql_p50_ms"] <= report["ql_p99_ms"] <= report["ql_max_ms"]
         assert report["qt_qps"] > 0
         assert report["workers"] == 2
 
@@ -279,7 +290,7 @@ class TestFailureModes:
         ("generate", "--seed", "-1"),
         ("train", "--seed", "-1"),
         ("train", "--split-seed", "-1"),
-        ("eval", "--split-seed", "-1"),
+        ("eval", "--split-seed", "3"),  # eval reads the checkpoint's split seed
     ])
     def test_out_of_range_number_is_a_usage_error(self, pipeline, tmp_path, capsys,
                                                   command, flag, value):
@@ -451,13 +462,15 @@ class TestFailureModes:
                    "--out", tmp_path / "m.npz", "--target", "avg(sales)", "--lstm-units", 8,
                    "--dense-units", 8, "--max-epochs", 1) == 0
         capsys.readouterr()
+        answers_min = LstmModel.load(tmp_path / "m.npz")
+        answers_min.target = "min(sales)"
+        answers_min.save(tmp_path / "min.npz")
         message = f"no queries for target 'min(sales)' in {tmp_path / 'e.npz'}"
-        model = ["--encoded", tmp_path / "e.npz", "--vocab", tmp_path / "vocab.json",
-                 "--target", "min(sales)"]
+        model = ["--encoded", tmp_path / "e.npz", "--vocab", tmp_path / "vocab.json"]
         for argv in (
-            ["train", *model, "--out", tmp_path / "m2.npz"],
-            ["eval", *model, "--checkpoint", tmp_path / "m.npz"],
-            ["eval", *model, "--checkpoint", tmp_path / "m.npz", "--split", "all"],
+            ["train", *model, "--target", "min(sales)", "--out", tmp_path / "m2.npz"],
+            ["eval", *model, "--checkpoint", tmp_path / "min.npz"],
+            ["eval", *model, "--checkpoint", tmp_path / "min.npz", "--split", "all"],
         ):
             assert run(*argv) == 1
             err = json.loads(capsys.readouterr().err)
@@ -481,9 +494,9 @@ class TestFailureModes:
 
 
 class TestCheckpointAnswersItsTarget:
-    """train records its target and split seed in the checkpoint; eval and
-    predict refuse the checkpoint for another target, and eval for another
-    split seed, before they write anything."""
+    """train records its target and split seed in the checkpoint; eval
+    evaluates them, and predict refuses the checkpoint for another target
+    before it writes anything."""
 
     @pytest.fixture(scope="class")
     def trained(self, tmp_path_factory):
@@ -507,21 +520,36 @@ class TestCheckpointAnswersItsTarget:
 
     def test_the_recorded_target_and_split_pass(self, trained, tmp_path):
         model = ["--checkpoint", trained / "m.npz", "--vocab", trained / "vocab.json"]
-        evaluate = ["eval", *model, "--encoded", trained / "e.npz", "--target", "avg(sales)"]
-        assert run(*evaluate, "--split-seed", 3, "--out", tmp_path / "eval.json") == 0
-        assert run(*evaluate, "--split", "all") == 0  # no split to check
+        evaluate = ["eval", *model, "--encoded", trained / "e.npz"]
+        assert run(*evaluate, "--out", tmp_path / "eval.json") == 0
+        assert run(*evaluate, "--split", "all", "--out", tmp_path / "all.json") == 0
         assert run("predict", *model, "--workload", trained / "avg.jsonl",
                    "--out", tmp_path / "preds.jsonl") == 0
+        for split, name in (("test", "eval.json"), ("all", "all.json")):
+            report = json.loads((tmp_path / name).read_text())
+            assert (report["target"], report["split_seed"]) == ("avg(sales)", 3)
+            expected = evaluate_on_the_table(trained, "e.npz", "m.npz", "avg(sales)", 3, split)
+            assert {k: report[k] for k in expected} == expected
+        seed_0 = evaluate_on_the_table(trained, "e.npz", "m.npz", "avg(sales)", 0)
+        assert seed_0["rmse"] != json.loads((tmp_path / "eval.json").read_text())["rmse"]
+
+    def test_checkpoint_without_target_is_invalid_target_on_two_targets(self, trained, tmp_path,
+                                                                         capsys):
+        model = LstmModel.load(trained / "m.npz")
+        model.target = model.split_seed = None  # as the Python API saves it
+        model.save(tmp_path / "api.npz")
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", tmp_path / "api.npz", "--encoded", trained / "e.npz",
+                   "--vocab", trained / "vocab.json", "--out", tmp_path / "eval.json") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "InvalidTarget" and "eval" not in err["message"]
+        assert not (tmp_path / "eval.json").exists()
 
     @pytest.mark.parametrize("command, message", [
-        (["eval", "--encoded", "e.npz", "--target", "sum(sales)", "--split-seed", 3],
-         "m.npz answers 'avg(sales)', not 'sum(sales)'"),
-        (["eval", "--encoded", "e.npz", "--target", "avg(sales)"],
-         "m.npz was trained with --split-seed 3, not 0"),
-        (["eval", "--encoded", "e.npz", "--target", "sum(sales)", "--split", "all"],
-         "m.npz answers 'avg(sales)', not 'sum(sales)'"),
         (["predict", "--workload", "l.jsonl"], "m.npz answers 'avg(sales)', not 'sum(sales)'"),
-    ], ids=["eval-target", "eval-split-seed", "eval-all-target", "predict-target"])
+    ], ids=["predict-target"])
     def test_another_target_or_split_is_exit_1(self, trained, tmp_path, capsys, command, message):
         argv = [trained / a if str(a).endswith((".npz", ".jsonl")) else a for a in command]
         out = tmp_path / "out.json"
@@ -563,6 +591,24 @@ def generate_and_label(root):
 def run_encode(root, workload):
     return run("encode", "--schema", root / "schema.json", "--workload", workload,
                "--out-vocab", root / "vocab.json", "--out-encoded", root / "e.npz")
+
+
+def evaluate_on_the_table(root, encoded, checkpoint, target, split_seed, split="test"):
+    """The report fields eval wrote when it took --target, --split-seed,
+    --data and --schema: the split of `target`'s rows of root/encoded, and
+    the mean entropy of root/data.csv."""
+    X, y, _, _ = load_encoded(root / encoded)
+    vocab, _ = load_vocabulary(root / "vocab.json")
+    rows = np.flatnonzero(row_token_ids(X) == vocab.token_id(target))
+    X, y = X[rows], y[rows]
+    if split != "all":
+        tr, va, te = split_indices(len(X), seed=split_seed)
+        part = {"train": tr, "validation": va, "test": te}[split]
+        X, y = X[part], y[part]
+    report = evaluate_predictions(LstmModel.load(root / checkpoint).predict_batch(X), y)
+    table = load_csv(root / "data.csv", load_schema(root / "schema.json"))
+    return {**report.to_record(), "input_variance": input_tensor_variance(X),
+            "mean_entropy_bits": dataset_entropy(table)["mean"]}
 
 
 class TestEncodeReadsItsTemplate:
@@ -634,3 +680,108 @@ class TestEncodeReadsItsTemplate:
         assert err["error"] == "CorruptArtifact"
         assert err["message"] == f"{tmp_path / 'l.jsonl'}: header 'template' {reason}"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["l.jsonl", "schema.json"]
+
+
+class TestEvalReadsItsArtifacts:
+    """eval evaluates the checkpoint's target on the checkpoint's split, and
+    reports the table's entropy that label recorded and encode copied."""
+
+    @pytest.mark.parametrize("make", [make_inputs, make_demo_06_inputs],
+                             ids=["cli-tests", "demo-06"])
+    def test_report_equals_the_one_computed_from_the_table(self, tmp_path, make, capsys):
+        make(tmp_path)
+        generate_and_label(tmp_path)
+        assert run_encode(tmp_path, tmp_path / "l.jsonl") == 0
+        assert run("train", "--encoded", tmp_path / "e.npz", "--vocab", tmp_path / "vocab.json",
+                   "--out", tmp_path / "m.npz", "--lstm-units", 8, "--dense-units", 8,
+                   "--max-epochs", 1) == 0
+        expected = evaluate_on_the_table(tmp_path, "e.npz", "m.npz", "avg(sales)", 0)
+        capsys.readouterr()
+        assert run("profile", "--data", tmp_path / "data.csv",
+                   "--schema", tmp_path / "schema.json", "--json") == 0
+        profiled = json.loads(capsys.readouterr().out)["mean_entropy_bits"]
+        (tmp_path / "data.csv").unlink()
+        (tmp_path / "schema.json").unlink()
+        assert run("eval", "--checkpoint", tmp_path / "m.npz", "--encoded", tmp_path / "e.npz",
+                   "--vocab", tmp_path / "vocab.json", "--out", tmp_path / "eval.json") == 0
+        assert f"{profiled:.4f} bits" in capsys.readouterr().out
+        report = json.loads((tmp_path / "eval.json").read_text())
+        assert {k: report[k] for k in expected} == expected
+        assert report["mean_entropy_bits"] == profiled
+        assert (report["target"], report["split_seed"], report["split"]) == (
+            "avg(sales)", 0, "test")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--target", "avg(sales)"), ("--split-seed", "0"),
+        ("--data", "data.csv"), ("--schema", "schema.json"),
+    ])
+    def test_removed_option_is_a_usage_error(self, pipeline, tmp_path, capsys, flag, value):
+        assert run("eval", "--checkpoint", pipeline / "model.npz", "--encoded",
+                   pipeline / "encoded.npz", "--vocab", pipeline / "vocab.json",
+                   "--out", tmp_path / "eval.json", flag, value) == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def run_eval_on_meta(self, pipeline, tmp_path, **meta):
+        X, y, support, recorded = load_encoded(pipeline / "encoded.npz")
+        kept = {k: v for k, v in recorded.items()
+                if k not in ("kind", "version", "count", "mean_entropy_bits")}
+        save_encoded(tmp_path / "e.npz", X, y, support, meta={**kept, **meta})
+        return run("eval", "--checkpoint", pipeline / "model.npz", "--encoded", tmp_path / "e.npz",
+                   "--vocab", pipeline / "vocab.json", "--out", tmp_path / "eval.json")
+
+    def test_encoded_file_without_entropy_reports_none(self, pipeline, tmp_path, capsys):
+        assert self.run_eval_on_meta(pipeline, tmp_path) == 0
+        assert "entropy" not in capsys.readouterr().out
+        report = json.loads((tmp_path / "eval.json").read_text())
+        assert report["mean_entropy_bits"] is None
+        expected = json.loads((pipeline / "eval.json").read_text())
+        assert report == {**expected, "mean_entropy_bits": None}
+
+    @pytest.mark.parametrize("value", ["2.4", True, [2.4], 2, -1.0, float("nan"), float("inf")],
+                             ids=["string", "bool", "list", "int", "negative", "nan", "inf"])
+    def test_entropy_that_is_not_a_number_of_bits_is_exit_1(self, pipeline, tmp_path, capsys,
+                                                           value):
+        assert self.run_eval_on_meta(pipeline, tmp_path, mean_entropy_bits=value) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        err = json.loads(err)
+        assert err["error"] == "CorruptArtifact"
+        assert err["message"].startswith(f"{tmp_path / 'e.npz'}: meta 'mean_entropy_bits' is ")
+        assert not (tmp_path / "eval.json").exists()
+
+    def test_checkpoint_without_target_or_split_seed_takes_the_defaults_of_train(self, pipeline,
+                                                                                tmp_path):
+        model = LstmModel.load(pipeline / "model.npz")
+        model.target = model.split_seed = None  # as the Python API saves it
+        model.save(tmp_path / "api.npz")
+        assert run("eval", "--checkpoint", tmp_path / "api.npz", "--encoded",
+                   pipeline / "encoded.npz", "--vocab", pipeline / "vocab.json",
+                   "--out", tmp_path / "eval.json") == 0
+        report = json.loads((tmp_path / "eval.json").read_text())
+        assert report == json.loads((pipeline / "eval.json").read_text())
+
+
+def documented_command_lines(text: str) -> list[list[str]]:
+    """Each `aqplearn ...` command of a shell text, `\\` continuations joined."""
+    joined = re.sub(r"\\\n", " ", text)
+    return [shlex.split(line)[1:] for line in joined.splitlines()
+            if line.startswith("aqplearn ")]
+
+
+def test_documented_command_lines_parse():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (CLI)", 1)[1]
+    quick_start = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    demo = (REPO / "demos" / "06_cli_pipeline.sh").read_text(encoding="utf-8")
+    for source, text in (("README quick start", quick_start), ("demo 06", demo)):
+        lines = documented_command_lines(text)
+        assert [argv[0] for argv in lines] == [
+            "profile", "generate", "label", "encode", "train", "predict", "eval", "bench",
+        ], source
+        for argv in lines:
+            try:
+                cli.build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{source}: aqplearn {shlex.join(argv)} is a usage error")

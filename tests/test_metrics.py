@@ -66,13 +66,15 @@ class FakeClock:
 
 class TestLatency:
     def test_latencies_from_a_stub_clock(self):
-        X = np.zeros((2, 1, 1))
-        clock = FakeClock([0.0, 0.001, 0.010, 0.0115])
+        X = np.zeros((3, 1, 1))
+        clock = FakeClock([0.0, 0.001, 0.010, 0.0115, 0.020, 0.024])
         report = measure_ql(lambda batch: batch, X, warmup=1, clock=clock)
-        assert report.latencies_ms == pytest.approx((1.0, 1.5))
-        assert report.mean_ms == pytest.approx(1.25)
-        assert report.max_ms == pytest.approx(1.5)
-        assert report.n == 2
+        assert report.latencies_ms == pytest.approx((1.0, 1.5, 4.0))
+        assert report.mean_ms == pytest.approx(6.5 / 3)
+        assert report.p50_ms == pytest.approx(1.5)
+        assert report.p99_ms == pytest.approx(1.5 + 0.98 * 2.5)  # linear between the top two
+        assert report.max_ms == pytest.approx(4.0)
+        assert report.n == 3
 
     def test_warmup_calls_are_not_timed(self):
         calls = []
@@ -190,6 +192,7 @@ class TestEvalReport:
         assert report.label_min == 0.0 and report.label_max == 100.0
         text = report.to_text()
         assert "NRMSE" in text and "5.0000 %" in text
+        assert text.splitlines()[0].split() == ["queries", "2"]  # any split, not only test
         record = report.to_record()
         assert record["rmse"] == report.rmse
         assert set(record) == {
