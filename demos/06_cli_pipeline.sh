@@ -4,7 +4,7 @@
 # SHA-256 of its input, so stale or edited files fail fast downstream.
 # `encode` reads the template from the labeled workload's header, and
 # `eval` reads the target and split from the checkpoint and the table's
-# entropy from the encoded file.
+# entropy from the encoded file, then times the rows it scored.
 set -euo pipefail
 
 work="$(mktemp -d "${TMPDIR:-/tmp}/aqp_demo_cli.XXXXXX")"
@@ -53,9 +53,7 @@ aqplearn predict    --checkpoint model.npz --vocab vocab.json \
                     --workload workload.jsonl --out predictions.jsonl --workers 2
 head -3 predictions.jsonl
 aqplearn eval       --checkpoint model.npz --encoded encoded.npz --vocab vocab.json \
-                    --split test --out eval.json
-aqplearn bench      --checkpoint model.npz --encoded encoded.npz --vocab vocab.json \
-                    --workers 2 --out bench.json
+                    --split test --workers 2 --out eval.json
 
 echo "artifacts:"
 ls -l "$work"

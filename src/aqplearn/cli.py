@@ -1,18 +1,21 @@
 """Command-line pipeline: profile, generate, label, encode, train, predict,
-eval, bench.
+eval.
 
 Each stage reads the previous stage's artifact and writes its own; encode
 reads its template from the labeled workload's header too, and the table's
 mean entropy travels from label through encode to eval the same way. eval
-evaluates the target and split the checkpoint records and loads no table.
+scores the target and split the checkpoint records, then times single-query
+latency and batch throughput on those same rows, and loads no table.
 Files embed the SHA-256 of their upstream inputs, and stages verify the
 chain before doing work, so a stale or swapped file fails fast instead of
 silently labeling the wrong table or predicting under the wrong vocabulary.
 
-Exit codes: 0 on success, 1 on an expected pipeline error (reported as a
-one-line JSON object on stderr), 2 on bad command-line usage. Output files
-are written to a temporary name and renamed into place, so an interrupted
-run never leaves a half-written artifact behind.
+Exit codes: 0 on success, 1 on an expected pipeline error, 2 on bad
+command-line usage. Every line on stderr is one JSON object: the INFO
+records of the aqplearn loggers while a command runs, and on exit 1 the
+error as the last line. Output files are written to a temporary name and
+renamed into place, so an interrupted run never leaves a half-written
+artifact behind.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import logging
+import os
 import sys
 
 import numpy as np
@@ -289,9 +294,13 @@ def cmd_predict(args) -> int:
     preds = model.predict_batch(X, n_workers=args.workers)
     rows = [{"query": q.to_record(), "prediction": float(p)} for q, p in zip(queries, preds)]
     write_jsonl(args.out, "predictions", 1, rows,
-                {"checkpoint_sha256": _sha256_file(args.checkpoint)})
+                {"checkpoint_sha256": _sha256_file(args.checkpoint),
+                 "workload_sha256": _sha256_file(args.workload)})
     print(f"predicted {len(records)} queries -> {args.out}")
     return 0
+
+
+QL_QUERIES = 200  # single-query latency samples, the first rows eval scores
 
 
 def cmd_eval(args) -> int:
@@ -317,39 +326,28 @@ def cmd_eval(args) -> int:
         input_variance=metrics.input_tensor_variance(X_eval),
         mean_entropy_bits=entropy,
     )
+    ql = metrics.measure_ql(model.predict, X_eval[:QL_QUERIES])
+    qt = metrics.measure_qt(model.predict_batch, X_eval, n_workers=args.workers)
+    param_bytes = sum(p.nbytes for p in model.params.values())
+    checkpoint_bytes = os.path.getsize(args.checkpoint)
     if args.out:
         doc = report.to_record()
-        doc.update(split=args.split, split_seed=split_seed, target=target)
+        doc.update(
+            split=args.split, split_seed=split_seed, target=target,
+            ql_mean_ms=ql.mean_ms, ql_p50_ms=ql.p50_ms, ql_p99_ms=ql.p99_ms,
+            ql_max_ms=ql.max_ms, ql_queries=ql.n,
+            qt_qps=qt.qps, qt_queries=qt.queries, qt_seconds=qt.seconds, workers=args.workers,
+            param_bytes=param_bytes, checkpoint_bytes=checkpoint_bytes,
+        )
         write_json(args.out, doc)
     print(report.to_text())
-    return 0
-
-
-def cmd_bench(args) -> int:
-    X, _, _, meta = encoder.load_encoded(args.encoded)
-    vocab = _load_vocab_and_check(args.vocab, meta)
-    model = nnet.LstmModel.load(args.checkpoint, expected_vocab_hash=vocab.content_hash())
-    n_ql = min(args.ql_queries, len(X))
-    ql = metrics.measure_ql(model.predict, X[:n_ql])
-    qt = metrics.measure_qt(model.predict_batch, X, n_workers=args.workers)
-    doc = {
-        "ql_mean_ms": ql.mean_ms,
-        "ql_p50_ms": ql.p50_ms,
-        "ql_p99_ms": ql.p99_ms,
-        "ql_max_ms": ql.max_ms,
-        "ql_queries": ql.n,
-        "qt_qps": qt.qps,
-        "qt_queries": qt.queries,
-        "qt_seconds": qt.seconds,
-        "workers": args.workers,
-    }
-    if args.out:
-        write_json(args.out, doc)
     print(
         f"QL p50 {ql.p50_ms:.3f} ms/query (mean {ql.mean_ms:.3f}, p99 {ql.p99_ms:.3f}, "
         f"max {ql.max_ms:.3f}, n={ql.n})  "
         f"QT {qt.qps:.0f} queries/s ({qt.queries} queries, {args.workers} workers)"
     )
+    print(f"model weight {param_bytes} parameter bytes, "
+          f"checkpoint {checkpoint_bytes} bytes with Adam moments")
     return 0
 
 
@@ -442,8 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=POSITIVE, default=1, help=WORKERS_HELP)
     p.set_defaults(fn=cmd_predict)
 
-    p = sub.add_parser("eval", help="accuracy of the checkpoint's target on its split of an "
-                                    "encoded workload, with the entropy the workload records")
+    p = sub.add_parser("eval", help="accuracy, latency and throughput of the checkpoint's "
+                                    "target on its split of an encoded workload, with the "
+                                    "entropy the workload records and the model's weight")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--encoded", required=True)
     p.add_argument("--vocab", required=True)
@@ -452,17 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="optional JSON report file")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("bench", help="measure per-query latency and batch throughput")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--encoded", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--workers", type=POSITIVE, default=1, help=WORKERS_HELP)
-    p.add_argument("--ql-queries", type=POSITIVE, default=200,
-                   help="how many single-query latency samples to take")
-    p.add_argument("--out", default=None, help="optional JSON report file")
-    p.set_defaults(fn=cmd_bench)
-
     return parser
+
+
+class _JsonLines(logging.Formatter):
+    def format(self, record) -> str:
+        return json.dumps({"level": record.levelname.lower(), "logger": record.name,
+                           "message": record.getMessage()})
 
 
 def main(argv=None) -> int:
@@ -471,6 +466,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # The library logs INFO records (rows load_csv drops for nulls) that the
+    # user should see; a handler made per call writes to the current stderr.
+    logger = logging.getLogger("aqplearn")
+    level = logger.level
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_JsonLines())
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
     try:
         return args.fn(args)
     except (AqpError, OSError) as exc:
@@ -479,6 +482,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

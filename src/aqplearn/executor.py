@@ -59,7 +59,6 @@ from .queries import (
     InFilter,
     LabeledQuery,
     number_parts,
-    target_allowed,
 )
 from .store import Dataset, Kind
 
@@ -104,12 +103,8 @@ def _aggregate(func: AggregationFunction, values: np.ndarray) -> float:
 
 
 def _target_column(ds: Dataset, target: AggregationTarget) -> np.ndarray:
-    kind = ds.kind_of(target.attr)
-    if not target_allowed(target.func, kind):
-        raise WrongKind(
-            f"{target.func.value} is not applicable to nominal attribute {target.attr!r}"
-        )
-    if kind is Kind.CONTINUOUS:
+    target.validate(ds)
+    if ds.kind_of(target.attr) is Kind.CONTINUOUS:
         return ds.continuous_values(target.attr)
     return ds.nominal_id_values(target.attr)
 
@@ -192,8 +187,7 @@ def _group_index(ds: Dataset, attrs: tuple[str, ...]) -> _GroupIndex:
     """The Dataset's group index for `attrs`, built on first use; the
     Dataset never changes, so the index stays valid for its lifetime."""
     for a in attrs:
-        if ds.kind_of(a) is not Kind.NOMINAL:
-            raise WrongKind(f"GROUP BY attribute {a!r} must be nominal")
+        ds.nominal_id_values(a)  # kind check
     return ds.derived(("group_index", attrs), lambda: _GroupIndex(ds, attrs))
 
 

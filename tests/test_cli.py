@@ -1,8 +1,10 @@
 """End-to-end command-line pipeline tests."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
+import logging
 import re
 import shlex
 import shutil
@@ -77,10 +79,7 @@ def pipeline(tmp_path_factory):
                      "--workload", root / "labeled.jsonl", "--out", root / "preds.jsonl",
                      "--workers", 2]),
         ("eval", ["eval", "--checkpoint", root / "model.npz", "--encoded", root / "encoded.npz",
-                  "--vocab", root / "vocab.json", "--out", root / "eval.json"]),
-        ("bench", ["bench", "--checkpoint", root / "model.npz", "--encoded", root / "encoded.npz",
-                   "--vocab", root / "vocab.json", "--workers", 2, "--ql-queries", 10,
-                   "--out", root / "bench.json"]),
+                  "--vocab", root / "vocab.json", "--workers", 2, "--out", root / "eval.json"]),
     ]
     for name, argv in steps:
         assert run(*argv) == 0, f"{name} failed"
@@ -106,7 +105,7 @@ class TestPipeline:
     def test_all_artifacts_exist(self, pipeline):
         for name in ("workload.jsonl", "workload.jsonl.sql", "labeled.jsonl", "vocab.json",
                      "encoded.npz", "model.npz", "model.npz.report.json", "preds.jsonl",
-                     "eval.json", "bench.json"):
+                     "eval.json"):
             assert (pipeline / name).exists(), name
 
     def test_sql_sidecar_is_valid_sql_text(self, pipeline):
@@ -125,6 +124,11 @@ class TestPipeline:
                 assert prec["query"][key] == wrec[key]
             assert isinstance(prec["prediction"], float)
 
+    def test_predictions_record_their_checkpoint_and_workload(self, pipeline):
+        header = json.loads((pipeline / "preds.jsonl").read_text().splitlines()[0])
+        for key, name in (("checkpoint_sha256", "model.npz"), ("workload_sha256", "labeled.jsonl")):
+            assert header[key] == hashlib.sha256((pipeline / name).read_bytes()).hexdigest()
+
     def test_eval_report_contents(self, pipeline):
         report = json.loads((pipeline / "eval.json").read_text())
         assert (report["split"], report["split_seed"], report["target"]) == (
@@ -134,12 +138,20 @@ class TestPipeline:
         assert report["mean_entropy_bits"] > 0
         assert 0 < report["input_variance"] < 0.25
 
-    def test_bench_report_contents(self, pipeline):
-        report = json.loads((pipeline / "bench.json").read_text())
+    def test_eval_report_times_the_rows_it_scores(self, pipeline):
+        report = json.loads((pipeline / "eval.json").read_text())
         assert report["ql_mean_ms"] > 0
-        assert 0 < report["ql_p50_ms"] <= report["ql_p99_ms"] <= report["ql_max_ms"]
-        assert report["qt_qps"] > 0
+        check_timing(report)
         assert report["workers"] == 2
+
+    def test_eval_report_weighs_the_model(self, pipeline):
+        report = json.loads((pipeline / "eval.json").read_text())
+        vocab, _ = load_vocabulary(pipeline / "vocab.json")
+        H, Dd = 8, 12  # the fixture's --lstm-units and --dense-units
+        n_params = 4 * H * (vocab.row_width + H + 1) + H * Dd + Dd + Dd + 1
+        assert report["param_bytes"] == 4 * n_params  # float32
+        assert report["checkpoint_bytes"] == (pipeline / "model.npz").stat().st_size
+        assert report["checkpoint_bytes"] > 3 * report["param_bytes"]  # with two Adam moments
 
     def test_checkpoint_records_the_sole_target_and_split_seed(self, pipeline):
         model = LstmModel.load(pipeline / "model.npz")
@@ -213,7 +225,7 @@ class TestFailureModes:
     def test_truncated_checkpoint_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys):
         data = (pipeline / "model.npz").read_bytes()
         (tmp_path / "model.npz").write_bytes(data[: len(data) // 2])
-        code = run("bench", "--checkpoint", tmp_path / "model.npz", "--encoded",
+        code = run("eval", "--checkpoint", tmp_path / "model.npz", "--encoded",
                    pipeline / "encoded.npz", "--vocab", pipeline / "vocab.json")
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
@@ -283,9 +295,8 @@ class TestFailureModes:
     @pytest.mark.parametrize("command, flag, value", [
         ("predict", "--workers", "0"),
         ("eval", "--workers", "0"),
-        ("bench", "--workers", "0"),
-        ("bench", "--workers", "two"),
-        ("bench", "--ql-queries", "-3"),
+        ("eval", "--workers", "two"),
+        ("eval", "--ql-queries", "10"),  # eval takes a fixed number of latency samples
         ("label", "--threads", "0"),
         ("generate", "--seed", "-1"),
         ("train", "--seed", "-1"),
@@ -304,12 +315,33 @@ class TestFailureModes:
             "train": [*encoded, "--vocab", pipeline / "vocab.json", *out],
             "predict": [*model, "--workload", pipeline / "labeled.jsonl", *out],
             "eval": [*model, *encoded, *out],
-            "bench": [*model, *encoded, *out],
         }[command]
         assert run(command, *argv, flag, value) == 2
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_bench_is_a_usage_error(self, pipeline, tmp_path, capsys):
+        assert run("bench", "--checkpoint", pipeline / "model.npz", "--encoded",
+                   pipeline / "encoded.npz", "--vocab", pipeline / "vocab.json",
+                   "--out", tmp_path / "bench.json") == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bench'" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_split_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys):
+        # Five queries split 3/0/2, which leaves no validation set to score or time.
+        X, y, support, meta = load_encoded(pipeline / "encoded.npz")
+        save_encoded(tmp_path / "e.npz", X[:5], y[:5], support[:5],
+                     meta={"vocab_content_hash": meta["vocab_content_hash"]})
+        code = run("eval", "--checkpoint", pipeline / "model.npz", "--encoded", tmp_path / "e.npz",
+                   "--vocab", pipeline / "vocab.json", "--split", "validation",
+                   "--out", tmp_path / "eval.json")
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "EmptyList"
+        assert not (tmp_path / "eval.json").exists()
 
     def test_stale_dataset_aborts_labeling(self, pipeline, tmp_path, capsys):
         for name in ("data.csv", "schema.json", "workload.jsonl"):
@@ -493,6 +525,47 @@ class TestFailureModes:
         assert run(*train, "--target", "count(sales)") == 0
 
 
+class TestStderrIsJsonLines:
+    """The library's INFO records reach the user as JSON lines on stderr,
+    and an error stays the last line."""
+
+    def csv_with_a_null(self, pipeline, tmp_path):
+        lines = (pipeline / "data.csv").read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[lines[0].split(",").index("sales")] = ""
+        lines[5] = ",".join(fields)
+        (tmp_path / "nulls.csv").write_text("\n".join(lines) + "\n")
+        return tmp_path / "nulls.csv"
+
+    def test_dropped_rows_are_logged_once_per_call(self, pipeline, tmp_path, capsys):
+        path = self.csv_with_a_null(pipeline, tmp_path)
+        logger = logging.getLogger("aqplearn")
+        level, handlers = logger.level, list(logger.handlers)
+        logger.setLevel(logging.ERROR)  # main lowers it to INFO for the call, then restores it
+        expected = {"level": "info", "logger": "aqplearn.store",
+                    "message": f"load_csv({path}): dropped 1 rows containing nulls"}
+        try:
+            for _ in range(2):
+                assert run("profile", "--data", path, "--schema", pipeline / "schema.json") == 0
+                out, err = capsys.readouterr()
+                assert "rows: 199" in out
+                assert [json.loads(line) for line in err.splitlines()] == [expected]
+                assert (logger.level, logger.handlers) == (logging.ERROR, handlers)
+        finally:
+            logger.setLevel(level)
+
+    def test_error_is_the_last_line(self, pipeline, tmp_path, capsys):
+        path = self.csv_with_a_null(pipeline, tmp_path)
+        (tmp_path / "template.json").write_text('{"targets": [{"func": "avg", "att')
+        assert run("generate", "--data", path, "--schema", pipeline / "schema.json",
+                   "--template", tmp_path / "template.json",
+                   "--out", tmp_path / "workload.jsonl") == 1
+        lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [line.get("logger") for line in lines] == ["aqplearn.store", None]
+        assert lines[-1]["error"] == "CorruptArtifact"
+        assert not (tmp_path / "workload.jsonl").exists()
+
+
 class TestCheckpointAnswersItsTarget:
     """train records its target and split seed in the checkpoint; eval
     evaluates them, and predict refuses the checkpoint for another target
@@ -525,11 +598,16 @@ class TestCheckpointAnswersItsTarget:
         assert run(*evaluate, "--split", "all", "--out", tmp_path / "all.json") == 0
         assert run("predict", *model, "--workload", trained / "avg.jsonl",
                    "--out", tmp_path / "preds.jsonl") == 0
+        X, _, _, _ = load_encoded(trained / "e.npz")
+        vocab, _ = load_vocabulary(trained / "vocab.json")
+        n_avg = np.count_nonzero(row_token_ids(X) == vocab.token_id("avg(sales)"))
         for split, name in (("test", "eval.json"), ("all", "all.json")):
             report = json.loads((tmp_path / name).read_text())
             assert (report["target"], report["split_seed"]) == ("avg(sales)", 3)
             expected = evaluate_on_the_table(trained, "e.npz", "m.npz", "avg(sales)", 3, split)
             assert {k: report[k] for k in expected} == expected
+            check_timing(report)  # the rows of the target's split, not the file's
+        assert json.loads((tmp_path / "all.json").read_text())["qt_queries"] == n_avg < len(X)
         seed_0 = evaluate_on_the_table(trained, "e.npz", "m.npz", "avg(sales)", 0)
         assert seed_0["rmse"] != json.loads((tmp_path / "eval.json").read_text())["rmse"]
 
@@ -562,6 +640,23 @@ class TestCheckpointAnswersItsTarget:
         assert err["error"] == "CheckpointMismatch"
         assert err["message"] == f"{trained}/{message}"
         assert not out.exists()
+
+
+TIMING_FIELDS = ("ql_mean_ms", "ql_p50_ms", "ql_p99_ms", "ql_max_ms", "qt_qps", "qt_seconds")
+
+
+def untimed(report: dict) -> dict:
+    """An eval report without the fields that vary from run to run."""
+    return {k: v for k, v in report.items() if k not in TIMING_FIELDS}
+
+
+def check_timing(report: dict) -> None:
+    """eval times the rows it scored: the first 200 one query at a time,
+    then all of them in one batch."""
+    assert 0 < report["ql_p50_ms"] <= report["ql_p99_ms"] <= report["ql_max_ms"]
+    assert report["qt_qps"] > 0 and report["qt_seconds"] > 0
+    assert report["qt_queries"] == report["n_test"]
+    assert report["ql_queries"] == min(200, report["n_test"])
 
 
 def make_demo_06_inputs(root):
@@ -704,12 +799,18 @@ class TestEvalReadsItsArtifacts:
         (tmp_path / "schema.json").unlink()
         assert run("eval", "--checkpoint", tmp_path / "m.npz", "--encoded", tmp_path / "e.npz",
                    "--vocab", tmp_path / "vocab.json", "--out", tmp_path / "eval.json") == 0
-        assert f"{profiled:.4f} bits" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"{profiled:.4f} bits" in out
         report = json.loads((tmp_path / "eval.json").read_text())
         assert {k: report[k] for k in expected} == expected
         assert report["mean_entropy_bits"] == profiled
         assert (report["target"], report["split_seed"], report["split"]) == (
             "avg(sales)", 0, "test")
+        check_timing(report)
+        assert f"QL p50 {report['ql_p50_ms']:.3f} ms/query" in out
+        assert f"QT {report['qt_qps']:.0f} queries/s ({report['n_test']} queries, 1 workers)" in out
+        assert (f"model weight {report['param_bytes']} parameter bytes, "
+                f"checkpoint {report['checkpoint_bytes']} bytes") in out
 
     @pytest.mark.parametrize("flag, value", [
         ("--target", "avg(sales)"), ("--split-seed", "0"),
@@ -729,7 +830,8 @@ class TestEvalReadsItsArtifacts:
                 if k not in ("kind", "version", "count", "mean_entropy_bits")}
         save_encoded(tmp_path / "e.npz", X, y, support, meta={**kept, **meta})
         return run("eval", "--checkpoint", pipeline / "model.npz", "--encoded", tmp_path / "e.npz",
-                   "--vocab", pipeline / "vocab.json", "--out", tmp_path / "eval.json")
+                   "--vocab", pipeline / "vocab.json", "--workers", 2,
+                   "--out", tmp_path / "eval.json")
 
     def test_encoded_file_without_entropy_reports_none(self, pipeline, tmp_path, capsys):
         assert self.run_eval_on_meta(pipeline, tmp_path) == 0
@@ -737,7 +839,7 @@ class TestEvalReadsItsArtifacts:
         report = json.loads((tmp_path / "eval.json").read_text())
         assert report["mean_entropy_bits"] is None
         expected = json.loads((pipeline / "eval.json").read_text())
-        assert report == {**expected, "mean_entropy_bits": None}
+        assert untimed(report) == untimed({**expected, "mean_entropy_bits": None})
 
     @pytest.mark.parametrize("value", ["2.4", True, [2.4], 2, -1.0, float("nan"), float("inf")],
                              ids=["string", "bool", "list", "int", "negative", "nan", "inf"])
@@ -757,10 +859,12 @@ class TestEvalReadsItsArtifacts:
         model.target = model.split_seed = None  # as the Python API saves it
         model.save(tmp_path / "api.npz")
         assert run("eval", "--checkpoint", tmp_path / "api.npz", "--encoded",
-                   pipeline / "encoded.npz", "--vocab", pipeline / "vocab.json",
+                   pipeline / "encoded.npz", "--vocab", pipeline / "vocab.json", "--workers", 2,
                    "--out", tmp_path / "eval.json") == 0
         report = json.loads((tmp_path / "eval.json").read_text())
-        assert report == json.loads((pipeline / "eval.json").read_text())
+        expected = json.loads((pipeline / "eval.json").read_text())
+        assert untimed(report) == {**untimed(expected),
+                                   "checkpoint_bytes": (tmp_path / "api.npz").stat().st_size}
 
 
 def documented_command_lines(text: str) -> list[list[str]]:
@@ -770,18 +874,30 @@ def documented_command_lines(text: str) -> list[list[str]]:
             if line.startswith("aqplearn ")]
 
 
+def parser_options() -> set[str]:
+    """Every --option of every subcommand of the CLI's parser."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {opt for p in sub.choices.values() for opt in p._option_string_actions
+            if opt.startswith("--")}
+
+
 def test_documented_command_lines_parse():
     readme = (REPO / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Quick start (CLI)", 1)[1]
+    section = readme.split("## Quick start (CLI)", 1)[1].split("\n## ", 1)[0]
     quick_start = section.split("```sh\n", 1)[1].split("```", 1)[0]
     demo = (REPO / "demos" / "06_cli_pipeline.sh").read_text(encoding="utf-8")
-    for source, text in (("README quick start", quick_start), ("demo 06", demo)):
+    known = parser_options()
+    for source, text, named_in in (("README quick start", quick_start, section),
+                                   ("demo 06", demo, demo)):
         lines = documented_command_lines(text)
         assert [argv[0] for argv in lines] == [
-            "profile", "generate", "label", "encode", "train", "predict", "eval", "bench",
+            "profile", "generate", "label", "encode", "train", "predict", "eval",
         ], source
         for argv in lines:
             try:
                 cli.build_parser().parse_args(argv)
             except SystemExit:
                 pytest.fail(f"{source}: aqplearn {shlex.join(argv)} is a usage error")
+        named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", named_in))
+        assert named and named - known == set(), source

@@ -31,7 +31,7 @@ from aqplearn import (
     synth,
 )
 from aqplearn import executor
-from aqplearn.errors import EmptyAggregate, WrongKind
+from aqplearn.errors import EmptyAggregate, InvalidTarget, WrongKind
 from conftest import TRANSACTION_ROWS, build_transactions
 
 AVG = AggregationFunction.AVG
@@ -112,8 +112,22 @@ class TestExecuteFlat:
         assert (value, support) == (4.0, 10)
 
     def test_sum_on_nominal_rejected(self, transactions):
-        with pytest.raises(WrongKind):
+        with pytest.raises(InvalidTarget, match="sum is not applicable to nominal attribute"):
             execute_flat(transactions, FlatQuery(AggregationTarget(SUM, "region")))
+
+    def test_nominal_avg_is_one_error_on_every_path(self, transactions):
+        """The template, the flat executor, labeling and group-by state the
+        kind rule of a target once: one class, one message."""
+        target = AggregationTarget(AVG, "region")
+        message = "^avg is not applicable to nominal attribute 'region'$"
+        for call in (
+            lambda: QueryTemplate.build(transactions, [target], ["sales"], ["region"]),
+            lambda: execute_flat(transactions, FlatQuery(target)),
+            lambda: label_workload(transactions, [FlatQuery(target)]),
+            lambda: execute_groupby(transactions, GroupByQuery((target,), (), ("category",))),
+        ):
+            with pytest.raises(InvalidTarget, match=message):
+                call()
 
     def test_widening_the_window_never_reduces_count(self, transactions):
         counts = []
@@ -253,7 +267,7 @@ class TestExecuteGroupBy:
 
     def test_groupby_on_continuous_rejected(self, transactions):
         gq = GroupByQuery((AggregationTarget(AVG, "sales"),), (), ("units",))
-        with pytest.raises(WrongKind):
+        with pytest.raises(WrongKind, match="^'units' is continuous, not nominal$"):
             execute_groupby(transactions, gq)
 
     def test_empty_result_set(self, transactions):
@@ -296,7 +310,7 @@ class TestExecuteGroupBy:
     def test_bad_target_or_window_rejected_on_an_empty_table(self, groupby_attrs):
         empty = build_transactions([])
         nominal_avg = GroupByQuery((AggregationTarget(AVG, "region"),), (), groupby_attrs)
-        with pytest.raises(WrongKind, match="avg is not applicable to nominal attribute 'region'"):
+        with pytest.raises(InvalidTarget, match="avg is not applicable to nominal attribute 'region'"):
             execute_groupby(empty, nominal_avg)
         nominal_window = GroupByQuery(
             (AggregationTarget(COUNT, "sales"),), (BetweenFilter("category", 0.0, 1.0),), groupby_attrs
@@ -561,19 +575,23 @@ class TestGroupIndexExactness:
             assert report.labeled - report.zero_filled > len(queries) // 4
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("bad, message", [
-        (FlatQuery(AggregationTarget(AVG, "shop")), "avg is not applicable to nominal attribute 'shop'"),
-        (FlatQuery(AggregationTarget(AVG, "v"), (BetweenFilter("shop", 0.0, 1.0),)),
+    @pytest.mark.parametrize("bad, error, message", [
+        (FlatQuery(AggregationTarget(AVG, "shop")), InvalidTarget,
+         "avg is not applicable to nominal attribute 'shop'"),
+        (FlatQuery(AggregationTarget(AVG, "v"), (BetweenFilter("shop", 0.0, 1.0),)), WrongKind,
          "'shop' is nominal, not continuous"),
-        (FlatQuery(AggregationTarget(AVG, "v"), (), (InFilter("x", "1.0"),)),
-         "GROUP BY attribute 'x' must be nominal"),
-    ])
-    def test_errors_name_the_bad_part(self, threads, bad, message):
+        (FlatQuery(AggregationTarget(AVG, "v"), (), (InFilter("x", "1.0"),)), WrongKind,
+         "'x' is continuous, not nominal"),
+    ], ids=["nominal-avg", "nominal-between", "continuous-in"])
+    def test_errors_name_the_bad_part(self, threads, bad, error, message):
+        """Labeling fails on a bad query with the error execute_flat gives it."""
         ds = self.random_table(np.random.default_rng(0))
         good = [FlatQuery(AggregationTarget(f, "v"), (BetweenFilter("x", 10.0, 60.0),), i)
                 for f in (AVG, COUNT) for i in ((), (InFilter("tier", "t1"),))]
-        with pytest.raises(WrongKind, match=f"^{re.escape(message)}$"):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             label_workload(ds, good + [bad] + good, threads=threads)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            execute_flat(ds, bad)
 
     def test_index_is_freed_with_its_dataset(self):
         ds = self.random_table(np.random.default_rng(0))
