@@ -2,9 +2,10 @@
 # The same pipeline as the Python demos, driven entirely through the
 # `aqplearn` command. Each stage writes an artifact that embeds the
 # SHA-256 of its input, so stale or edited files fail fast downstream.
-# `encode` reads the template from the labeled workload's header, and
-# `eval` reads the target and split from the checkpoint and the table's
-# entropy from the encoded file, then times the rows it scored.
+# `encode` reads the template and the table's schema from the labeled
+# workload's header, and `eval` reads the target and split from the
+# checkpoint and the table's entropy from the encoded file, then times the
+# rows it scored.
 set -euo pipefail
 
 work="$(mktemp -d "${TMPDIR:-/tmp}/aqp_demo_cli.XXXXXX")"
@@ -26,8 +27,7 @@ dump_csv(ds, work / "data.csv")
     json.dumps([{"name": a.name, "kind": a.kind.value} for a in ds.schema], indent=2)
 )
 (work / "template.json").write_text(json.dumps({
-    "agg_funcs": ["avg"],
-    "agg_attrs": ["sales"],
+    "targets": [{"func": "avg", "attr": "sales"}],
     "cont_filter_attrs": ["sales"],
     "nom_filter_attrs": ["region", "category"],
     "n_cont_samples": 150,
@@ -44,8 +44,7 @@ aqplearn generate   --data data.csv --schema schema.json --template template.jso
 head -2 workload.jsonl.sql
 aqplearn label      --data data.csv --schema schema.json --workload workload.jsonl \
                     --out labeled.jsonl --threads 2
-aqplearn encode     --schema schema.json --workload labeled.jsonl \
-                    --out-vocab vocab.json --out-encoded encoded.npz
+aqplearn encode     --workload labeled.jsonl --out-vocab vocab.json --out-encoded encoded.npz
 aqplearn train      --encoded encoded.npz --vocab vocab.json --out model.npz \
                     --lstm-units 32 --dense-units 48 --max-epochs 15 --batch-size 32 \
                     --lr 3e-3

@@ -48,7 +48,6 @@ from .queries import (
 )
 from .querygen import (
     QueryTemplate,
-    build_select_clause,
     generate_workload,
     load_template,
     read_workload,
@@ -60,7 +59,6 @@ from .store import (
     ContinuousStats,
     Dataset,
     Kind,
-    NullPolicy,
     continuous_stats,
     dump_csv,
     dump_schema,

@@ -1,11 +1,14 @@
 """Command-line pipeline: profile, generate, label, encode, train, predict,
 eval.
 
-Each stage reads the previous stage's artifact and writes its own; encode
-reads its template from the labeled workload's header too, and the table's
-mean entropy travels from label through encode to eval the same way. eval
-scores the target and split the checkpoint records, then times single-query
-latency and batch throughput on those same rows, and loads no table.
+Each stage reads the previous stage's artifact and writes its own, and
+every input has one source. generate samples with the template's seed.
+label records the table's schema next to the template in the labeled
+workload's header, and encode reads both from there; the table's mean
+entropy travels from label through encode to eval the same way. train
+takes its model settings as flags. eval scores the target and split the
+checkpoint records, then times single-query latency and batch throughput
+on those same rows, and loads no table.
 Files embed the SHA-256 of their upstream inputs, and stages verify the
 chain before doing work, so a stale or swapped file fails fast instead of
 silently labeling the wrong table or predicting under the wrong vocabulary.
@@ -31,7 +34,7 @@ import sys
 import numpy as np
 
 from . import encoder, executor, metrics, nnet, querygen, store
-from .artifacts import atomic_open, parsing, write_json, write_jsonl
+from .artifacts import atomic_open, write_json, write_jsonl
 from .errors import (
     AqpError,
     CheckpointMismatch,
@@ -55,6 +58,24 @@ def _sha256_file(path) -> str:
 def _load_dataset(args) -> store.Dataset:
     schema = store.load_schema(args.schema)
     return store.load_csv(args.data, schema)
+
+
+def _from_header(path, header: dict, key: str, container: type, parse):
+    """`parse` of the JSON list or object that the header of the artifact
+    at `path` holds under `key`; a missing, mistyped or invalid entry raises
+    CorruptArtifact naming it."""
+    where = f"{path}: header {key!r}"
+    if key not in header:
+        raise CorruptArtifact(f"{where} is missing")
+    if not isinstance(header[key], container):
+        what = "a list" if container is list else "an object"
+        raise CorruptArtifact(f"{where} is {json.dumps(header[key])}, not {what}")
+    try:
+        return parse(header[key])
+    except AqpError as exc:
+        reason = exc.__cause__ or exc  # not the CorruptArtifact of parsing, which shows the dict
+        raise CorruptArtifact(
+            f"{where} is not a valid {key}: {type(reason).__name__} {reason}") from exc
 
 
 def _check_upstream(header: dict, key: str, actual: str, what: str) -> None:
@@ -106,8 +127,6 @@ def cmd_profile(args) -> int:
 def cmd_generate(args) -> int:
     ds = _load_dataset(args)
     template = querygen.load_template(args.template, ds)
-    if args.seed is not None:
-        template = dataclasses.replace(template, seed=args.seed)
     queries, report = querygen.generate_workload(ds, template)
     meta = {
         "dataset_sha256": _sha256_file(args.data),
@@ -140,6 +159,7 @@ def cmd_label(args) -> int:
         "dataset_sha256": data_hash,
         "workload_sha256": _sha256_file(args.workload),
         "template": header.get("template"),
+        "schema": store.schema_to_record(ds.schema),
         "labeling": dataclasses.asdict(report),
         "mean_entropy_bits": metrics.dataset_entropy(ds)["mean"],
     }
@@ -156,20 +176,10 @@ def cmd_encode(args) -> int:
     header, records = querygen.read_workload(args.workload)
     if not header.get("labeled"):
         raise ShapeMismatch(f"{args.workload} is not labeled; run the label stage first")
-    schema = store.load_schema(args.schema)
+    schema = _from_header(args.workload, header, "schema", list, store.schema_from_record)
     ds = store.Dataset.from_columns(schema, {a.name: [] for a in schema})  # kinds, no rows
-    where = f"{args.workload}: header 'template'"
-    if "template" not in header:
-        raise CorruptArtifact(f"{where} is missing")
-    if not isinstance(header["template"], dict):
-        raise CorruptArtifact(f"{where} is {json.dumps(header['template'])}, not an object")
-    try:
-        template = querygen.load_template(header["template"], ds)
-    except AqpError as exc:
-        reason = exc.__cause__ or exc  # not the CorruptArtifact of parsing, which shows the dict
-        raise CorruptArtifact(
-            f"{where} is not a valid template: {type(reason).__name__} {reason}"
-        ) from exc
+    template = _from_header(args.workload, header, "template", dict,
+                            lambda raw: querygen.load_template(raw, ds))
     if not records:
         raise EmptyList(f"{args.workload} holds no labeled queries; there is nothing to encode")
     vocab = encoder.build_vocabulary(records, template)
@@ -216,33 +226,25 @@ def _check_trained_on(model, checkpoint, target: str) -> None:
         )
 
 
+def _split_rows(path, target: str, n: int, seed: int, needed) -> dict[str, np.ndarray]:
+    """The train, validation and test rows among the n rows of `target` in
+    the encoded file `path`, split with `seed`; EmptyList if a `needed`
+    split is empty."""
+    parts = dict(zip(("train", "validation", "test"), querygen.split_indices(n, seed=seed)))
+    for name in needed:
+        if len(parts[name]) == 0:
+            sizes = "/".join(str(len(rows)) for rows in parts.values())
+            raise EmptyList(f"{path}: the {name} split of the {n} {target} queries is empty "
+                            f"(train/validation/test {sizes} with split seed {seed})")
+    return parts
+
+
 def _model_config(args) -> nnet.ModelConfig:
-    fields = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh, parsing(args.config, "model config"):
-            raw = json.load(fh)
-            if not isinstance(raw, dict):
-                raise ValueError("expected a JSON object of model settings")
-            fields.update(raw)
-        known = {f.name for f in dataclasses.fields(nnet.ModelConfig)}
-        unknown = sorted(set(fields) - known)
-        if unknown:
-            raise InvalidConfig(
-                f"{args.config}: unknown model settings {unknown}; known: {sorted(known)}"
-            )
-    for name, value in (
-        ("lstm_units", args.lstm_units),
-        ("dense_units", args.dense_units),
-        ("learning_rate", args.lr),
-        ("batch_size", args.batch_size),
-        ("max_epochs", args.max_epochs),
-        ("patience", args.patience),
-        ("seed", args.seed),
-    ):
-        if value is not None:
-            fields[name] = value
+    """The ModelConfig of train's flags, one per field; a field whose flag
+    is not given keeps its default."""
+    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(nnet.ModelConfig)}
     try:
-        return nnet.ModelConfig(**fields)
+        return nnet.ModelConfig(**{k: v for k, v in fields.items() if v is not None})
     except (TypeError, ValueError) as exc:
         raise InvalidConfig(f"bad model settings: {exc}") from None
 
@@ -260,7 +262,8 @@ def cmd_train(args) -> int:
     rows, target = _select_target_rows(X, vocab, args.target, args.encoded)
     X, y = X[rows], y[rows]
     config = _model_config(args)
-    tr, va, te = querygen.split_indices(len(X), seed=args.split_seed)
+    tr, va, te = _split_rows(args.encoded, target, len(X), args.split_seed,
+                             ("train", "validation")).values()
     model = nnet.LstmModel(
         config, vocab.sequence_length, vocab.row_width, vocab_hash=vocab.content_hash(),
         target=target, split_seed=args.split_seed,
@@ -317,8 +320,7 @@ def cmd_eval(args) -> int:
     if args.split == "all":
         X_eval, y_eval = X, y
     else:
-        tr, va, te = querygen.split_indices(len(X), seed=split_seed)
-        part = {"train": tr, "validation": va, "test": te}[args.split]
+        part = _split_rows(args.encoded, target, len(X), split_seed, (args.split,))[args.split]
         X_eval, y_eval = X[part], y[part]
     preds = model.predict_batch(X_eval, n_workers=args.workers)
     report = dataclasses.replace(
@@ -395,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     p.add_argument("--template", required=True, help="JSON query template")
     p.add_argument("--out", required=True, help="output workload file")
-    p.add_argument("--seed", type=NON_NEGATIVE, default=None, help="override the template seed")
     p.add_argument("--sql", action="store_true", help="also write <out>.sql with query text")
     p.set_defaults(fn=cmd_generate)
 
@@ -408,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "large tables, around a million rows")
     p.set_defaults(fn=cmd_label)
 
-    p = sub.add_parser("encode", help="encode a labeled workload under the template it records")
-    p.add_argument("--schema", required=True, help="JSON schema declaration")
+    p = sub.add_parser("encode", help="encode a labeled workload under the template and schema "
+                                      "it records")
     p.add_argument("--workload", required=True, help="labeled workload file")
     p.add_argument("--out-vocab", required=True, help="output vocabulary file")
     p.add_argument("--out-encoded", required=True, help="output encoded tensor file")
@@ -420,10 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True, help="vocabulary file")
     p.add_argument("--out", required=True, help="output checkpoint file")
     p.add_argument("--target", default=None, help="target token, e.g. 'avg(sales)'")
-    p.add_argument("--config", default=None, help="JSON file of model settings")
     p.add_argument("--lstm-units", type=int, default=None)
     p.add_argument("--dense-units", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None, help="learning rate")
+    p.add_argument("--lr", dest="learning_rate", type=float, default=None, help="learning rate")
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--max-epochs", type=int, default=None)
     p.add_argument("--patience", type=int, default=None)

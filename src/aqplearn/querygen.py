@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import executor
 from .artifacts import parsing, read_artifact, write_jsonl
-from .errors import EmptyCombos, InvalidTarget, TooFewQueries, WrongKind
+from .errors import EmptyCombos, InvalidTarget, NumericOverflow, TooFewQueries, WrongKind
 from .queries import (
     AggregationFunction,
     AggregationTarget,
@@ -64,8 +64,8 @@ class QueryTemplate:
         cls,
         ds: Dataset,
         targets: list[AggregationTarget],
-        cont_filter_attrs: list[str],
-        nom_filter_attrs: list[str],
+        cont_filter_attrs: list[str] = (),
+        nom_filter_attrs: list[str] = (),
         n_cont_samples: int = DEFAULT_N_CONT_SAMPLES,
         seed: int = 0,
         numeric_scales: dict | None = None,
@@ -117,8 +117,11 @@ class QueryTemplate:
 def load_template(source: str | Path | dict, ds: Dataset) -> QueryTemplate:
     """Read a template config (JSON file or dict) and validate it.
 
-    Targets come either as explicit {func, attr} pairs under "targets" or
-    as "agg_funcs" x "agg_attrs" lists expanded via build_select_clause.
+    The config holds the keys that QueryTemplate.to_record writes, the
+    arguments of QueryTemplate.build: "targets" as {func, attr} pairs, and
+    optionally the filter attribute lists, "n_cont_samples", "seed" and
+    "numeric_scales". Any other key is rejected with CorruptArtifact
+    naming it.
     """
     with parsing(source, "template"):
         if isinstance(source, (str, Path)):
@@ -126,49 +129,22 @@ def load_template(source: str | Path | dict, ds: Dataset) -> QueryTemplate:
                 raw = json.load(fh)
         else:
             raw = dict(source)
-        if "targets" in raw:
-            targets = [
-                AggregationTarget(AggregationFunction(t["func"]), t["attr"]) for t in raw["targets"]
-            ]
-        elif "agg_funcs" in raw and "agg_attrs" in raw:
-            funcs = [AggregationFunction(f) for f in raw["agg_funcs"]]
-            targets = build_select_clause(funcs, raw["agg_attrs"], ds)
-        else:
-            raise InvalidTarget("template must declare 'targets' or 'agg_funcs'+'agg_attrs'")
-        return QueryTemplate.build(
-            ds,
-            targets=targets,
-            cont_filter_attrs=raw.get("cont_filter_attrs", []),
-            nom_filter_attrs=raw.get("nom_filter_attrs", []),
-            n_cont_samples=raw.get("n_cont_samples", DEFAULT_N_CONT_SAMPLES),
-            seed=raw.get("seed", 0),
-            numeric_scales=raw.get("numeric_scales"),
-        )
-
-
-def build_select_clause(
-    funcs: list[AggregationFunction],
-    attrs: list[str],
-    ds: Dataset,
-) -> list[AggregationTarget]:
-    """Cross product of aggregation functions and attributes.
-
-    Only Count/CountDistinct may hit a nominal attribute; any other
-    function paired with one raises InvalidTarget. Each resulting target
-    later gets its own model and training set.
-    """
-    targets = [AggregationTarget(func, attr) for func in funcs for attr in attrs]
-    for t in targets:
-        t.validate(ds)
-    return targets
+        known = [f.name for f in fields(QueryTemplate)]
+        unknown = sorted(set(raw) - set(known))
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}; a template holds only {known}")
+        raw["targets"] = [AggregationTarget(AggregationFunction(t["func"]), t["attr"])
+                          for t in raw.get("targets", [])]
+        return QueryTemplate.build(ds, **raw)
 
 
 def snap_to_grid(value: float, scale: float, lo: float, hi: float) -> float:
-    """Round onto the grid {k/scale} and clip to grid points inside [lo, hi]."""
+    """Round onto the grid {k/scale} and clip to grid points inside [lo, hi];
+    NumericOverflow when no grid point lies inside."""
     k_lo = math.ceil(lo * scale - 1e-9)
     k_hi = math.floor(hi * scale + 1e-9)
     if k_lo > k_hi:
-        raise ValueError(
+        raise NumericOverflow(
             f"no grid point with scale {scale} inside [{lo}, {hi}]; increase the scale"
         )
     k = int(np.rint(value * scale))

@@ -66,11 +66,6 @@ class Kind(Enum):
     CONTINUOUS = "continuous"
 
 
-class NullPolicy(Enum):
-    DROP_ROW = "drop_row"
-    REJECT = "reject"
-
-
 @dataclass(frozen=True)
 class AttributeSchema:
     """One declared column: name, kind and ordinal position."""
@@ -108,23 +103,35 @@ def make_schema(columns: list[tuple[str, Kind]]) -> list[AttributeSchema]:
     return [AttributeSchema(name, kind, i) for i, (name, kind) in enumerate(columns)]
 
 
-def load_schema(path: str | Path) -> list[AttributeSchema]:
-    """Read a schema declaration file: a JSON list of {name, kind}."""
-    with open(path, encoding="utf-8") as fh, parsing(path, "schema"):
-        raw = json.load(fh)
-    if not isinstance(raw, list):
-        raise ParseError(f"schema file {path} must hold a JSON list")
+def schema_to_record(schema: list[AttributeSchema]) -> list[dict]:
+    """The schema as the JSON list of {name, kind} that schema_from_record reads."""
+    return [{"name": a.name, "kind": a.kind.value} for a in schema]
+
+
+def schema_from_record(raw: list) -> list[AttributeSchema]:
+    """The schema a JSON list of {name, kind} declares; a bad entry raises ParseError."""
     cols = []
     for entry in raw:
         try:
+            if not isinstance(entry["name"], str):
+                raise TypeError(f"name {entry['name']!r} is not a string")
             cols.append((entry["name"], Kind(entry["kind"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad schema entry {entry!r}: {exc}") from exc
     return make_schema(cols)
 
 
+def load_schema(path: str | Path) -> list[AttributeSchema]:
+    """Read a schema declaration file: a JSON list of {name, kind}."""
+    with open(path, encoding="utf-8") as fh, parsing(path, "schema"):
+        raw = json.load(fh)
+    if not isinstance(raw, list):
+        raise ParseError(f"schema file {path} must hold a JSON list")
+    return schema_from_record(raw)
+
+
 def dump_schema(schema: list[AttributeSchema], path: str | Path) -> None:
-    write_json(path, [{"name": a.name, "kind": a.kind.value} for a in schema])
+    write_json(path, schema_to_record(schema))
 
 
 def _parse_cells(cells) -> tuple[np.ndarray, dict[int, str]]:
@@ -534,20 +541,16 @@ def _member_fields(buf, starts, stops, lookup: dict[str, int]) -> np.ndarray:
     return _member_ids([_text(key) for key in keys], lookup)[codes]
 
 
-def load_csv(
-    path: str | Path,
-    schema: list[AttributeSchema],
-    null_policy: NullPolicy = NullPolicy.DROP_ROW,
-) -> Dataset:
+def load_csv(path: str | Path, schema: list[AttributeSchema]) -> Dataset:
     """Load a header-first, comma-separated RFC-4180 CSV file into a Dataset.
 
     The file must be UTF-8. Records end at LF or CRLF, the last one may
     lack it, and a field is either plain text without quotes, commas, CR
     or LF, or a quoted field, in which a doubled quote stands for one
-    quote. The header must name the `schema` attributes in order, exactly. Empty
-    cells (also "") are nulls: under DROP_ROW the whole row is dropped and
-    the total is logged, under REJECT a ParseError is raised. A row of the
-    wrong width, a blank line or a quote outside this grammar raises
+    quote. The header must name the `schema` attributes in order, exactly.
+    Empty cells (also "") are nulls: a row that holds one is dropped, and
+    the number of dropped rows is logged at INFO. A row of the wrong
+    width, a blank line or a quote outside this grammar raises
     MalformedRow; invalid UTF-8, or a non-numeric, NaN or infinite value in
     a continuous column, raises ParseError. Each names the data row
     (1-based, dropped rows counted) and the column, and the first faulty
@@ -620,13 +623,7 @@ def load_csv(
             cell_stops = stops[span].reshape(faulty - lo, width)
             size = cell_stops - cell_starts
             null = (size == 0) | ((size == 2) & (buf[cell_starts] == _QUOTE))
-            null_rows = null.any(axis=1)
-            if null_policy is NullPolicy.REJECT and null_rows.any():
-                r = int(np.argmax(null_rows))
-                error = ParseError(f"{path}: null value at {record_name(lo + r)}, "
-                                   f"{field_name(int(np.argmax(null[r])))}")
-                null_rows = null_rows[:r]
-            kept = np.flatnonzero(~null_rows)
+            kept = np.flatnonzero(~null.any(axis=1))
             bad_cells = []
             for k, attr in enumerate(schema):
                 fields = (buf, cell_starts[kept, k], cell_stops[kept, k])
@@ -643,7 +640,7 @@ def load_csv(
                                  f"{field_name(k)} of {path}")
             if error is not None:
                 raise error
-            dropped += len(null_rows) - len(kept)
+            dropped += len(null) - len(kept)
             row += len(ends)
     if row == 0:
         raise MalformedRow(f"{path}: empty file but header expected")

@@ -15,6 +15,8 @@ import pytest
 
 from aqplearn import (
     BetweenFilter,
+    Dataset,
+    Kind,
     build_vocabulary,
     cli,
     decode,
@@ -24,6 +26,7 @@ from aqplearn import (
     load_csv,
     load_schema,
     load_template,
+    make_schema,
     read_workload,
     save_vocabulary,
     split_indices,
@@ -69,8 +72,7 @@ def pipeline(tmp_path_factory):
         ("label", ["label", "--data", root / "data.csv", "--schema", root / "schema.json",
                    "--workload", root / "workload.jsonl", "--out", root / "labeled.jsonl",
                    "--threads", 2]),
-        ("encode", ["encode", "--schema", root / "schema.json",
-                    "--workload", root / "labeled.jsonl",
+        ("encode", ["encode", "--workload", root / "labeled.jsonl",
                     "--out-vocab", root / "vocab.json", "--out-encoded", root / "encoded.npz"]),
         ("train", ["train", "--encoded", root / "encoded.npz", "--vocab", root / "vocab.json",
                    "--out", root / "model.npz", "--lstm-units", 8, "--dense-units", 12,
@@ -182,12 +184,14 @@ class TestDeterminism:
         assert run(*common, "--out", tmp_path / "b.jsonl") == 0
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
-    def test_seed_override_changes_the_workload(self, tmp_path):
+    def test_the_template_seed_changes_the_workload(self, tmp_path):
         make_inputs(tmp_path)
         common = ["generate", "--data", tmp_path / "data.csv", "--schema",
                   tmp_path / "schema.json", "--template", tmp_path / "template.json"]
         assert run(*common, "--out", tmp_path / "a.jsonl") == 0
-        assert run(*common, "--out", tmp_path / "b.jsonl", "--seed", 99) == 0
+        template = json.loads((tmp_path / "template.json").read_text())
+        (tmp_path / "template.json").write_text(json.dumps({**template, "seed": 99}))
+        assert run(*common, "--out", tmp_path / "b.jsonl") == 0
         assert (tmp_path / "a.jsonl").read_bytes() != (tmp_path / "b.jsonl").read_bytes()
 
 
@@ -230,29 +234,6 @@ class TestFailureModes:
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "CorruptArtifact"
-
-    @pytest.mark.parametrize("text, error", [
-        ('{"lstm_units": 8, "dense_', "CorruptArtifact"),
-        ('{"lstm_unitz": 8}', "InvalidConfig"),
-        ('{"seed": -1}', "InvalidConfig"),
-        ('{"learning_rate": NaN}', "InvalidConfig"),
-        ('{"learning_rate": Infinity}', "InvalidConfig"),
-        ('{"lstm_units": 1.5}', "InvalidConfig"),
-        ('{"batch_size": 2.5}', "InvalidConfig"),
-        ('{"seed": 1.5}', "InvalidConfig"),
-        ('{"dense_units": true}', "InvalidConfig"),
-        ('{"learning_rate": true}', "InvalidConfig"),
-    ])
-    def test_bad_train_config_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys,
-                                                        text, error):
-        (tmp_path / "config.json").write_text(text)
-        code = run("train", "--encoded", pipeline / "encoded.npz", "--vocab",
-                   pipeline / "vocab.json", "--out", tmp_path / "model.npz",
-                   "--config", tmp_path / "config.json")
-        assert code == 1
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and json.loads(lines[0])["error"] == error
-        assert not (tmp_path / "model.npz").exists()
 
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_learning_rate_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys, lr):
@@ -298,7 +279,6 @@ class TestFailureModes:
         ("eval", "--workers", "two"),
         ("eval", "--ql-queries", "10"),  # eval takes a fixed number of latency samples
         ("label", "--threads", "0"),
-        ("generate", "--seed", "-1"),
         ("train", "--seed", "-1"),
         ("train", "--split-seed", "-1"),
         ("eval", "--split-seed", "3"),  # eval reads the checkpoint's split seed
@@ -329,19 +309,89 @@ class TestFailureModes:
         assert "invalid choice: 'bench'" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("generate", "--seed", "1"),
+        ("encode", "--schema", "schema.json"),
+        ("train", "--config", "config.json"),
+    ])
+    def test_removed_input_is_a_usage_error(self, pipeline, tmp_path, capsys, command, flag, value):
+        # The template's seed, the labeled header's schema and the train flags
+        # are the one source of each.
+        data = ["--data", pipeline / "data.csv", "--schema", pipeline / "schema.json"]
+        argv = {
+            "generate": [*data, "--template", pipeline / "template.json", "--out", tmp_path / "o"],
+            "encode": ["--workload", pipeline / "labeled.jsonl", "--out-vocab", tmp_path / "v",
+                       "--out-encoded", tmp_path / "o"],
+            "train": ["--encoded", pipeline / "encoded.npz", "--vocab", pipeline / "vocab.json",
+                      "--out", tmp_path / "o"],
+        }[command]
+        assert run(command, *argv, flag, value) == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_template_in_the_agg_funcs_form_is_exit_1_with_json_error(self, pipeline, tmp_path,
+                                                                       capsys):
+        template = json.loads((pipeline / "template.json").read_text())
+        del template["targets"]
+        template.update(agg_funcs=["avg"], agg_attrs=["sales"])
+        (tmp_path / "template.json").write_text(json.dumps(template))
+        assert run("generate", "--data", pipeline / "data.csv", "--schema",
+                   pipeline / "schema.json", "--template", tmp_path / "template.json",
+                   "--out", tmp_path / "workload.jsonl") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "CorruptArtifact"
+        assert "unknown keys ['agg_attrs', 'agg_funcs']" in err["message"]
+        assert not (tmp_path / "workload.jsonl").exists()
+
+    def test_window_without_a_grid_point_is_exit_1_with_json_error(self, tmp_path, capsys):
+        # Every x lies in [0.201, 0.699], which holds no multiple of 1/scale at scale 1.
+        rng = np.random.default_rng(0)
+        ds = Dataset.from_columns(
+            make_schema([("g", Kind.NOMINAL), ("x", Kind.CONTINUOUS)]),
+            {"g": [f"m{i % 3}" for i in range(200)],
+             "x": np.round(rng.uniform(0.201, 0.699, 200), 3)},
+        )
+        dump_csv(ds, tmp_path / "data.csv")
+        dump_schema(list(ds.schema), tmp_path / "schema.json")
+        (tmp_path / "template.json").write_text(json.dumps({
+            "targets": [{"func": "avg", "attr": "x"}], "cont_filter_attrs": ["x"]}))
+        lo, hi = float(ds.continuous_values("x").min()), float(ds.continuous_values("x").max())
+        assert run("generate", "--data", tmp_path / "data.csv", "--schema",
+                   tmp_path / "schema.json", "--template", tmp_path / "template.json",
+                   "--out", tmp_path / "workload.jsonl") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "NumericOverflow",
+            "message": f"no grid point with scale 1.0 inside [{lo}, {hi}]; increase the scale",
+        }
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "data.csv", "schema.json", "template.json"]
+
     def test_empty_split_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys):
-        # Five queries split 3/0/2, which leaves no validation set to score or time.
+        # Five queries split 3/0/2, which leaves no validation set to train on,
+        # score or time.
         X, y, support, meta = load_encoded(pipeline / "encoded.npz")
         save_encoded(tmp_path / "e.npz", X[:5], y[:5], support[:5],
                      meta={"vocab_content_hash": meta["vocab_content_hash"]})
-        code = run("eval", "--checkpoint", pipeline / "model.npz", "--encoded", tmp_path / "e.npz",
-                   "--vocab", pipeline / "vocab.json", "--split", "validation",
-                   "--out", tmp_path / "eval.json")
-        assert code == 1
-        out, err = capsys.readouterr()
-        assert out == "" and len(err.splitlines()) == 1
-        assert json.loads(err)["error"] == "EmptyList"
-        assert not (tmp_path / "eval.json").exists()
+        common = ["--encoded", tmp_path / "e.npz", "--vocab", pipeline / "vocab.json"]
+        for argv, out in (
+            (["eval", *common, "--checkpoint", pipeline / "model.npz", "--split", "validation"],
+             tmp_path / "eval.json"),
+            (["train", *common, "--max-epochs", 1], tmp_path / "model.npz"),
+        ):
+            assert run(*argv, "--out", out) == 1
+            stdout, err = capsys.readouterr()
+            assert stdout == "" and len(err.splitlines()) == 1
+            assert json.loads(err) == {
+                "error": "EmptyList",
+                "message": f"{tmp_path / 'e.npz'}: the validation split of the 5 avg(sales) "
+                           "queries is empty (train/validation/test 3/0/2 with split seed 0)",
+            }
+            assert not out.exists()
 
     def test_stale_dataset_aborts_labeling(self, pipeline, tmp_path, capsys):
         for name in ("data.csv", "schema.json", "workload.jsonl"):
@@ -458,8 +508,7 @@ class TestFailureModes:
         assert run("label", "--data", pipeline / "data.csv", "--schema", pipeline / "schema.json",
                    "--workload", tmp_path / "w.jsonl", "--out", tmp_path / "l.jsonl") == 0
         capsys.readouterr()
-        code = run("encode", "--schema", pipeline / "schema.json",
-                   "--workload", tmp_path / "l.jsonl",
+        code = run("encode", "--workload", tmp_path / "l.jsonl",
                    "--out-vocab", tmp_path / "vocab.json", "--out-encoded", tmp_path / "e.npz")
         assert code == 1
         out, err = capsys.readouterr()
@@ -665,8 +714,7 @@ def make_demo_06_inputs(root):
     dump_csv(ds, root / "data.csv")
     dump_schema(list(ds.schema), root / "schema.json")
     (root / "template.json").write_text(json.dumps({
-        "agg_funcs": ["avg"],
-        "agg_attrs": ["sales"],
+        "targets": [{"func": "avg", "attr": "sales"}],
         "cont_filter_attrs": ["sales"],
         "nom_filter_attrs": ["region", "category"],
         "n_cont_samples": 150,
@@ -684,7 +732,7 @@ def generate_and_label(root):
 
 
 def run_encode(root, workload):
-    return run("encode", "--schema", root / "schema.json", "--workload", workload,
+    return run("encode", "--workload", workload,
                "--out-vocab", root / "vocab.json", "--out-encoded", root / "e.npz")
 
 
@@ -722,8 +770,8 @@ class TestEncodeReadsItsTemplate:
         workload_hash = hashlib.sha256((tmp_path / "l.jsonl").read_bytes()).hexdigest()
         save_vocabulary(vocab, tmp_path / "expected_vocab.json",
                         meta={"workload_sha256": workload_hash})
-        (tmp_path / "data.csv").unlink()
-        (tmp_path / "template.json").unlink()
+        for name in ("data.csv", "schema.json", "template.json"):
+            (tmp_path / name).unlink()
         assert run_encode(tmp_path, tmp_path / "l.jsonl") == 0
         assert ((tmp_path / "vocab.json").read_bytes()
                 == (tmp_path / "expected_vocab.json").read_bytes())
@@ -749,8 +797,7 @@ class TestEncodeReadsItsTemplate:
                                             ("--data", "data.csv")])
     def test_template_or_data_option_is_a_usage_error(self, pipeline, tmp_path, capsys,
                                                      flag, name):
-        assert run("encode", "--schema", pipeline / "schema.json",
-                   "--workload", pipeline / "labeled.jsonl", flag, pipeline / name,
+        assert run("encode", "--workload", pipeline / "labeled.jsonl", flag, pipeline / name,
                    "--out-vocab", tmp_path / "vocab.json", "--out-encoded", tmp_path / "e.npz") == 2
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
@@ -765,16 +812,47 @@ class TestEncodeReadsItsTemplate:
     def test_header_without_a_template_is_exit_1_with_json_error(self, pipeline, tmp_path,
                                                                 capsys, meta, reason):
         header, records = read_workload(pipeline / "labeled.jsonl")
-        shutil.copy(pipeline / "schema.json", tmp_path / "schema.json")
         write_workload(tmp_path / "l.jsonl", records,
-                       {"dataset_sha256": header["dataset_sha256"], **meta})
+                       {"dataset_sha256": header["dataset_sha256"], "schema": header["schema"],
+                        **meta})
         assert run_encode(tmp_path, tmp_path / "l.jsonl") == 1
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1
         err = json.loads(err)
         assert err["error"] == "CorruptArtifact"
         assert err["message"] == f"{tmp_path / 'l.jsonl'}: header 'template' {reason}"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["l.jsonl", "schema.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["l.jsonl"]
+
+    def test_label_records_the_schema_of_its_table(self, pipeline):
+        header, _ = read_workload(pipeline / "labeled.jsonl")
+        assert header["schema"] == json.loads((pipeline / "schema.json").read_text())
+        assert "schema" not in read_workload(pipeline / "workload.jsonl")[0]
+
+    @pytest.mark.parametrize("schema, reason", [
+        (..., "is missing"),
+        (None, "is null, not a list"),
+        ("schema.json", 'is "schema.json", not a list'),
+        ([{"name": "sales", "kind": "decimal"}],
+         "is not a valid schema: ValueError 'decimal' is not a valid Kind"),
+        ([{"name": ["sales"], "kind": "continuous"}],
+         "is not a valid schema: TypeError name ['sales'] is not a string"),
+    ], ids=["no-schema", "null-schema", "schema-path", "unknown-kind", "name-not-a-string"])
+    def test_header_without_a_valid_schema_is_exit_1_with_json_error(self, pipeline, tmp_path,
+                                                                    capsys, schema, reason):
+        header, records = read_workload(pipeline / "labeled.jsonl")
+        meta = {k: v for k, v in header.items() if k not in ("kind", "version", "count")}
+        if schema is ...:
+            del meta["schema"]
+        else:
+            meta["schema"] = schema
+        write_workload(tmp_path / "l.jsonl", records, meta)
+        assert run_encode(tmp_path, tmp_path / "l.jsonl") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        err = json.loads(err)
+        assert err["error"] == "CorruptArtifact"
+        assert err["message"] == f"{tmp_path / 'l.jsonl'}: header 'schema' {reason}"
+        assert [p.name for p in tmp_path.iterdir()] == ["l.jsonl"]
 
 
 class TestEvalReadsItsArtifacts:
@@ -901,3 +979,5 @@ def test_documented_command_lines_parse():
                 pytest.fail(f"{source}: aqplearn {shlex.join(argv)} is a usage error")
         named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", named_in))
         assert named and named - known == set(), source
+    undocumented = known - set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+    assert undocumented == set(), "options that README's CLI quick start does not name"

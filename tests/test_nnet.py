@@ -525,6 +525,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="learning_rate"):
             ModelConfig(learning_rate=lr)
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("seed", -1, ValueError),
+        ("learning_rate", float("nan"), ValueError),
+        ("learning_rate", float("inf"), ValueError),
+        ("lstm_units", 1.5, TypeError),
+        ("batch_size", 2.5, TypeError),
+        ("seed", 1.5, TypeError),
+        ("dense_units", True, TypeError),
+        ("learning_rate", True, TypeError),
+    ])
+    def test_wrong_type_or_range_rejected(self, field, value, error):
+        # A checkpoint's config goes through the same checks when LstmModel.load reads it.
+        with pytest.raises(error, match=field):
+            ModelConfig(**{field: value})
+
 
 class TestFloat32:
     """Float32 is the compute dtype; a stray float64 array would promote

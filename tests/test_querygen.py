@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import aqplearn
 from aqplearn import (
     AggregationFunction,
     AggregationTarget,
@@ -12,7 +13,6 @@ from aqplearn import (
     InFilter,
     LabeledQuery,
     QueryTemplate,
-    build_select_clause,
     execute_groupby,
     generate_workload,
     load_template,
@@ -24,6 +24,7 @@ from aqplearn.errors import (
     CorruptArtifact,
     EmptyCombos,
     InvalidTarget,
+    NumericOverflow,
     TooFewQueries,
     VersionMismatch,
     WrongKind,
@@ -34,27 +35,18 @@ from aqplearn.store import ContinuousStats
 from conftest import build_transactions
 
 AVG = AggregationFunction.AVG
-SUM = AggregationFunction.SUM
 COUNT = AggregationFunction.COUNT
 
 
 class TestSelectClause:
-    def test_cross_product(self, transactions):
-        targets = build_select_clause([AVG, SUM], ["sales", "units"], transactions)
-        assert [t.token() for t in targets] == [
-            "avg(sales)",
-            "avg(units)",
-            "sum(sales)",
-            "sum(units)",
-        ]
-
     def test_nominal_attr_strict_raises(self, transactions):
         with pytest.raises(InvalidTarget):
-            build_select_clause([AVG], ["region"], transactions)
+            load_template({"targets": [{"func": "avg", "attr": "region"}]}, transactions)
 
     def test_nominal_attr_takes_counting_funcs(self, transactions):
-        targets = build_select_clause([COUNT], ["region", "sales"], transactions)
-        assert [t.token() for t in targets] == ["count(region)", "count(sales)"]
+        template = load_template({"targets": [{"func": "count", "attr": "region"},
+                                              {"func": "count", "attr": "sales"}]}, transactions)
+        assert [t.token() for t in template.targets] == ["count(region)", "count(sales)"]
 
 
 class TestTemplate:
@@ -84,20 +76,18 @@ class TestTemplate:
                 nom_filter_attrs=[],
             )
 
-    def test_load_from_dict_with_func_attr_lists(self, transactions):
-        t = load_template(
-            {
-                "agg_funcs": ["avg", "sum"],
-                "agg_attrs": ["sales"],
-                "cont_filter_attrs": ["sales"],
-                "nom_filter_attrs": ["region"],
-                "n_cont_samples": 7,
-                "seed": 5,
-            },
-            transactions,
-        )
-        assert [x.token() for x in t.targets] == ["avg(sales)", "sum(sales)"]
-        assert t.n_cont_samples == 7 and t.seed == 5
+    def test_targets_are_the_one_form(self, transactions):
+        assert "build_select_clause" not in aqplearn.__all__
+        with pytest.raises(CorruptArtifact, match=r"unknown keys \['agg_attrs', 'agg_funcs'\]"):
+            load_template({"agg_funcs": ["avg"], "agg_attrs": ["sales"]}, transactions)
+        with pytest.raises(CorruptArtifact, match=r"unknown keys \['target'\]"):
+            load_template({"target": [{"func": "avg", "attr": "sales"}]}, transactions)
+
+    def test_keys_default_as_in_build(self, transactions):
+        t = load_template({"targets": [{"func": "avg", "attr": "sales"}]}, transactions)
+        assert t == QueryTemplate.build(transactions, [AggregationTarget(AVG, "sales")])
+        with pytest.raises(InvalidTarget, match="at least one aggregation target"):
+            load_template({"cont_filter_attrs": ["sales"]}, transactions)
 
     def test_record_round_trip(self, transactions):
         t = QueryTemplate.build(
@@ -120,7 +110,7 @@ class TestSnapToGrid:
         assert snap_to_grid(5.4, 1.0, 0.5, 4.5) == 4.0
 
     def test_no_grid_point_in_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericOverflow, match=r"scale 1.0 inside \[6.2, 6.8\]"):
             snap_to_grid(6.5, 1.0, 6.2, 6.8)
 
 

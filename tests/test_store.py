@@ -12,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import aqplearn
 from aqplearn import (
     AggregationFunction,
     AggregationTarget,
@@ -19,7 +20,6 @@ from aqplearn import (
     Dataset,
     GroupByQuery,
     Kind,
-    NullPolicy,
     column_entropy,
     continuous_stats,
     dump_csv,
@@ -48,11 +48,11 @@ def one_column(values) -> Dataset:
 
 # -- a reference CSV reader, built from Python's csv module ---------------------
 
-def reference_load(path, schema, null_policy=NullPolicy.DROP_ROW) -> Dataset:
+def reference_load(path, schema) -> Dataset:
     """What load_csv must return or raise for an RFC-4180 file: csv.reader
     splits the records, each row is checked in file order (width, then
-    nulls, then each continuous cell in column order), and from_columns
-    builds the table from the kept rows."""
+    nulls, which drop the row, then each continuous cell in column order),
+    and from_columns builds the table from the kept rows."""
     names = [a.name for a in schema]
     with open(path, newline="", encoding="utf-8") as fh:
         head, *rows = csv.reader(fh)
@@ -62,8 +62,6 @@ def reference_load(path, schema, null_policy=NullPolicy.DROP_ROW) -> Dataset:
         if len(row) != len(schema):
             raise MalformedRow(f"{path}: row {n} has {len(row)} fields, expected {len(schema)}")
         if "" in row:
-            if null_policy is NullPolicy.REJECT:
-                raise ParseError(f"{path}: null value at row {n}, column {names[row.index('')]!r}")
             continue
         for attr, cell in zip(schema, row):
             if attr.kind is Kind.CONTINUOUS:
@@ -338,25 +336,23 @@ class TestLoadCsv:
             np.testing.assert_array_equal(ds.nominal_id_values(attr), ref.nominal_id_values(attr))
         assert ds.members("g") == ("a", "b", "k", "x")
 
-    @pytest.mark.parametrize("cell, policy, error, message", [
-        ("abc", NullPolicy.DROP_ROW, ParseError, r"non-numeric value 'abc' at row 7, column 'x'"),
-        ("nan", NullPolicy.DROP_ROW, ParseError, r"non-finite value nan at row 7, column 'x'"),
-        ("-inf", NullPolicy.DROP_ROW, ParseError, r"non-finite value -inf at row 7, column 'x'"),
-        ("1.0,extra", NullPolicy.DROP_ROW, MalformedRow, r"row 7 has 3 fields"),
-        ("", NullPolicy.REJECT, ParseError, r"null value at row 7, column 'x'"),
+    @pytest.mark.parametrize("cell, error, message", [
+        ("abc", ParseError, r"non-numeric value 'abc' at row 7, column 'x'"),
+        ("nan", ParseError, r"non-finite value nan at row 7, column 'x'"),
+        ("-inf", ParseError, r"non-finite value -inf at row 7, column 'x'"),
+        ("1.0,extra", MalformedRow, r"row 7 has 3 fields"),
     ])
     def test_bad_cell_past_the_first_chunk_names_its_file_row(self, tmp_path, monkeypatch,
-                                                              cell, policy, error, message):
+                                                              cell, error, message):
         monkeypatch.setattr("aqplearn.store.CSV_BLOCK_BYTES", 16)
         rows = [f"m{i},{i}.5" for i in range(1, 10)]
-        if policy is NullPolicy.DROP_ROW:
-            rows[4] = "m5,"  # data row 5, dropped in the chunk that holds the bad row
+        rows[4] = "m5,"  # data row 5, dropped in the chunk that holds the bad row
         rows[6] = f"m7,{cell}"
         path = tmp_path / "bad.csv"
         path.write_text("\n".join(["g,x", *rows]) + "\n")
         schema = make_schema([("g", Kind.NOMINAL), ("x", Kind.CONTINUOUS)])
         with pytest.raises(error, match=message):
-            load_csv(path, schema, null_policy=policy)
+            load_csv(path, schema)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_rfc4180_files_load_as_the_csv_module_reads_them(self, tmp_path, monkeypatch,
@@ -370,14 +366,13 @@ class TestLoadCsv:
                               ("y", Kind.CONTINUOUS)][: int(rng.integers(1, 5))])
         path = tmp_path / "random.csv"
         path.write_bytes(random_csv(rng, schema, int(rng.integers(0, 60))).encode("utf-8"))
-        for policy in NullPolicy:
-            got = outcome(load_csv, path, schema, policy)
-            want = outcome(reference_load, path, schema, policy)
-            if isinstance(want, Dataset):
-                assert isinstance(got, Dataset), got
-                assert_same_table(got, want)
-            else:
-                assert got == want
+        got = outcome(load_csv, path, schema)
+        want = outcome(reference_load, path, schema)
+        if isinstance(want, Dataset):
+            assert isinstance(got, Dataset), got
+            assert_same_table(got, want)
+        else:
+            assert got == want
 
     @pytest.mark.parametrize("line, reason", [
         ('m2,a"b', "quote inside an unquoted field"),
@@ -441,16 +436,17 @@ class TestLoadCsv:
         path = tmp_path / "nulls.csv"
         path.write_text("x,g\n1,a\n,b\n3,c\n")
         schema = make_schema([("x", Kind.CONTINUOUS), ("g", Kind.NOMINAL)])
-        ds = load_csv(path, schema, null_policy=NullPolicy.DROP_ROW)
+        ds = load_csv(path, schema)
         assert ds.row_count == 2
         np.testing.assert_array_equal(ds.continuous_values("x"), [1.0, 3.0])
 
-    def test_null_policy_reject(self, tmp_path):
+    def test_dropping_the_row_is_the_one_null_policy(self, tmp_path):
         path = tmp_path / "nulls.csv"
         path.write_text("x,g\n1,a\n,b\n")
         schema = make_schema([("x", Kind.CONTINUOUS), ("g", Kind.NOMINAL)])
-        with pytest.raises(ParseError, match="row 2"):
-            load_csv(path, schema, null_policy=NullPolicy.REJECT)
+        with pytest.raises(TypeError, match="null_policy"):
+            load_csv(path, schema, null_policy="reject")
+        assert "NullPolicy" not in aqplearn.__all__ and not hasattr(store, "NullPolicy")
 
     def test_dump_then_load_is_identity(self, transactions, tmp_path):
         path = tmp_path / "out.csv"
@@ -714,4 +710,11 @@ class TestSchemaFiles:
         path = tmp_path / "schema.json"
         path.write_text('[{"name": "x", "kind": "decimal"}]')
         with pytest.raises(ParseError):
+            load_schema(path)
+
+    @pytest.mark.parametrize("name", ['["x"]', "5", "null"])
+    def test_name_that_is_not_a_string_rejected(self, tmp_path, name):
+        path = tmp_path / "schema.json"
+        path.write_text(f'[{{"name": {name}, "kind": "continuous"}}]')
+        with pytest.raises(ParseError, match="is not a string"):
             load_schema(path)
