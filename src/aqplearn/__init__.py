@@ -14,8 +14,6 @@ from .encoder import (
     decode,
     encode,
     encode_workload,
-    load_vocabulary,
-    save_vocabulary,
 )
 from .errors import AqpError
 from .executor import (

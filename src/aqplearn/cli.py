@@ -6,12 +6,13 @@ every input has one source. generate samples with the template's seed.
 label records the table's schema next to the template in the labeled
 workload's header, and encode reads both from there; the table's mean
 entropy travels from label through encode to eval the same way. train
-takes its model settings as flags. eval scores the target and split the
-checkpoint records, then times single-query latency and batch throughput
-on those same rows, and loads no table.
-Files embed the SHA-256 of their upstream inputs, and stages verify the
+takes its model settings as flags and copies the vocabulary that encode
+wrote into the checkpoint, under which predict encodes. eval scores the
+target and split the checkpoint records, then times single-query latency
+and batch throughput on those same rows, and loads no table. Files embed
+the SHA-256 of their upstream inputs or vocabulary, and stages verify the
 chain before doing work, so a stale or swapped file fails fast instead of
-silently labeling the wrong table or predicting under the wrong vocabulary.
+silently labeling the wrong table or scoring under the wrong vocabulary.
 
 Exit codes: 0 on success, 1 on an expected pipeline error, 2 on bad
 command-line usage. Every line on stderr is one JSON object: the INFO
@@ -72,7 +73,7 @@ def _from_header(path, header: dict, key: str, container: type, parse):
         raise CorruptArtifact(f"{where} is {json.dumps(header[key])}, not {what}")
     try:
         return parse(header[key])
-    except AqpError as exc:
+    except (AqpError, KeyError, TypeError, ValueError) as exc:
         reason = exc.__cause__ or exc  # not the CorruptArtifact of parsing, which shows the dict
         raise CorruptArtifact(
             f"{where} is not a valid {key}: {type(reason).__name__} {reason}") from exc
@@ -186,18 +187,14 @@ def cmd_encode(args) -> int:
     X = encoder.encode_workload(records, vocab)
     y = np.array([lq.label for lq in records], dtype=np.float64)
     support = np.array([lq.support for lq in records], dtype=np.int64)
-    workload_hash = _sha256_file(args.workload)
-    encoder.save_vocabulary(vocab, args.out_vocab, meta={"workload_sha256": workload_hash})
     encoder.save_encoded(
         args.out_encoded, X, y, support,
-        meta={"workload_sha256": workload_hash, "vocab_content_hash": vocab.content_hash(),
+        meta={"workload_sha256": _sha256_file(args.workload), "vocab": vocab.to_record(),
+              "vocab_hash": vocab.content_hash(),
               "mean_entropy_bits": header.get("mean_entropy_bits")},
     )
-    print(
-        f"encoded {len(records)} queries as {X.shape[1]}x{X.shape[2]} matrices "
-        f"({vocab.size} tokens, {vocab.bit_width} payload bits) "
-        f"-> {args.out_encoded}, {args.out_vocab}"
-    )
+    print(f"encoded {len(records)} queries as {X.shape[1]}x{X.shape[2]} matrices "
+          f"({vocab.size} tokens, {vocab.bit_width} payload bits) -> {args.out_encoded}")
     return 0
 
 
@@ -215,15 +212,6 @@ def _select_target_rows(X, vocab, target: str | None, path) -> tuple[np.ndarray,
     if len(rows) == 0:
         raise InvalidTarget(f"no queries for target {target!r} in {path}")
     return rows, target
-
-
-def _check_trained_on(model, checkpoint, target: str) -> None:
-    """The model must have been trained on `target`; a model that records
-    no target is not checked."""
-    if model.target is not None and model.target != target:
-        raise CheckpointMismatch(
-            f"{checkpoint} answers {model.target!r}, not {target!r}"
-        )
 
 
 def _split_rows(path, target: str, n: int, seed: int, needed) -> dict[str, np.ndarray]:
@@ -249,25 +237,32 @@ def _model_config(args) -> nnet.ModelConfig:
         raise InvalidConfig(f"bad model settings: {exc}") from None
 
 
-def _load_vocab_and_check(vocab_path, encoded_meta) -> encoder.TokenVocabulary:
-    vocab, _ = encoder.load_vocabulary(vocab_path)
-    _check_upstream(encoded_meta, "vocab_content_hash", vocab.content_hash(),
-                    f"vocabulary {vocab_path}")
-    return vocab
+def _encoded_vocabulary(path, meta: dict) -> encoder.TokenVocabulary:
+    """The vocabulary that encode wrote into the encoded file at `path`,
+    which must hash to the vocab_hash written beside it."""
+    vocab_hash = meta.get("vocab_hash")
+    return _from_header(path, meta, "vocab", dict,
+                        lambda record: encoder.TokenVocabulary.from_record(record, vocab_hash))
+
+
+def _load_model(path) -> nnet.LstmModel:
+    """The checkpoint at `path`, which must hold the vocabulary to encode queries under."""
+    model = nnet.LstmModel.load(path)
+    if model.vocabulary is None:  # the Python API can save a model without one
+        raise CorruptArtifact(f"{path} records no vocabulary to encode queries under")
+    return model
 
 
 def cmd_train(args) -> int:
     X, y, _, meta = encoder.load_encoded(args.encoded)
-    vocab = _load_vocab_and_check(args.vocab, meta)
+    vocab = _encoded_vocabulary(args.encoded, meta)
     rows, target = _select_target_rows(X, vocab, args.target, args.encoded)
     X, y = X[rows], y[rows]
     config = _model_config(args)
     tr, va, te = _split_rows(args.encoded, target, len(X), args.split_seed,
                              ("train", "validation")).values()
-    model = nnet.LstmModel(
-        config, vocab.sequence_length, vocab.row_width, vocab_hash=vocab.content_hash(),
-        target=target, split_seed=args.split_seed,
-    )
+    model = nnet.LstmModel(config, vocab.sequence_length, vocab.row_width, target=target,
+                           split_seed=args.split_seed, vocabulary=vocab)
     report = model.fit(X[tr], y[tr], X[va], y[va])
     model.save(args.out)
     sidecar = {
@@ -287,13 +282,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    vocab, _ = encoder.load_vocabulary(args.vocab)
-    model = nnet.LstmModel.load(args.checkpoint, expected_vocab_hash=vocab.content_hash())
+    model = _load_model(args.checkpoint)
     header, records = querygen.read_workload(args.workload)
     queries = [getattr(rec, "query", rec) for rec in records]
-    for target in sorted({q.target.token() for q in queries}):
-        _check_trained_on(model, args.checkpoint, target)
-    X = encoder.encode_workload(records, vocab)
+    others = sorted({q.target.token() for q in queries} - {model.target})
+    if model.target is not None and others:  # a model that records no target is not checked
+        raise CheckpointMismatch(f"{args.checkpoint} answers {model.target!r}, not {others[0]!r}")
+    X = encoder.encode_workload(records, model.vocabulary)
     preds = model.predict_batch(X, n_workers=args.workers)
     rows = [{"query": q.to_record(), "prediction": float(p)} for q, p in zip(queries, preds)]
     write_jsonl(args.out, "predictions", 1, rows,
@@ -312,8 +307,10 @@ def cmd_eval(args) -> int:
     if entropy is not None and (type(entropy) is not float or not 0 <= entropy < float("inf")):
         raise CorruptArtifact(f"{args.encoded}: meta 'mean_entropy_bits' is "
                               f"{json.dumps(entropy)}, not a finite, non-negative float")
-    vocab = _load_vocab_and_check(args.vocab, meta)
-    model = nnet.LstmModel.load(args.checkpoint, expected_vocab_hash=vocab.content_hash())
+    vocab = _encoded_vocabulary(args.encoded, meta)
+    model = _load_model(args.checkpoint)
+    _check_upstream({"vocab_hash": model.vocab_hash}, "vocab_hash", vocab.content_hash(),
+                    f"the vocabulary of {args.encoded}")
     rows, target = _select_target_rows(X, vocab, model.target, args.encoded)
     split_seed = 0 if model.split_seed is None else model.split_seed  # train's default
     X, y = X[rows], y[rows]
@@ -412,13 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="encode a labeled workload under the template and schema "
                                       "it records")
     p.add_argument("--workload", required=True, help="labeled workload file")
-    p.add_argument("--out-vocab", required=True, help="output vocabulary file")
     p.add_argument("--out-encoded", required=True, help="output encoded tensor file")
     p.set_defaults(fn=cmd_encode)
 
     p = sub.add_parser("train", help="train the regressor on an encoded workload")
     p.add_argument("--encoded", required=True, help="encoded tensor file")
-    p.add_argument("--vocab", required=True, help="vocabulary file")
     p.add_argument("--out", required=True, help="output checkpoint file")
     p.add_argument("--target", default=None, help="target token, e.g. 'avg(sales)'")
     p.add_argument("--lstm-units", type=int, default=None)
@@ -434,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="answer workload queries with a trained model")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
     p.add_argument("--workload", required=True, help="workload file (labels ignored)")
     p.add_argument("--out", required=True, help="output predictions file")
     p.add_argument("--workers", type=POSITIVE, default=1, help=WORKERS_HELP)
@@ -445,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "entropy the workload records and the model's weight")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--encoded", required=True)
-    p.add_argument("--vocab", required=True)
     p.add_argument("--split", choices=["train", "validation", "test", "all"], default="test")
     p.add_argument("--workers", type=POSITIVE, default=1, help=WORKERS_HELP)
     p.add_argument("--out", default=None, help="optional JSON report file")

@@ -40,11 +40,10 @@ import hashlib
 import json
 from collections.abc import Iterable
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .artifacts import parsing, read_artifact, save_npz, write_json
+from .artifacts import parsing, read_artifact, save_npz
 from .errors import CorruptArtifact, MalformedMatrix, NumericOverflow, UnknownToken
 from .queries import (
     AggregationFunction,
@@ -54,8 +53,6 @@ from .queries import (
     InFilter,
     number_parts,
 )
-
-VOCAB_VERSION = 1
 
 
 def _bits_needed(value: int) -> int:
@@ -76,6 +73,7 @@ class TokenVocabulary:
     name token followed by its member tokens in sorted order. bit_width is
     the payload width B, wide enough for the largest ID (else ValueError)
     and the largest quantized literal seen when the vocabulary was built.
+    Every numeric scale is finite and positive (else ValueError).
     slots gives the (attribute, first row) of each filter block, in layout
     order, and sequence_length the row count L.
     """
@@ -99,6 +97,9 @@ class TokenVocabulary:
                 entries[member_token(attr, m)] = len(entries) + 1
         if len(entries) >> self.bit_width:
             raise ValueError(f"token IDs up to {len(entries)} do not fit in {self.bit_width} bits")
+        for attr, x in self.numeric_scales.items():
+            if not 0 < x < float("inf"):
+                raise ValueError(f"numeric_scales[{attr!r}] is {x!r}, not a finite positive number")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_id_to_token", {i: t for t, i in entries.items()})
         slots, row = [], 1
@@ -156,15 +157,36 @@ class TokenVocabulary:
         }
 
     @classmethod
-    def from_record(cls, rec: dict) -> "TokenVocabulary":
-        return cls(
-            targets=tuple(rec["targets"]),
-            cont_attrs=tuple(rec["cont_attrs"]),
-            nom_attrs=tuple(rec["nom_attrs"]),
-            members={a: tuple(ms) for a, ms in rec["members"].items()},
-            numeric_scales=dict(rec["numeric_scales"]),
-            bit_width=int(rec["bit_width"]),
+    def from_record(cls, rec: dict, content_hash: str) -> "TokenVocabulary":
+        """The vocabulary of a to_record() dict, which must have
+        `content_hash` (else ValueError). It is read strictly: a field of
+        another type raises TypeError naming it, where a loose read would
+        change it (a string into its characters, 12.9 into 12)."""
+        def strings(name, value):
+            if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+                raise TypeError(f"{name} is {value!r}, not a list of strings")
+            return tuple(value)
+
+        def number(name, value, kinds=(int, float)):
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise TypeError(f"{name} is {value!r}, not {'an int' if kinds is int else 'a number'}")
+            return value
+
+        for name in ("members", "numeric_scales"):
+            if not isinstance(rec[name], dict):
+                raise TypeError(f"{name} is {rec[name]!r}, not an object")
+        vocab = cls(
+            targets=strings("targets", rec["targets"]),
+            cont_attrs=strings("cont_attrs", rec["cont_attrs"]),
+            nom_attrs=strings("nom_attrs", rec["nom_attrs"]),
+            members={a: strings(f"members[{a!r}]", ms) for a, ms in rec["members"].items()},
+            numeric_scales={a: number(f"numeric_scales[{a!r}]", x)
+                            for a, x in rec["numeric_scales"].items()},
+            bit_width=number("bit_width", rec["bit_width"], int),
         )
+        if vocab.content_hash() != content_hash:
+            raise ValueError(f"its content hash is not {json.dumps(content_hash)}")
+        return vocab
 
 
 def build_vocabulary(queries: Iterable, template) -> TokenVocabulary:
@@ -341,7 +363,7 @@ def row_token_ids(X: np.ndarray) -> np.ndarray:
 
 # -- encoded tensor files -----------------------------------------------------
 
-ENCODED_VERSION = 1
+ENCODED_VERSION = 2
 
 
 def save_encoded(path, X: np.ndarray, y: np.ndarray, support: np.ndarray,
@@ -361,19 +383,3 @@ def load_encoded(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
         raise CorruptArtifact(f"{path}: label {bad[0]} is {y[bad[0]]}, not a finite number")
     return X, y, support, meta
 
-
-# -- vocabulary files -------------------------------------------------------
-
-def save_vocabulary(vocab: TokenVocabulary, path: str | Path, meta: dict | None = None) -> None:
-    doc = {"kind": "vocabulary", "version": VOCAB_VERSION, **(meta or {}), **vocab.to_record()}
-    doc["content_hash"] = vocab.content_hash()
-    write_json(path, doc)
-
-
-def load_vocabulary(path: str | Path) -> tuple[TokenVocabulary, dict]:
-    doc, _ = read_artifact(path, "vocabulary", VOCAB_VERSION)
-    with parsing(path, "vocabulary"):
-        vocab = TokenVocabulary.from_record(doc)
-    if doc.get("content_hash") != vocab.content_hash():
-        raise CorruptArtifact(f"{path}: content hash does not match the vocabulary")
-    return vocab, doc

@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .artifacts import parsing, read_artifact, save_npz
-from .encoder import as_bits
+from .encoder import TokenVocabulary, as_bits
 from .errors import (
     CorruptArtifact,
     DivergedLoss,
@@ -59,7 +59,7 @@ from .errors import (
     VocabularyMismatch,
 )
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 GATES = ("i", "f", "g", "o")
 PREDICT_CHUNK = 512
 
@@ -151,21 +151,25 @@ def _prefix_order(X: np.ndarray) -> np.ndarray:
 class LstmModel:
     """From-scratch LSTM regressor mapping (L, D) binary matrices to scalars.
 
-    `vocab_hash`, `target` and `split_seed` record what the model answers:
+    `vocabulary`, `target` and `split_seed` record what the model answers:
     the vocabulary its inputs are encoded under, the target token it was
     trained on and the seed of its train/validation/test split. None means
-    unrecorded; a checkpoint keeps all three.
+    unrecorded; a checkpoint keeps all three. `vocab_hash` may come without
+    `vocabulary`, and must otherwise be its content hash (VocabularyMismatch).
     """
 
     PARAM_KEYS = ("W_x", "W_h", "b", "W_d", "b_d", "W_y", "b_y")
 
     def __init__(self, config: ModelConfig, sequence_length: int, row_width: int,
                  vocab_hash: str | None = None, target: str | None = None,
-                 split_seed: int | None = None):
+                 split_seed: int | None = None, vocabulary: TokenVocabulary | None = None):
+        if vocabulary is not None and vocab_hash not in (None, vocabulary.content_hash()):
+            raise VocabularyMismatch(f"vocab_hash {vocab_hash} is not the vocabulary's")
         self.config = config
         self.sequence_length = int(sequence_length)
         self.row_width = int(row_width)
-        self.vocab_hash = vocab_hash
+        self.vocabulary = vocabulary
+        self.vocab_hash = vocab_hash if vocabulary is None else vocabulary.content_hash()
         self.target = target
         self.split_seed = split_seed
         self.label_mean = 0.0
@@ -467,8 +471,8 @@ class LstmModel:
 
     def save(self, path) -> None:
         """Write a self-contained checkpoint (parameters, optimizer moments,
-        shuffle RNG state, label statistics, config, vocabulary hash, target
-        and split seed)."""
+        shuffle RNG state, label statistics, config, vocabulary and its
+        hash, target and split seed)."""
         meta = {
             "config": asdict(self.config),
             "sequence_length": self.sequence_length,
@@ -477,6 +481,7 @@ class LstmModel:
             "label_std": self.label_std,
             "adam_t": self.adam_t,
             "vocab_hash": self.vocab_hash,
+            "vocab": None if self.vocabulary is None else self.vocabulary.to_record(),
             "target": self.target,
             "split_seed": self.split_seed,
             "rng_state": self._rng.bit_generator.state,
@@ -486,13 +491,14 @@ class LstmModel:
 
     @classmethod
     def load(cls, path, expected_vocab_hash: str | None = None) -> "LstmModel":
+        """The checkpoint's model; an edited vocabulary record raises CorruptArtifact."""
         meta, arrays = read_artifact(path, "checkpoint", CHECKPOINT_VERSION)
         with parsing(path, "checkpoint"):
-            if expected_vocab_hash is not None and meta["vocab_hash"] != expected_vocab_hash:
-                raise VocabularyMismatch(
-                    "checkpoint was trained under a different vocabulary "
-                    f"({meta['vocab_hash']} != {expected_vocab_hash})"
-                )
+            vocabulary = (None if meta["vocab"] is None
+                          else TokenVocabulary.from_record(meta["vocab"], meta["vocab_hash"]))
+            if expected_vocab_hash not in (None, meta["vocab_hash"]):
+                raise VocabularyMismatch("checkpoint was trained under a different vocabulary "
+                                         f"({meta['vocab_hash']} != {expected_vocab_hash})")
             model = cls(
                 ModelConfig(**meta["config"]),
                 meta["sequence_length"],
@@ -500,6 +506,7 @@ class LstmModel:
                 vocab_hash=meta["vocab_hash"],
                 target=meta["target"],
                 split_seed=meta["split_seed"],
+                vocabulary=vocabulary,
             )
             model.label_mean = float(meta["label_mean"])
             model.label_std = float(meta["label_std"])

@@ -33,6 +33,32 @@ TRANSACTION_COLUMNS = [
 ]
 
 
+# One mistyped field of a TokenVocabulary record each: a loose reader would
+# take a string as its characters and 12.9 as 12.
+MISTYPED_VOCAB_FIELDS = [
+    ("targets", "avg(sales)"),
+    ("cont_attrs", ["sales", 1]),
+    ("nom_attrs", None),
+    ("members", [["north", "south"]]),
+    ("members", {"region": "north"}),
+    ("members", {"region": ["north", 2]}),
+    ("numeric_scales", {"sales": "4"}),
+    ("numeric_scales", {"sales": True}),
+    ("bit_width", 12.9),
+    ("bit_width", True),
+    ("bit_width", "5"),
+]
+
+# One numeric scale each that is a number but not a finite positive one: a
+# scale of 0 would encode every BETWEEN bound as 0 and divide by 0 in decode.
+BAD_SCALE_VOCAB_FIELDS = [
+    ("numeric_scales", {"sales": 0}),
+    ("numeric_scales", {"sales": -1.0}),
+    ("numeric_scales", {"sales": float("nan")}),
+    ("numeric_scales", {"sales": float("inf")}),
+]
+
+
 def build_transactions(rows=None) -> Dataset:
     rows = TRANSACTION_ROWS if rows is None else rows
     schema = make_schema(TRANSACTION_COLUMNS)

@@ -17,9 +17,7 @@ from aqplearn import (
     build_vocabulary,
     encode_workload,
     load_schema,
-    load_vocabulary,
     read_workload,
-    save_vocabulary,
     write_workload,
 )
 from aqplearn.artifacts import atomic_open, save_npz
@@ -121,7 +119,7 @@ class TestTruncatedArtifacts:
         with pytest.raises(CorruptArtifact):
             read_workload(truncated(path))
 
-    def test_vocabulary_and_encoded_workload(self, tmp_path):
+    def test_encoded_workload(self, tmp_path):
         ds = build_transactions()
         template = QueryTemplate.build(
             ds, targets=[AggregationTarget(AggregationFunction.AVG, "sales")],
@@ -129,10 +127,8 @@ class TestTruncatedArtifacts:
         )
         vocab = build_vocabulary(queries(), template)
         X = encode_workload(queries(), vocab)
-        save_vocabulary(vocab, tmp_path / "vocab.json")
-        save_encoded(tmp_path / "e.npz", X, np.zeros(len(X)), np.ones(len(X), dtype=np.int64))
-        with pytest.raises(CorruptArtifact):
-            load_vocabulary(truncated(tmp_path / "vocab.json"))
+        save_encoded(tmp_path / "e.npz", X, np.zeros(len(X)), np.ones(len(X), dtype=np.int64),
+                     meta={"vocab": vocab.to_record(), "vocab_hash": vocab.content_hash()})
         with pytest.raises(CorruptArtifact):
             load_encoded(truncated(tmp_path / "e.npz"))
 
@@ -161,17 +157,10 @@ class TestTruncatedArtifacts:
         with pytest.raises(CorruptArtifact, match="label 1 is"):
             load_encoded(path)
 
-    def test_edited_vocabulary_missing_a_field(self, tmp_path):
-        path = tmp_path / "vocab.json"
-        path.write_text(json.dumps({"kind": "vocabulary", "version": 1}))
-        with pytest.raises(CorruptArtifact):
-            load_vocabulary(path)
-
 
 READERS = {
     "workload": read_workload,
     "encoded": load_encoded,
-    "vocabulary": load_vocabulary,
     "checkpoint": LstmModel.load,
 }
 
@@ -188,9 +177,10 @@ def one_of_each(tmp_path_factory):
     X = encode_workload(queries(), vocab)
     paths = {kind: root / f"{kind}.art" for kind in READERS}
     write_workload(paths["workload"], queries())
-    save_encoded(paths["encoded"], X, np.zeros(len(X)), np.ones(len(X), dtype=np.int64))
-    save_vocabulary(vocab, paths["vocabulary"])
-    LstmModel(ModelConfig(lstm_units=4, dense_units=4), 3, 5).save(paths["checkpoint"])
+    save_encoded(paths["encoded"], X, np.zeros(len(X)), np.ones(len(X), dtype=np.int64),
+                 meta={"vocab": vocab.to_record(), "vocab_hash": vocab.content_hash()})
+    LstmModel(ModelConfig(lstm_units=4, dense_units=4), vocab.sequence_length, vocab.row_width,
+              vocabulary=vocab).save(paths["checkpoint"])
     return paths
 
 

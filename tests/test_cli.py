@@ -1,6 +1,5 @@
 """End-to-end command-line pipeline tests."""
 
-import argparse
 import dataclasses
 import hashlib
 import json
@@ -17,6 +16,7 @@ from aqplearn import (
     BetweenFilter,
     Dataset,
     Kind,
+    TokenVocabulary,
     build_vocabulary,
     cli,
     decode,
@@ -28,15 +28,16 @@ from aqplearn import (
     load_template,
     make_schema,
     read_workload,
-    save_vocabulary,
     split_indices,
     synth,
     write_workload,
 )
-from aqplearn.encoder import load_encoded, load_vocabulary, row_token_ids, save_encoded
+from aqplearn.encoder import load_encoded, row_token_ids, save_encoded
 from aqplearn.metrics import dataset_entropy
 from aqplearn.nnet import LstmModel
 from aqplearn.store import dump_csv, dump_schema
+from cli_options import subcommand_options
+from conftest import BAD_SCALE_VOCAB_FIELDS, MISTYPED_VOCAB_FIELDS
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -73,15 +74,15 @@ def pipeline(tmp_path_factory):
                    "--workload", root / "workload.jsonl", "--out", root / "labeled.jsonl",
                    "--threads", 2]),
         ("encode", ["encode", "--workload", root / "labeled.jsonl",
-                    "--out-vocab", root / "vocab.json", "--out-encoded", root / "encoded.npz"]),
-        ("train", ["train", "--encoded", root / "encoded.npz", "--vocab", root / "vocab.json",
+                    "--out-encoded", root / "encoded.npz"]),
+        ("train", ["train", "--encoded", root / "encoded.npz",
                    "--out", root / "model.npz", "--lstm-units", 8, "--dense-units", 12,
                    "--max-epochs", 2, "--batch-size", 16]),
-        ("predict", ["predict", "--checkpoint", root / "model.npz", "--vocab", root / "vocab.json",
+        ("predict", ["predict", "--checkpoint", root / "model.npz",
                      "--workload", root / "labeled.jsonl", "--out", root / "preds.jsonl",
                      "--workers", 2]),
         ("eval", ["eval", "--checkpoint", root / "model.npz", "--encoded", root / "encoded.npz",
-                  "--vocab", root / "vocab.json", "--workers", 2, "--out", root / "eval.json"]),
+                  "--workers", 2, "--out", root / "eval.json"]),
     ]
     for name, argv in steps:
         assert run(*argv) == 0, f"{name} failed"
@@ -105,7 +106,7 @@ class TestPipeline:
         }
 
     def test_all_artifacts_exist(self, pipeline):
-        for name in ("workload.jsonl", "workload.jsonl.sql", "labeled.jsonl", "vocab.json",
+        for name in ("workload.jsonl", "workload.jsonl.sql", "labeled.jsonl",
                      "encoded.npz", "model.npz", "model.npz.report.json", "preds.jsonl",
                      "eval.json"):
             assert (pipeline / name).exists(), name
@@ -148,7 +149,7 @@ class TestPipeline:
 
     def test_eval_report_weighs_the_model(self, pipeline):
         report = json.loads((pipeline / "eval.json").read_text())
-        vocab, _ = load_vocabulary(pipeline / "vocab.json")
+        vocab = encoded_vocabulary(pipeline / "encoded.npz")
         H, Dd = 8, 12  # the fixture's --lstm-units and --dense-units
         n_params = 4 * H * (vocab.row_width + H + 1) + H * Dd + Dd + Dd + 1
         assert report["param_bytes"] == 4 * n_params  # float32
@@ -230,15 +231,15 @@ class TestFailureModes:
         data = (pipeline / "model.npz").read_bytes()
         (tmp_path / "model.npz").write_bytes(data[: len(data) // 2])
         code = run("eval", "--checkpoint", tmp_path / "model.npz", "--encoded",
-                   pipeline / "encoded.npz", "--vocab", pipeline / "vocab.json")
+                   pipeline / "encoded.npz")
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "CorruptArtifact"
 
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_learning_rate_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys, lr):
-        code = run("train", "--encoded", pipeline / "encoded.npz", "--vocab",
-                   pipeline / "vocab.json", "--out", tmp_path / "model.npz", "--lr", lr)
+        code = run("train", "--encoded", pipeline / "encoded.npz", "--out", tmp_path / "model.npz",
+                   "--lr", lr)
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidConfig"
@@ -286,13 +287,13 @@ class TestFailureModes:
     def test_out_of_range_number_is_a_usage_error(self, pipeline, tmp_path, capsys,
                                                   command, flag, value):
         data = ["--data", pipeline / "data.csv", "--schema", pipeline / "schema.json"]
-        model = ["--checkpoint", pipeline / "model.npz", "--vocab", pipeline / "vocab.json"]
+        model = ["--checkpoint", pipeline / "model.npz"]
         encoded = ["--encoded", pipeline / "encoded.npz"]
         out = ["--out", tmp_path / "out"]
         argv = {
             "generate": [*data, "--template", pipeline / "template.json", *out],
             "label": [*data, "--workload", pipeline / "workload.jsonl", *out],
-            "train": [*encoded, "--vocab", pipeline / "vocab.json", *out],
+            "train": [*encoded, *out],
             "predict": [*model, "--workload", pipeline / "labeled.jsonl", *out],
             "eval": [*model, *encoded, *out],
         }[command]
@@ -303,7 +304,7 @@ class TestFailureModes:
 
     def test_bench_is_a_usage_error(self, pipeline, tmp_path, capsys):
         assert run("bench", "--checkpoint", pipeline / "model.npz", "--encoded",
-                   pipeline / "encoded.npz", "--vocab", pipeline / "vocab.json",
+                   pipeline / "encoded.npz",
                    "--out", tmp_path / "bench.json") == 2
         err = capsys.readouterr().err
         assert "invalid choice: 'bench'" in err and "Traceback" not in err
@@ -313,17 +314,24 @@ class TestFailureModes:
         ("generate", "--seed", "1"),
         ("encode", "--schema", "schema.json"),
         ("train", "--config", "config.json"),
+        ("encode", "--out-vocab", "vocab.json"),
+        ("train", "--vocab", "vocab.json"),
+        ("predict", "--vocab", "vocab.json"),
+        ("eval", "--vocab", "vocab.json"),
     ])
     def test_removed_input_is_a_usage_error(self, pipeline, tmp_path, capsys, command, flag, value):
-        # The template's seed, the labeled header's schema and the train flags
-        # are the one source of each.
+        # The template's seed, the labeled header's schema, the train flags and
+        # the vocabulary that the encoded file and the checkpoint record are
+        # the one source of each.
         data = ["--data", pipeline / "data.csv", "--schema", pipeline / "schema.json"]
         argv = {
             "generate": [*data, "--template", pipeline / "template.json", "--out", tmp_path / "o"],
-            "encode": ["--workload", pipeline / "labeled.jsonl", "--out-vocab", tmp_path / "v",
-                       "--out-encoded", tmp_path / "o"],
-            "train": ["--encoded", pipeline / "encoded.npz", "--vocab", pipeline / "vocab.json",
-                      "--out", tmp_path / "o"],
+            "encode": ["--workload", pipeline / "labeled.jsonl", "--out-encoded", tmp_path / "o"],
+            "train": ["--encoded", pipeline / "encoded.npz", "--out", tmp_path / "o"],
+            "predict": ["--checkpoint", pipeline / "model.npz",
+                        "--workload", pipeline / "labeled.jsonl", "--out", tmp_path / "o"],
+            "eval": ["--checkpoint", pipeline / "model.npz", "--encoded", pipeline / "encoded.npz",
+                     "--out", tmp_path / "o"],
         }[command]
         assert run(command, *argv, flag, value) == 2
         err = capsys.readouterr().err
@@ -376,8 +384,8 @@ class TestFailureModes:
         # score or time.
         X, y, support, meta = load_encoded(pipeline / "encoded.npz")
         save_encoded(tmp_path / "e.npz", X[:5], y[:5], support[:5],
-                     meta={"vocab_content_hash": meta["vocab_content_hash"]})
-        common = ["--encoded", tmp_path / "e.npz", "--vocab", pipeline / "vocab.json"]
+                     meta={"vocab": meta["vocab"], "vocab_hash": meta["vocab_hash"]})
+        common = ["--encoded", tmp_path / "e.npz"]
         for argv, out in (
             (["eval", *common, "--checkpoint", pipeline / "model.npz", "--split", "validation"],
              tmp_path / "eval.json"),
@@ -420,26 +428,12 @@ class TestFailureModes:
         assert err["error"] == "HashMismatch" and "'dataset_sha256'" in err["message"]
         assert not (tmp_path / "labeled.jsonl").exists()
 
-    def test_encoded_without_vocab_hash_is_exit_1_with_json_error(self, pipeline, tmp_path,
-                                                                  capsys):
-        X, y, support, _ = load_encoded(pipeline / "encoded.npz")
-        save_encoded(tmp_path / "encoded.npz", X, y, support)  # no vocab_content_hash
-        code = run("train", "--encoded", tmp_path / "encoded.npz", "--vocab",
-                   pipeline / "vocab.json", "--out", tmp_path / "model.npz")
-        assert code == 1
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        err = json.loads(lines[0])
-        assert err["error"] == "HashMismatch" and "'vocab_content_hash'" in err["message"]
-        assert not (tmp_path / "model.npz").exists()
-
     def test_encoded_with_missing_labels_is_exit_1_with_json_error(self, pipeline, tmp_path,
                                                                    capsys):
         X, y, support, meta = load_encoded(pipeline / "encoded.npz")
         save_encoded(tmp_path / "encoded.npz", X, y[:-3], support,
-                     meta={"vocab_content_hash": meta["vocab_content_hash"]})
-        code = run("train", "--encoded", tmp_path / "encoded.npz", "--vocab",
-                   pipeline / "vocab.json", "--out", tmp_path / "model.npz")
+                     meta={"vocab": meta["vocab"], "vocab_hash": meta["vocab_hash"]})
+        code = run("train", "--encoded", tmp_path / "encoded.npz", "--out", tmp_path / "model.npz")
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "CorruptArtifact"
@@ -450,9 +444,8 @@ class TestFailureModes:
         # Five queries split 3/0/2, which leaves no validation set.
         X, y, support, meta = load_encoded(pipeline / "encoded.npz")
         save_encoded(tmp_path / "encoded.npz", X[:5], y[:5], support[:5],
-                     meta={"vocab_content_hash": meta["vocab_content_hash"]})
-        code = run("train", "--encoded", tmp_path / "encoded.npz", "--vocab",
-                   pipeline / "vocab.json", "--out", tmp_path / "model.npz")
+                     meta={"vocab": meta["vocab"], "vocab_hash": meta["vocab_hash"]})
+        code = run("train", "--encoded", tmp_path / "encoded.npz", "--out", tmp_path / "model.npz")
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
@@ -466,9 +459,8 @@ class TestFailureModes:
             arrays = {k: data[k] for k in data.files}
         arrays["param_W_h"] = arrays["param_W_h"][:4, :8]
         np.savez(tmp_path / "model.npz", **arrays)
-        code = run("predict", "--checkpoint", tmp_path / "model.npz", "--vocab",
-                   pipeline / "vocab.json", "--workload", pipeline / "labeled.jsonl",
-                   "--out", tmp_path / "preds.jsonl")
+        code = run("predict", "--checkpoint", tmp_path / "model.npz",
+                   "--workload", pipeline / "labeled.jsonl", "--out", tmp_path / "preds.jsonl")
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "CorruptArtifact"
@@ -508,25 +500,13 @@ class TestFailureModes:
         assert run("label", "--data", pipeline / "data.csv", "--schema", pipeline / "schema.json",
                    "--workload", tmp_path / "w.jsonl", "--out", tmp_path / "l.jsonl") == 0
         capsys.readouterr()
-        code = run("encode", "--workload", tmp_path / "l.jsonl",
-                   "--out-vocab", tmp_path / "vocab.json", "--out-encoded", tmp_path / "e.npz")
+        code = run("encode", "--workload", tmp_path / "l.jsonl", "--out-encoded", tmp_path / "e.npz")
         assert code == 1
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1
         err = json.loads(err)
         assert err["error"] == "EmptyList" and str(tmp_path / "l.jsonl") in err["message"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["l.jsonl", "w.jsonl"]
-
-    def test_foreign_vocabulary_rejected_at_predict(self, pipeline, tmp_path, capsys):
-        make_inputs(tmp_path, targets=[{"func": "sum", "attr": "sales"}])
-        generate_and_label(tmp_path)
-        assert run_encode(tmp_path, tmp_path / "l.jsonl") == 0
-        code = run("predict", "--checkpoint", pipeline / "model.npz",
-                   "--vocab", tmp_path / "vocab.json",
-                   "--workload", tmp_path / "l.jsonl", "--out", tmp_path / "p.jsonl")
-        assert code == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "VocabularyMismatch"
 
     def test_target_without_rows_is_invalid_target_in_train_and_eval(self, tmp_path, capsys):
         # The template declares min(sales) as well, so the vocabulary holds it;
@@ -539,7 +519,7 @@ class TestFailureModes:
         write_workload(tmp_path / "avg.jsonl",
                        [lq for lq in records if lq.query.target.token() != "min(sales)"], meta)
         assert run_encode(tmp_path, tmp_path / "avg.jsonl") == 0
-        assert run("train", "--encoded", tmp_path / "e.npz", "--vocab", tmp_path / "vocab.json",
+        assert run("train", "--encoded", tmp_path / "e.npz",
                    "--out", tmp_path / "m.npz", "--target", "avg(sales)", "--lstm-units", 8,
                    "--dense-units", 8, "--max-epochs", 1) == 0
         capsys.readouterr()
@@ -547,7 +527,7 @@ class TestFailureModes:
         answers_min.target = "min(sales)"
         answers_min.save(tmp_path / "min.npz")
         message = f"no queries for target 'min(sales)' in {tmp_path / 'e.npz'}"
-        model = ["--encoded", tmp_path / "e.npz", "--vocab", tmp_path / "vocab.json"]
+        model = ["--encoded", tmp_path / "e.npz"]
         for argv in (
             ["train", *model, "--target", "min(sales)", "--out", tmp_path / "m2.npz"],
             ["eval", *model, "--checkpoint", tmp_path / "min.npz"],
@@ -565,7 +545,7 @@ class TestFailureModes:
         )
         generate_and_label(tmp_path)
         assert run_encode(tmp_path, tmp_path / "l.jsonl") == 0
-        train = ["train", "--encoded", tmp_path / "e.npz", "--vocab", tmp_path / "vocab.json",
+        train = ["train", "--encoded", tmp_path / "e.npz",
                  "--out", tmp_path / "m.npz", "--lstm-units", 8, "--dense-units", 8,
                  "--max-epochs", 1]
         assert run(*train) == 1
@@ -631,7 +611,7 @@ class TestCheckpointAnswersItsTarget:
         write_workload(root / "avg.jsonl",
                        [lq for lq in records if lq.query.target.token() == "avg(sales)"], meta)
         assert run_encode(root, root / "l.jsonl") == 0
-        assert run("train", "--encoded", root / "e.npz", "--vocab", root / "vocab.json",
+        assert run("train", "--encoded", root / "e.npz",
                    "--out", root / "m.npz", "--target", "avg(sales)", "--split-seed", 3,
                    "--lstm-units", 8, "--dense-units", 8, "--max-epochs", 1) == 0
         return root
@@ -641,14 +621,14 @@ class TestCheckpointAnswersItsTarget:
         assert (model.target, model.split_seed) == ("avg(sales)", 3)
 
     def test_the_recorded_target_and_split_pass(self, trained, tmp_path):
-        model = ["--checkpoint", trained / "m.npz", "--vocab", trained / "vocab.json"]
+        model = ["--checkpoint", trained / "m.npz"]
         evaluate = ["eval", *model, "--encoded", trained / "e.npz"]
         assert run(*evaluate, "--out", tmp_path / "eval.json") == 0
         assert run(*evaluate, "--split", "all", "--out", tmp_path / "all.json") == 0
         assert run("predict", *model, "--workload", trained / "avg.jsonl",
                    "--out", tmp_path / "preds.jsonl") == 0
         X, _, _, _ = load_encoded(trained / "e.npz")
-        vocab, _ = load_vocabulary(trained / "vocab.json")
+        vocab = encoded_vocabulary(trained / "e.npz")
         n_avg = np.count_nonzero(row_token_ids(X) == vocab.token_id("avg(sales)"))
         for split, name in (("test", "eval.json"), ("all", "all.json")):
             report = json.loads((tmp_path / name).read_text())
@@ -667,7 +647,7 @@ class TestCheckpointAnswersItsTarget:
         model.save(tmp_path / "api.npz")
         capsys.readouterr()
         assert run("eval", "--checkpoint", tmp_path / "api.npz", "--encoded", trained / "e.npz",
-                   "--vocab", trained / "vocab.json", "--out", tmp_path / "eval.json") == 1
+                   "--out", tmp_path / "eval.json") == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         err = json.loads(lines[0])
@@ -681,7 +661,7 @@ class TestCheckpointAnswersItsTarget:
         argv = [trained / a if str(a).endswith((".npz", ".jsonl")) else a for a in command]
         out = tmp_path / "out.json"
         capsys.readouterr()
-        assert run(*argv, "--checkpoint", trained / "m.npz", "--vocab", trained / "vocab.json",
+        assert run(*argv, "--checkpoint", trained / "m.npz",
                    "--out", out) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
@@ -689,6 +669,174 @@ class TestCheckpointAnswersItsTarget:
         assert err["error"] == "CheckpointMismatch"
         assert err["message"] == f"{trained}/{message}"
         assert not out.exists()
+
+
+def rewrite_npz_meta(src, dst, **fields):
+    """Copy the .npz artifact `src` to `dst` with its JSON meta changed: each
+    keyword sets a field, and the value ... removes it."""
+    with np.load(src) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = {**json.loads(bytes(arrays["meta"])), **fields}
+    meta = {k: v for k, v in meta.items() if v is not ...}
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    with open(dst, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def edited(record: dict, field: str | None, value):
+    """The vocabulary record `record` with `field` set to `value`, or, with
+    no field, `value` in its place; a callable value edits the field."""
+    if field is None:
+        return value
+    return {**record, field: value(record[field]) if callable(value) else value}
+
+
+def one_member_changed(members: dict) -> dict:
+    return {**members, "region": ["nowhere", *members["region"][1:]]}
+
+
+# Edits that leave the record well typed but make it another vocabulary.
+WELL_TYPED_VOCAB_EDITS = [
+    pytest.param("members", one_member_changed, id="one-member-changed"),
+    pytest.param("nom_attrs", lambda attrs: attrs[::-1], id="nom-attrs-reordered"),
+    pytest.param("numeric_scales", {"sales": 0.5}, id="scale-added"),
+]
+
+
+class TestVocabularyTravelsInTheArtifacts:
+    """encode writes the vocabulary into the encoded file and train copies
+    it into the checkpoint; predict encodes under the checkpoint's, eval
+    checks the encoded file's against it, and no stage reads or writes a
+    vocabulary file."""
+
+    def test_the_encoded_file_and_the_checkpoint_hold_one_vocabulary(self, pipeline):
+        vocab = encoded_vocabulary(pipeline / "encoded.npz")
+        model = LstmModel.load(pipeline / "model.npz")
+        assert (model.vocabulary, model.vocab_hash) == (vocab, vocab.content_hash())
+        assert list(pipeline.glob("*vocab*")) == []
+
+    def test_predict_encodes_under_the_checkpoint_s_vocabulary(self, pipeline):
+        model = LstmModel.load(pipeline / "model.npz")
+        _, records = read_workload(pipeline / "labeled.jsonl")
+        lines = (pipeline / "preds.jsonl").read_text().splitlines()[1:]
+        expected = model.predict_batch(encode_workload(records, model.vocabulary), n_workers=2)
+        assert [json.loads(line)["prediction"] for line in lines] == expected.tolist()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("field, value", [
+        pytest.param(None, ..., id="removed"),
+        pytest.param(None, None, id="null"),
+        pytest.param(None, "vocab.json", id="a-path"),
+        *WELL_TYPED_VOCAB_EDITS,
+        *MISTYPED_VOCAB_FIELDS,
+        *BAD_SCALE_VOCAB_FIELDS,
+    ])
+    def test_edited_vocabulary_of_the_encoded_file_is_exit_1(self, pipeline, tmp_path, capsys,
+                                                             command, field, value):
+        record = load_encoded(pipeline / "encoded.npz")[3]["vocab"]
+        rewrite_npz_meta(pipeline / "encoded.npz", tmp_path / "e.npz",
+                         vocab=edited(record, field, value))
+        model = ["--checkpoint", pipeline / "model.npz"] if command == "eval" else []
+        assert run(command, "--encoded", tmp_path / "e.npz", *model,
+                   "--out", tmp_path / "out") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        err = json.loads(err)
+        assert err["error"] == "CorruptArtifact"
+        assert err["message"].startswith(f"{tmp_path / 'e.npz'}: header 'vocab' ")
+        assert [p.name for p in tmp_path.iterdir()] == ["e.npz"]
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("vocab_hash", [
+        pytest.param(..., id="removed"),
+        pytest.param(None, id="null"),
+        pytest.param("0" * 64, id="another"),
+    ])
+    def test_encoded_file_without_its_vocab_hash_is_exit_1(self, pipeline, tmp_path, capsys,
+                                                           command, vocab_hash):
+        rewrite_npz_meta(pipeline / "encoded.npz", tmp_path / "e.npz", vocab_hash=vocab_hash)
+        model = ["--checkpoint", pipeline / "model.npz"] if command == "eval" else []
+        assert run(command, "--encoded", tmp_path / "e.npz", *model,
+                   "--out", tmp_path / "out") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "CorruptArtifact",
+            "message": f"{tmp_path / 'e.npz'}: header 'vocab' is not a valid vocab: ValueError its "
+                       f"content hash is not {json.dumps(None if vocab_hash is ... else vocab_hash)}",
+        }
+        assert [p.name for p in tmp_path.iterdir()] == ["e.npz"]
+
+    def test_reordered_targets_of_the_encoded_file_are_exit_1(self, tmp_path, capsys):
+        # Reordered, the targets would give avg(sales)'s token ID to
+        # min(sales), so --target avg(sales) would select min(sales)'s rows.
+        make_inputs(tmp_path, targets=[{"func": "avg", "attr": "sales"},
+                                       {"func": "min", "attr": "sales"}])
+        generate_and_label(tmp_path)
+        assert run_encode(tmp_path, tmp_path / "l.jsonl") == 0
+        assert run("train", "--encoded", tmp_path / "e.npz", "--target", "avg(sales)",
+                   "--max-epochs", 1, "--out", tmp_path / "m.npz") == 0
+        record = load_encoded(tmp_path / "e.npz")[3]["vocab"]
+        assert record["targets"] == ["avg(sales)", "min(sales)"]
+        rewrite_npz_meta(tmp_path / "e.npz", tmp_path / "r.npz",
+                         vocab=edited(record, "targets", record["targets"][::-1]))
+        capsys.readouterr()
+        for argv in (["train", "--target", "avg(sales)"], ["eval", "--checkpoint", tmp_path / "m.npz"]):
+            assert run(*argv, "--encoded", tmp_path / "r.npz", "--out", tmp_path / "out") == 1
+            out, err = capsys.readouterr()
+            assert out == "" and len(err.splitlines()) == 1
+            err = json.loads(err)
+            assert err["error"] == "CorruptArtifact"
+            assert err["message"].startswith(f"{tmp_path / 'r.npz'}: header 'vocab' ")
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("field, value", [
+        pytest.param(None, ..., id="removed"),
+        pytest.param(None, None, id="saved-without-one"),
+        *WELL_TYPED_VOCAB_EDITS,
+        *MISTYPED_VOCAB_FIELDS,
+        *BAD_SCALE_VOCAB_FIELDS,
+    ])
+    def test_edited_vocabulary_of_the_checkpoint_is_exit_1(self, pipeline, tmp_path, capsys,
+                                                           command, field, value):
+        record = LstmModel.load(pipeline / "model.npz").vocabulary.to_record()
+        rewrite_npz_meta(pipeline / "model.npz", tmp_path / "m.npz",
+                         vocab=edited(record, field, value))
+        data = {"predict": ["--workload", pipeline / "labeled.jsonl"],
+                "eval": ["--encoded", pipeline / "encoded.npz"]}[command]
+        assert run(command, "--checkpoint", tmp_path / "m.npz", *data,
+                   "--out", tmp_path / "out") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        err = json.loads(err)
+        assert err["error"] == "CorruptArtifact"
+        assert err["message"].startswith(str(tmp_path / "m.npz"))
+        assert [p.name for p in tmp_path.iterdir()] == ["m.npz"]
+
+    @pytest.mark.parametrize("how", ["one-member-changed-and-rehashed", "another-template"])
+    def test_encoded_file_of_another_vocabulary_is_hash_mismatch_at_eval(self, pipeline, tmp_path,
+                                                                         capsys, how):
+        if how == "another-template":
+            make_inputs(tmp_path, targets=[{"func": "avg", "attr": "sales"},
+                                           {"func": "sum", "attr": "sales"}])
+            generate_and_label(tmp_path)
+            assert run_encode(tmp_path, tmp_path / "l.jsonl") == 0
+        else:
+            record = edited(load_encoded(pipeline / "encoded.npz")[3]["vocab"], "members",
+                            one_member_changed)
+            rewrite_npz_meta(pipeline / "encoded.npz", tmp_path / "e.npz", vocab=record,
+                             vocab_hash=hashlib.sha256(json.dumps(record, sort_keys=True)
+                                                       .encode()).hexdigest())
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", pipeline / "model.npz", "--encoded", tmp_path / "e.npz",
+                   "--out", tmp_path / "eval.json") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        err = json.loads(err)
+        assert err["error"] == "HashMismatch"
+        assert err["message"].startswith(f"the vocabulary of {tmp_path / 'e.npz'} (hash ")
+        assert not (tmp_path / "eval.json").exists()
 
 
 TIMING_FIELDS = ("ql_mean_ms", "ql_p50_ms", "ql_p99_ms", "ql_max_ms", "qt_qps", "qt_seconds")
@@ -731,9 +879,14 @@ def generate_and_label(root):
     assert run("label", *data, "--workload", root / "w.jsonl", "--out", root / "l.jsonl") == 0
 
 
+def encoded_vocabulary(path) -> TokenVocabulary:
+    """The vocabulary that the encoded file at `path` records."""
+    meta = load_encoded(path)[3]
+    return TokenVocabulary.from_record(meta["vocab"], meta["vocab_hash"])
+
+
 def run_encode(root, workload):
-    return run("encode", "--workload", workload,
-               "--out-vocab", root / "vocab.json", "--out-encoded", root / "e.npz")
+    return run("encode", "--workload", workload, "--out-encoded", root / "e.npz")
 
 
 def evaluate_on_the_table(root, encoded, checkpoint, target, split_seed, split="test"):
@@ -741,7 +894,7 @@ def evaluate_on_the_table(root, encoded, checkpoint, target, split_seed, split="
     --data and --schema: the split of `target`'s rows of root/encoded, and
     the mean entropy of root/data.csv."""
     X, y, _, _ = load_encoded(root / encoded)
-    vocab, _ = load_vocabulary(root / "vocab.json")
+    vocab = encoded_vocabulary(root / encoded)
     rows = np.flatnonzero(row_token_ids(X) == vocab.token_id(target))
     X, y = X[rows], y[rows]
     if split != "all":
@@ -768,14 +921,13 @@ class TestEncodeReadsItsTemplate:
         _, records = read_workload(tmp_path / "l.jsonl")
         vocab = build_vocabulary(records, load_template(tmp_path / "template.json", ds))
         workload_hash = hashlib.sha256((tmp_path / "l.jsonl").read_bytes()).hexdigest()
-        save_vocabulary(vocab, tmp_path / "expected_vocab.json",
-                        meta={"workload_sha256": workload_hash})
         for name in ("data.csv", "schema.json", "template.json"):
             (tmp_path / name).unlink()
         assert run_encode(tmp_path, tmp_path / "l.jsonl") == 0
-        assert ((tmp_path / "vocab.json").read_bytes()
-                == (tmp_path / "expected_vocab.json").read_bytes())
-        X, y, support, _ = load_encoded(tmp_path / "e.npz")
+        X, y, support, meta = load_encoded(tmp_path / "e.npz")
+        assert meta["workload_sha256"] == workload_hash
+        assert (json.dumps(meta["vocab"], sort_keys=True)  # where 1.0 is not 1
+                == json.dumps(vocab.to_record(), sort_keys=True))
         np.testing.assert_array_equal(X, encode_workload(records, vocab))
         np.testing.assert_array_equal(y, [lq.label for lq in records])
         np.testing.assert_array_equal(support, [lq.support for lq in records])
@@ -789,7 +941,7 @@ class TestEncodeReadsItsTemplate:
         assert run_encode(tmp_path, tmp_path / "l.jsonl") == 0
         _, records = read_workload(tmp_path / "l.jsonl")
         X, _, _, _ = load_encoded(tmp_path / "e.npz")
-        vocab, _ = load_vocabulary(tmp_path / "vocab.json")
+        vocab = encoded_vocabulary(tmp_path / "e.npz")
         assert any(f.upper % 1 for lq in records for f in lq.query.between_filters)
         assert [decode(x, vocab) for x in X] == [lq.query for lq in records]
 
@@ -798,7 +950,7 @@ class TestEncodeReadsItsTemplate:
     def test_template_or_data_option_is_a_usage_error(self, pipeline, tmp_path, capsys,
                                                      flag, name):
         assert run("encode", "--workload", pipeline / "labeled.jsonl", flag, pipeline / name,
-                   "--out-vocab", tmp_path / "vocab.json", "--out-encoded", tmp_path / "e.npz") == 2
+                   "--out-encoded", tmp_path / "e.npz") == 2
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
@@ -865,7 +1017,7 @@ class TestEvalReadsItsArtifacts:
         make(tmp_path)
         generate_and_label(tmp_path)
         assert run_encode(tmp_path, tmp_path / "l.jsonl") == 0
-        assert run("train", "--encoded", tmp_path / "e.npz", "--vocab", tmp_path / "vocab.json",
+        assert run("train", "--encoded", tmp_path / "e.npz",
                    "--out", tmp_path / "m.npz", "--lstm-units", 8, "--dense-units", 8,
                    "--max-epochs", 1) == 0
         expected = evaluate_on_the_table(tmp_path, "e.npz", "m.npz", "avg(sales)", 0)
@@ -876,7 +1028,7 @@ class TestEvalReadsItsArtifacts:
         (tmp_path / "data.csv").unlink()
         (tmp_path / "schema.json").unlink()
         assert run("eval", "--checkpoint", tmp_path / "m.npz", "--encoded", tmp_path / "e.npz",
-                   "--vocab", tmp_path / "vocab.json", "--out", tmp_path / "eval.json") == 0
+                   "--out", tmp_path / "eval.json") == 0
         out = capsys.readouterr().out
         assert f"{profiled:.4f} bits" in out
         report = json.loads((tmp_path / "eval.json").read_text())
@@ -896,7 +1048,7 @@ class TestEvalReadsItsArtifacts:
     ])
     def test_removed_option_is_a_usage_error(self, pipeline, tmp_path, capsys, flag, value):
         assert run("eval", "--checkpoint", pipeline / "model.npz", "--encoded",
-                   pipeline / "encoded.npz", "--vocab", pipeline / "vocab.json",
+                   pipeline / "encoded.npz",
                    "--out", tmp_path / "eval.json", flag, value) == 2
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
@@ -908,8 +1060,7 @@ class TestEvalReadsItsArtifacts:
                 if k not in ("kind", "version", "count", "mean_entropy_bits")}
         save_encoded(tmp_path / "e.npz", X, y, support, meta={**kept, **meta})
         return run("eval", "--checkpoint", pipeline / "model.npz", "--encoded", tmp_path / "e.npz",
-                   "--vocab", pipeline / "vocab.json", "--workers", 2,
-                   "--out", tmp_path / "eval.json")
+                   "--workers", 2, "--out", tmp_path / "eval.json")
 
     def test_encoded_file_without_entropy_reports_none(self, pipeline, tmp_path, capsys):
         assert self.run_eval_on_meta(pipeline, tmp_path) == 0
@@ -937,7 +1088,7 @@ class TestEvalReadsItsArtifacts:
         model.target = model.split_seed = None  # as the Python API saves it
         model.save(tmp_path / "api.npz")
         assert run("eval", "--checkpoint", tmp_path / "api.npz", "--encoded",
-                   pipeline / "encoded.npz", "--vocab", pipeline / "vocab.json", "--workers", 2,
+                   pipeline / "encoded.npz", "--workers", 2,
                    "--out", tmp_path / "eval.json") == 0
         report = json.loads((tmp_path / "eval.json").read_text())
         expected = json.loads((pipeline / "eval.json").read_text())
@@ -952,20 +1103,12 @@ def documented_command_lines(text: str) -> list[list[str]]:
             if line.startswith("aqplearn ")]
 
 
-def parser_options() -> set[str]:
-    """Every --option of every subcommand of the CLI's parser."""
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return {opt for p in sub.choices.values() for opt in p._option_string_actions
-            if opt.startswith("--")}
-
-
 def test_documented_command_lines_parse():
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Quick start (CLI)", 1)[1].split("\n## ", 1)[0]
     quick_start = section.split("```sh\n", 1)[1].split("```", 1)[0]
     demo = (REPO / "demos" / "06_cli_pipeline.sh").read_text(encoding="utf-8")
-    known = parser_options()
+    known = {opt for opts in subcommand_options().values() for opt in opts} | {"--help"}
     for source, text, named_in in (("README quick start", quick_start, section),
                                    ("demo 06", demo, demo)):
         lines = documented_command_lines(text)

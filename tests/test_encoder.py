@@ -1,8 +1,11 @@
 """Binary query encoding: exact bit patterns, round trips, malformed input."""
 
+import json
+
 import numpy as np
 import pytest
 
+import aqplearn
 from aqplearn import (
     AggregationFunction,
     AggregationTarget,
@@ -18,18 +21,12 @@ from aqplearn import (
     encode_workload,
     generate_workload,
     label_workload,
-    load_vocabulary,
-    save_vocabulary,
 )
+from aqplearn.artifacts import save_npz
 from aqplearn.encoder import load_encoded, member_token, row_token_ids, save_encoded
-from aqplearn.errors import (
-    CorruptArtifact,
-    MalformedMatrix,
-    NumericOverflow,
-    UnknownToken,
-)
+from aqplearn.errors import MalformedMatrix, NumericOverflow, UnknownToken, VersionMismatch
 from aqplearn.queries import number_parts
-from conftest import build_transactions
+from conftest import BAD_SCALE_VOCAB_FIELDS, MISTYPED_VOCAB_FIELDS, build_transactions
 
 AVG = AggregationFunction.AVG
 COUNT = AggregationFunction.COUNT
@@ -620,8 +617,8 @@ class TestTensorHelpers:
         assert not (tmp_path / "enc.npz").exists()
 
 
-class TestVocabularyFiles:
-    def test_save_load_round_trip(self, tmp_path, transactions):
+class TestVocabularyRecords:
+    def test_json_round_trip(self, transactions):
         template = QueryTemplate.build(
             transactions,
             targets=[AggregationTarget(AVG, "sales")],
@@ -632,20 +629,46 @@ class TestVocabularyFiles:
         queries, _ = generate_workload(transactions, template)
         labeled, _ = label_workload(transactions, queries)
         vocab = build_vocabulary(labeled, template)
-        path = tmp_path / "vocab.json"
-        save_vocabulary(vocab, path, meta={"origin": "test"})
-        back, doc = load_vocabulary(path)
+        back = TokenVocabulary.from_record(json.loads(json.dumps(vocab.to_record())),
+                                           vocab.content_hash())
         assert back == vocab
         assert back.content_hash() == vocab.content_hash()
-        assert doc["origin"] == "test"
 
-    def test_tampered_file_rejected(self, tmp_path):
-        path = tmp_path / "vocab.json"
-        save_vocabulary(small_vocab(), path)
-        text = path.read_text().replace('"bit_width": 5', '"bit_width": 6')
-        path.write_text(text)
-        with pytest.raises(CorruptArtifact):
-            load_vocabulary(path)
+    @pytest.mark.parametrize("field, value", MISTYPED_VOCAB_FIELDS)
+    def test_mistyped_field_is_a_type_error_naming_it(self, field, value):
+        rec = {**small_vocab().to_record(), field: value}
+        with pytest.raises(TypeError, match=f"^{field}"):
+            TokenVocabulary.from_record(rec, small_vocab().content_hash())
+
+    @pytest.mark.parametrize("field, value", BAD_SCALE_VOCAB_FIELDS)
+    def test_scale_that_is_not_finite_and_positive_is_a_value_error(self, field, value):
+        with pytest.raises(ValueError, match=r"^numeric_scales\['sales'\] is .*, not a finite positive"):
+            TokenVocabulary.from_record({**small_vocab().to_record(), field: value},
+                                        small_vocab().content_hash())
+        with pytest.raises(ValueError, match=r"^numeric_scales\['sales'\]"):
+            TokenVocabulary(("avg(sales)",), ("sales",), (), {}, value, 8)
+
+    def test_there_is_no_vocabulary_file(self):
+        assert {"save_vocabulary", "load_vocabulary"} & set(aqplearn.__all__) == set()
+
+    def test_v1_encoded_file_rejected(self, tmp_path):
+        # Version 1 named a vocabulary file by its hash instead of holding one.
+        X = encode_workload([FlatQuery(AggregationTarget(AVG, "sales"))], small_vocab())
+        save_npz(tmp_path / "e.npz", "encoded", 1, {"X": X, "y": np.zeros(1), "support": np.ones(1)},
+                 {"count": 1, "vocab_content_hash": small_vocab().content_hash()})
+        with pytest.raises(VersionMismatch, match="version 1 "):
+            load_encoded(tmp_path / "e.npz")
+
+    def test_missing_field_is_a_key_error(self):
+        rec = small_vocab().to_record()
+        del rec["members"]
+        with pytest.raises(KeyError, match="members"):
+            TokenVocabulary.from_record(rec, small_vocab().content_hash())
+
+    @pytest.mark.parametrize("content_hash", [None, "", "0" * 64, small_vocab(6).content_hash()])
+    def test_record_of_another_hash_is_a_value_error(self, content_hash):
+        with pytest.raises(ValueError, match="^its content hash is not "):
+            TokenVocabulary.from_record(small_vocab().to_record(), content_hash)
 
     def test_member_token_namespacing(self):
         assert member_token("region", "north") == "region=north"

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from aqplearn import LstmModel, ModelConfig
+from aqplearn import LstmModel, ModelConfig, TokenVocabulary
 from aqplearn.errors import (
     CorruptArtifact,
     DivergedLoss,
@@ -18,7 +18,7 @@ from aqplearn.errors import (
     VocabularyMismatch,
 )
 from aqplearn.nnet import PREDICT_CHUNK, _prefix_order
-from conftest import gradient_check
+from conftest import MISTYPED_VOCAB_FIELDS, gradient_check
 
 L, D = 5, 7
 
@@ -588,6 +588,13 @@ class TestFloat32:
             assert v.dtype == np.float32 and v.tobytes() == before[k]
 
 
+def model_vocabulary() -> TokenVocabulary:
+    """A vocabulary whose layout is the small models' L rows of D bits."""
+    return TokenVocabulary(targets=("avg(v)",), cont_attrs=(), nom_attrs=("a", "b"),
+                           members={"a": ("x", "y"), "b": ("z",)}, numeric_scales={"v": 2.0},
+                           bit_width=D - 1)
+
+
 def rewrite_meta(path, drop=(), arrays=None, **fields):
     """Change fields of a saved checkpoint's JSON metadata in place, remove
     the `drop` fields and replace the given arrays."""
@@ -637,6 +644,52 @@ class TestPersistence:
         back = LstmModel.load(path)
         assert (back.target, back.split_seed) == ("avg(sales)", 4)
 
+    def test_checkpoint_without_vocabulary_loads_with_none(self, tmp_path):
+        m = small_model()
+        m.vocab_hash = "abc123"  # as LstmModel(config, L, D, vocab_hash) saves it
+        path = tmp_path / "model.npz"
+        m.save(path)
+        back = LstmModel.load(path, expected_vocab_hash="abc123")
+        assert (back.vocabulary, back.vocab_hash) == (None, "abc123")
+
+    def test_vocabulary_round_trips_and_sets_the_hash(self, tmp_path):
+        vocab = model_vocabulary()
+        m = LstmModel(ModelConfig(lstm_units=6, dense_units=8), L, D, vocabulary=vocab)
+        assert m.vocab_hash == vocab.content_hash()
+        path = tmp_path / "model.npz"
+        m.save(path)
+        back = LstmModel.load(path, expected_vocab_hash=vocab.content_hash())
+        assert (back.vocabulary, back.vocab_hash) == (vocab, vocab.content_hash())
+
+    def test_vocab_hash_must_be_the_vocabulary_s(self):
+        vocab = model_vocabulary()
+        config = ModelConfig(lstm_units=6, dense_units=8)
+        assert LstmModel(config, L, D, vocab.content_hash(), vocabulary=vocab).vocab_hash == (
+            vocab.content_hash())
+        with pytest.raises(VocabularyMismatch):
+            LstmModel(config, L, D, "abc123", vocabulary=vocab)
+
+    @pytest.mark.parametrize("field, value", [
+        *MISTYPED_VOCAB_FIELDS,
+        ("members", {"a": ["x", "w"], "b": ["z"]}),  # one member changed
+        ("members", {"a": ["x", "y"]}),  # b's members removed
+    ])
+    def test_edited_vocabulary_is_corrupt(self, tmp_path, field, value):
+        vocab = model_vocabulary()
+        path = tmp_path / "model.npz"
+        LstmModel(ModelConfig(lstm_units=6, dense_units=8), L, D, vocabulary=vocab).save(path)
+        rewrite_meta(path, vocab={**vocab.to_record(), field: value})
+        with pytest.raises(CorruptArtifact, match=str(path)):
+            LstmModel.load(path)
+
+    def test_checkpoint_without_a_vocab_record_is_corrupt(self, tmp_path):
+        path = tmp_path / "model.npz"
+        LstmModel(ModelConfig(lstm_units=6, dense_units=8), L, D,
+                  vocabulary=model_vocabulary()).save(path)
+        rewrite_meta(path, drop=("vocab",))
+        with pytest.raises(CorruptArtifact, match=str(path)):
+            LstmModel.load(path)
+
     def test_vocabulary_mismatch(self, tmp_path):
         m = small_model()
         m.vocab_hash = "abc123"
@@ -677,6 +730,15 @@ class TestPersistence:
         small_model().save(path)
         rewrite_meta(path, version=3)
         with pytest.raises(VersionMismatch, match="version 3 "):
+            LstmModel.load(path)
+
+    def test_v5_checkpoint_rejected(self, tmp_path):
+        # Version 5 stored the vocabulary's hash without the vocabulary.
+        path = tmp_path / "model.npz"
+        LstmModel(ModelConfig(lstm_units=6, dense_units=8), L, D,
+                  vocabulary=model_vocabulary()).save(path)
+        rewrite_meta(path, drop=("vocab",), version=5)
+        with pytest.raises(VersionMismatch, match="version 5 "):
             LstmModel.load(path)
 
     def test_float64_tensor_rejected(self, tmp_path):
