@@ -2,13 +2,14 @@
 # The same pipeline as the Python demos, driven entirely through the
 # `aqplearn` command. Each stage writes an artifact that embeds the
 # SHA-256 of its input, so stale or edited files fail fast downstream.
-# `encode` reads the template and the table's schema from the labeled
-# workload's header and writes the vocabulary into the encoded file, and
-# `train` copies it into the checkpoint, so `predict` encodes under the
-# checkpoint's own vocabulary. `eval` reads the target and split from the
-# checkpoint and the table's entropy from the encoded file, checks that
-# the encoded file's vocabulary is the checkpoint's, then times the rows
-# it scored.
+# `label` reads the template that `generate` recorded and records it with
+# the table's schema. `train` reads the labeled workload, builds its
+# vocabulary under that template and schema, encodes the queries and fits;
+# it stores the vocabulary in the checkpoint, so `predict` encodes under
+# the checkpoint's own vocabulary. `eval` reads the target and split from
+# the checkpoint and the table's entropy from the labeled workload, checks
+# that the workload's vocabulary is the checkpoint's, encodes the queries
+# of its split, then times the rows it scored.
 set -euo pipefail
 
 work="$(mktemp -d "${TMPDIR:-/tmp}/aqp_demo_cli.XXXXXX")"
@@ -47,14 +48,13 @@ aqplearn generate   --data data.csv --schema schema.json --template template.jso
 head -2 workload.jsonl.sql
 aqplearn label      --data data.csv --schema schema.json --workload workload.jsonl \
                     --out labeled.jsonl --threads 2
-aqplearn encode     --workload labeled.jsonl --out-encoded encoded.npz
-aqplearn train      --encoded encoded.npz --out model.npz \
+aqplearn train      --workload labeled.jsonl --out model.npz \
                     --lstm-units 32 --dense-units 48 --max-epochs 15 --batch-size 32 \
                     --lr 3e-3
 aqplearn predict    --checkpoint model.npz \
                     --workload workload.jsonl --out predictions.jsonl --workers 2
 head -3 predictions.jsonl
-aqplearn eval       --checkpoint model.npz --encoded encoded.npz \
+aqplearn eval       --checkpoint model.npz --workload labeled.jsonl \
                     --split test --workers 2 --out eval.json
 
 echo "artifacts:"

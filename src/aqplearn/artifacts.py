@@ -3,12 +3,14 @@
 Header rule: an artifact starts with a JSON header naming its `kind` and
 `version`. A JSON-lines file holds it on its first line, then one
 sorted-key object per record; an .npz holds it in a JSON `meta` buffer;
-a JSON document is all header. The _COUNTED kinds carry a `count`: the
-number of records, or of rows in every array.
+a JSON document is all header. The _COUNTED kinds carry a `count`, the
+number of records.
 
 Failure rule: another kind or version raises VersionMismatch; a file that
 does not parse, a field that cannot be typed, or content that disagrees
-with its header raises CorruptArtifact. Writers go through atomic_open.
+with its header raises CorruptArtifact. Fields are read strictly, through
+strings, an_int and an_object, where a loose read would change them (a
+string into its characters, 12.9 into 12). Writers go through atomic_open.
 """
 
 import json
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import CorruptArtifact, VersionMismatch
 
-_COUNTED = ("workload", "predictions", "encoded")
+_COUNTED = ("workload", "predictions")
 
 
 @contextmanager
@@ -80,10 +82,30 @@ def read_artifact(path, kind: str, version: int) -> tuple[dict, dict | list]:
             except ValueError:  # a JSON document over several lines
                 header, body = json.loads(first + rest), []
         check_header(path, header, kind, version)
-        counted = body.values() if isinstance(body, dict) else [body]
-        if kind in _COUNTED and any(len(x) != header["count"] for x in counted):
+        if kind in _COUNTED and len(body) != header["count"]:
             raise CorruptArtifact(f"{path}: content disagrees with count {header['count']}")
     return header, body
+
+
+def strings(name: str, value) -> tuple[str, ...]:
+    """`value`, a JSON list of strings, as a tuple; else TypeError naming `name`."""
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise TypeError(f"{name} is {value!r}, not a list of strings")
+    return tuple(value)
+
+
+def an_int(name: str, value) -> int:
+    """`value`, a JSON integer and not a bool; else TypeError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} is {value!r}, not an int")
+    return value
+
+
+def an_object(name: str, value) -> dict:
+    """`value`, a JSON object; else TypeError naming `name`."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} is {value!r}, not an object")
+    return value
 
 
 def write_json(path, doc) -> None:

@@ -1,18 +1,19 @@
-"""Command-line pipeline: profile, generate, label, encode, train, predict,
-eval.
+"""Command-line pipeline: profile, generate, label, train, predict, eval.
 
 Each stage reads the previous stage's artifact and writes its own, and
 every input has one source. generate samples with the template's seed.
-label records the table's schema next to the template in the labeled
-workload's header, and encode reads both from there; the table's mean
-entropy travels from label through encode to eval the same way. train
-takes its model settings as flags and copies the vocabulary that encode
-wrote into the checkpoint, under which predict encodes. eval scores the
-target and split the checkpoint records, then times single-query latency
-and batch throughput on those same rows, and loads no table. Files embed
-the SHA-256 of their upstream inputs or vocabulary, and stages verify the
-chain before doing work, so a stale or swapped file fails fast instead of
-silently labeling the wrong table or scoring under the wrong vocabulary.
+label reads that template against its table and records it beside the
+table's schema and mean entropy in the labeled workload's header. train
+and eval read the labeled workload: they build its vocabulary under the
+header's template and schema and encode the rows they use, so no encoding
+is stored. train takes its model settings as flags and stores the
+vocabulary in the checkpoint, under which predict encodes. eval scores
+the target and split the checkpoint records, then times single-query
+latency and batch throughput on those same rows, and loads no table.
+Files embed the SHA-256 of their upstream inputs or vocabulary, and stages
+verify the chain before doing work, so a stale or swapped file fails fast
+instead of silently labeling the wrong table or scoring under the wrong
+vocabulary.
 
 Exit codes: 0 on success, 1 on an expected pipeline error, 2 on bad
 command-line usage. Every line on stderr is one JSON object: the INFO
@@ -154,12 +155,14 @@ def cmd_label(args) -> int:
         raise ShapeMismatch(f"{args.workload} is already labeled")
     data_hash = _sha256_file(args.data)
     _check_upstream(header, "dataset_sha256", data_hash, f"dataset {args.data}")
+    template = _from_header(args.workload, header, "template", dict,
+                            lambda raw: querygen.load_template(raw, ds))
     labeled, report = executor.label_workload(ds, queries, threads=args.threads)
     meta = {
         "labeled": True,  # also when every query was excluded and no record says so
         "dataset_sha256": data_hash,
         "workload_sha256": _sha256_file(args.workload),
-        "template": header.get("template"),
+        "template": template.to_record(),
         "schema": store.schema_to_record(ds.schema),
         "labeling": dataclasses.asdict(report),
         "mean_entropy_bits": metrics.dataset_entropy(ds)["mean"],
@@ -173,51 +176,47 @@ def cmd_label(args) -> int:
     return 0
 
 
-def cmd_encode(args) -> int:
-    header, records = querygen.read_workload(args.workload)
+def _read_labeled(path) -> tuple[dict, list, encoder.TokenVocabulary]:
+    """The header and records of the labeled workload at `path`, and their
+    vocabulary under the template and schema the header records. Every
+    label must be a finite number (else CorruptArtifact naming its line)."""
+    header, records = querygen.read_workload(path)
     if not header.get("labeled"):
-        raise ShapeMismatch(f"{args.workload} is not labeled; run the label stage first")
-    schema = _from_header(args.workload, header, "schema", list, store.schema_from_record)
+        raise ShapeMismatch(f"{path} is not labeled; run the label stage first")
+    schema = _from_header(path, header, "schema", list, store.schema_from_record)
     ds = store.Dataset.from_columns(schema, {a.name: [] for a in schema})  # kinds, no rows
-    template = _from_header(args.workload, header, "template", dict,
+    template = _from_header(path, header, "template", dict,
                             lambda raw: querygen.load_template(raw, ds))
     if not records:
-        raise EmptyList(f"{args.workload} holds no labeled queries; there is nothing to encode")
-    vocab = encoder.build_vocabulary(records, template)
-    X = encoder.encode_workload(records, vocab)
-    y = np.array([lq.label for lq in records], dtype=np.float64)
-    support = np.array([lq.support for lq in records], dtype=np.int64)
-    encoder.save_encoded(
-        args.out_encoded, X, y, support,
-        meta={"workload_sha256": _sha256_file(args.workload), "vocab": vocab.to_record(),
-              "vocab_hash": vocab.content_hash(),
-              "mean_entropy_bits": header.get("mean_entropy_bits")},
-    )
-    print(f"encoded {len(records)} queries as {X.shape[1]}x{X.shape[2]} matrices "
-          f"({vocab.size} tokens, {vocab.bit_width} payload bits) -> {args.out_encoded}")
-    return 0
+        raise EmptyList(f"{path} holds no labeled queries to train on or score")
+    y = np.fromiter((lq.label for lq in records), np.float64, len(records))
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise CorruptArtifact(f"{path} line {bad[0] + 2}: label {y[bad[0]]} is not a finite number")
+    return header, records, encoder.build_vocabulary(records, template)
 
 
-def _select_target_rows(X, vocab, target: str | None, path) -> tuple[np.ndarray, str]:
-    """The rows of the encoded file `path` that hold `target`, and that
-    target, which may be None when the vocabulary has one."""
+def _target_records(records, vocab, target: str | None, path) -> tuple[list, str]:
+    """The records of the labeled workload `path` that ask for `target`, in
+    file order, and that target, which may be None when the vocabulary has
+    one."""
     if target is None:
         if len(vocab.targets) > 1:
             raise InvalidTarget(
                 f"vocabulary holds {len(vocab.targets)} targets {list(vocab.targets)}; "
                 "train picks one with --target"
             )
-        return np.arange(len(X)), vocab.targets[0]
-    rows = np.flatnonzero(encoder.row_token_ids(X) == vocab.token_id(target))
-    if len(rows) == 0:
+        return records, vocab.targets[0]
+    chosen = [lq for lq in records if lq.query.target.token() == target]
+    if not chosen:
         raise InvalidTarget(f"no queries for target {target!r} in {path}")
-    return rows, target
+    return chosen, target
 
 
 def _split_rows(path, target: str, n: int, seed: int, needed) -> dict[str, np.ndarray]:
-    """The train, validation and test rows among the n rows of `target` in
-    the encoded file `path`, split with `seed`; EmptyList if a `needed`
-    split is empty."""
+    """The train, validation and test rows among the n records of `target`
+    in the labeled workload `path`, split with `seed`; EmptyList if a
+    `needed` split is empty."""
     parts = dict(zip(("train", "validation", "test"), querygen.split_indices(n, seed=seed)))
     for name in needed:
         if len(parts[name]) == 0:
@@ -237,14 +236,6 @@ def _model_config(args) -> nnet.ModelConfig:
         raise InvalidConfig(f"bad model settings: {exc}") from None
 
 
-def _encoded_vocabulary(path, meta: dict) -> encoder.TokenVocabulary:
-    """The vocabulary that encode wrote into the encoded file at `path`,
-    which must hash to the vocab_hash written beside it."""
-    vocab_hash = meta.get("vocab_hash")
-    return _from_header(path, meta, "vocab", dict,
-                        lambda record: encoder.TokenVocabulary.from_record(record, vocab_hash))
-
-
 def _load_model(path) -> nnet.LstmModel:
     """The checkpoint at `path`, which must hold the vocabulary to encode queries under."""
     model = nnet.LstmModel.load(path)
@@ -254,13 +245,12 @@ def _load_model(path) -> nnet.LstmModel:
 
 
 def cmd_train(args) -> int:
-    X, y, _, meta = encoder.load_encoded(args.encoded)
-    vocab = _encoded_vocabulary(args.encoded, meta)
-    rows, target = _select_target_rows(X, vocab, args.target, args.encoded)
-    X, y = X[rows], y[rows]
+    _, records, vocab = _read_labeled(args.workload)
+    records, target = _target_records(records, vocab, args.target, args.workload)
     config = _model_config(args)
-    tr, va, te = _split_rows(args.encoded, target, len(X), args.split_seed,
+    tr, va, te = _split_rows(args.workload, target, len(records), args.split_seed,
                              ("train", "validation")).values()
+    X, y = encoder.encode_workload(records, vocab), np.array([lq.label for lq in records])
     model = nnet.LstmModel(config, vocab.sequence_length, vocab.row_width, target=target,
                            split_seed=args.split_seed, vocabulary=vocab)
     report = model.fit(X[tr], y[tr], X[va], y[va])
@@ -302,23 +292,22 @@ QL_QUERIES = 200  # single-query latency samples, the first rows eval scores
 
 
 def cmd_eval(args) -> int:
-    X, y, _, meta = encoder.load_encoded(args.encoded)
-    entropy = meta.get("mean_entropy_bits")  # label's, copied by encode; older files lack it
+    header, records, vocab = _read_labeled(args.workload)
+    entropy = header.get("mean_entropy_bits")  # label's; older workloads lack it
     if entropy is not None and (type(entropy) is not float or not 0 <= entropy < float("inf")):
-        raise CorruptArtifact(f"{args.encoded}: meta 'mean_entropy_bits' is "
+        raise CorruptArtifact(f"{args.workload}: header 'mean_entropy_bits' is "
                               f"{json.dumps(entropy)}, not a finite, non-negative float")
-    vocab = _encoded_vocabulary(args.encoded, meta)
     model = _load_model(args.checkpoint)
     _check_upstream({"vocab_hash": model.vocab_hash}, "vocab_hash", vocab.content_hash(),
-                    f"the vocabulary of {args.encoded}")
-    rows, target = _select_target_rows(X, vocab, model.target, args.encoded)
+                    f"the vocabulary of {args.workload}")
+    records, target = _target_records(records, vocab, model.target, args.workload)
     split_seed = 0 if model.split_seed is None else model.split_seed  # train's default
-    X, y = X[rows], y[rows]
-    if args.split == "all":
-        X_eval, y_eval = X, y
-    else:
-        part = _split_rows(args.encoded, target, len(X), split_seed, (args.split,))[args.split]
-        X_eval, y_eval = X[part], y[part]
+    if args.split != "all":
+        part = _split_rows(args.workload, target, len(records), split_seed,
+                           (args.split,))[args.split]
+        records = [records[i] for i in part]
+    X_eval = encoder.encode_workload(records, vocab)
+    y_eval = np.array([lq.label for lq in records])
     preds = model.predict_batch(X_eval, n_workers=args.workers)
     report = dataclasses.replace(
         metrics.evaluate_predictions(preds, y_eval),
@@ -406,14 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "large tables, around a million rows")
     p.set_defaults(fn=cmd_label)
 
-    p = sub.add_parser("encode", help="encode a labeled workload under the template and schema "
-                                      "it records")
+    p = sub.add_parser("train", help="train the regressor on a labeled workload, encoded under "
+                                     "the template and schema it records")
     p.add_argument("--workload", required=True, help="labeled workload file")
-    p.add_argument("--out-encoded", required=True, help="output encoded tensor file")
-    p.set_defaults(fn=cmd_encode)
-
-    p = sub.add_parser("train", help="train the regressor on an encoded workload")
-    p.add_argument("--encoded", required=True, help="encoded tensor file")
     p.add_argument("--out", required=True, help="output checkpoint file")
     p.add_argument("--target", default=None, help="target token, e.g. 'avg(sales)'")
     p.add_argument("--lstm-units", type=int, default=None)
@@ -435,10 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("eval", help="accuracy, latency and throughput of the checkpoint's "
-                                    "target on its split of an encoded workload, with the "
+                                    "target on its split of a labeled workload, with the "
                                     "entropy the workload records and the model's weight")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--encoded", required=True)
+    p.add_argument("--workload", required=True, help="labeled workload file")
     p.add_argument("--split", choices=["train", "validation", "test", "all"], default="test")
     p.add_argument("--workers", type=POSITIVE, default=1, help=WORKERS_HELP)
     p.add_argument("--out", default=None, help="optional JSON report file")

@@ -29,9 +29,10 @@ payload row each, then array operations scale and range-check the
 literals and expand the payloads to bits. Parts fill disjoint rows, so a
 query's matrix is the OR of its parts' matrices. encode() is its
 one-query case. decode() accepts a query it reads back only if encode()
-gives the matrix again, bit for bit; row_token_ids() reads payloads with
-the same bit weights. as_bits() is the one 0/1 rule for every reader of
-bits.
+gives the matrix again, bit for bit. as_bits() is the one 0/1 rule for
+every reader of bits, and check_scale() the one rule for a quantization
+scale. Encodings are not stored: the CLI's train and eval encode the
+labeled workload they read, and a checkpoint carries the vocabulary.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import parsing, read_artifact, save_npz
-from .errors import CorruptArtifact, MalformedMatrix, NumericOverflow, UnknownToken
+from .artifacts import an_int, an_object, strings
+from .errors import MalformedMatrix, NumericOverflow, UnknownToken
 from .queries import (
     AggregationFunction,
     AggregationTarget,
@@ -57,6 +58,15 @@ from .queries import (
 
 def _bits_needed(value: int) -> int:
     return max(int(value).bit_length(), 1)
+
+
+def check_scale(name: str, x) -> None:
+    """Raise TypeError or ValueError naming `name` unless `x`, a
+    quantization scale, is a finite positive real that is not a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"{name} is {x!r}, not a number")
+    if not 0 < x < float("inf"):
+        raise ValueError(f"{name} is {x!r}, not a finite positive number")
 
 
 def member_token(attr: str, member: str) -> str:
@@ -73,7 +83,7 @@ class TokenVocabulary:
     name token followed by its member tokens in sorted order. bit_width is
     the payload width B, wide enough for the largest ID (else ValueError)
     and the largest quantized literal seen when the vocabulary was built.
-    Every numeric scale is finite and positive (else ValueError).
+    Every numeric scale passes check_scale.
     slots gives the (attribute, first row) of each filter block, in layout
     order, and sequence_length the row count L.
     """
@@ -98,8 +108,7 @@ class TokenVocabulary:
         if len(entries) >> self.bit_width:
             raise ValueError(f"token IDs up to {len(entries)} do not fit in {self.bit_width} bits")
         for attr, x in self.numeric_scales.items():
-            if not 0 < x < float("inf"):
-                raise ValueError(f"numeric_scales[{attr!r}] is {x!r}, not a finite positive number")
+            check_scale(f"numeric_scales[{attr!r}]", x)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_id_to_token", {i: t for t, i in entries.items()})
         slots, row = [], 1
@@ -162,27 +171,14 @@ class TokenVocabulary:
         `content_hash` (else ValueError). It is read strictly: a field of
         another type raises TypeError naming it, where a loose read would
         change it (a string into its characters, 12.9 into 12)."""
-        def strings(name, value):
-            if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
-                raise TypeError(f"{name} is {value!r}, not a list of strings")
-            return tuple(value)
-
-        def number(name, value, kinds=(int, float)):
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise TypeError(f"{name} is {value!r}, not {'an int' if kinds is int else 'a number'}")
-            return value
-
-        for name in ("members", "numeric_scales"):
-            if not isinstance(rec[name], dict):
-                raise TypeError(f"{name} is {rec[name]!r}, not an object")
+        members = an_object("members", rec["members"])
         vocab = cls(
             targets=strings("targets", rec["targets"]),
             cont_attrs=strings("cont_attrs", rec["cont_attrs"]),
             nom_attrs=strings("nom_attrs", rec["nom_attrs"]),
-            members={a: strings(f"members[{a!r}]", ms) for a, ms in rec["members"].items()},
-            numeric_scales={a: number(f"numeric_scales[{a!r}]", x)
-                            for a, x in rec["numeric_scales"].items()},
-            bit_width=number("bit_width", rec["bit_width"], int),
+            members={a: strings(f"members[{a!r}]", ms) for a, ms in members.items()},
+            numeric_scales=dict(an_object("numeric_scales", rec["numeric_scales"])),
+            bit_width=an_int("bit_width", rec["bit_width"]),
         )
         if vocab.content_hash() != content_hash:
             raise ValueError(f"its content hash is not {json.dumps(content_hash)}")
@@ -353,33 +349,3 @@ def decode(matrix: np.ndarray, vocab: TokenVocabulary) -> FlatQuery:
     if differs.size:
         raise MalformedMatrix(f"row {differs[0]} is not in the encoding of {query.to_sql()!r}")
     return query
-
-
-def row_token_ids(X: np.ndarray) -> np.ndarray:
-    """Token IDs stored at row 0, the target, across a whole encoded tensor."""
-    payload = np.asarray(X)[:, 0, 1:].astype(np.int64)
-    return payload @ _payload_weights(payload.shape[1])
-
-
-# -- encoded tensor files -----------------------------------------------------
-
-ENCODED_VERSION = 2
-
-
-def save_encoded(path, X: np.ndarray, y: np.ndarray, support: np.ndarray,
-                 meta: dict | None = None) -> None:
-    """Store an encoded workload: 0/1 inputs, labels, supports and metadata."""
-    arrays = {"X": as_bits(X), "y": np.asarray(y, dtype=np.float64),
-              "support": np.asarray(support, dtype=np.int64)}
-    save_npz(path, "encoded", ENCODED_VERSION, arrays, {"count": len(X), **(meta or {})})
-
-
-def load_encoded(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    meta, arrays = read_artifact(path, "encoded", ENCODED_VERSION)
-    with parsing(path, "encoded"):
-        X, y, support = arrays["X"], arrays["y"], arrays["support"]
-        bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        raise CorruptArtifact(f"{path}: label {bad[0]} is {y[bad[0]]}, not a finite number")
-    return X, y, support, meta
-

@@ -26,8 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import executor
-from .artifacts import parsing, read_artifact, write_jsonl
-from .errors import EmptyCombos, InvalidTarget, NumericOverflow, TooFewQueries, WrongKind
+from .artifacts import an_int, an_object, parsing, read_artifact, strings, write_jsonl
+from .encoder import check_scale
+from .errors import CorruptArtifact, EmptyCombos, InvalidTarget, NumericOverflow, TooFewQueries, WrongKind
 from .queries import (
     AggregationFunction,
     AggregationTarget,
@@ -88,8 +89,9 @@ class QueryTemplate:
             raise ValueError("seed must be >= 0")
         scales = dict(numeric_scales or {})
         for a, s in scales.items():
-            if ds.kind_of(a) is not Kind.CONTINUOUS or s <= 0:
-                raise ValueError(f"numeric scale for {a!r} must be positive on a continuous attribute")
+            if ds.kind_of(a) is not Kind.CONTINUOUS:
+                raise ValueError(f"numeric scale for {a!r} must be on a continuous attribute")
+            check_scale(f"numeric_scales[{a!r}]", s)
         order = lambda a: ds.attribute(a).index
         return cls(
             targets=tuple(targets),
@@ -114,14 +116,20 @@ class QueryTemplate:
         }
 
 
+_TEMPLATE_FIELDS = {"cont_filter_attrs": strings, "nom_filter_attrs": strings,
+                    "n_cont_samples": an_int, "seed": an_int, "numeric_scales": an_object}
+
+
 def load_template(source: str | Path | dict, ds: Dataset) -> QueryTemplate:
     """Read a template config (JSON file or dict) and validate it.
 
     The config holds the keys that QueryTemplate.to_record writes, the
     arguments of QueryTemplate.build: "targets" as {func, attr} pairs, and
     optionally the filter attribute lists, "n_cont_samples", "seed" and
-    "numeric_scales". Any other key is rejected with CorruptArtifact
-    naming it.
+    "numeric_scales". It is read strictly: any other key, or a key of
+    another JSON type (an attribute list given as one string, a count of
+    12.9, a seed of true, scales given as pairs), is rejected with
+    CorruptArtifact naming it.
     """
     with parsing(source, "template"):
         if isinstance(source, (str, Path)):
@@ -133,6 +141,8 @@ def load_template(source: str | Path | dict, ds: Dataset) -> QueryTemplate:
         unknown = sorted(set(raw) - set(known))
         if unknown:
             raise ValueError(f"unknown keys {unknown}; a template holds only {known}")
+        raw.update({key: read(key, raw[key]) for key, read in _TEMPLATE_FIELDS.items()
+                    if key in raw})
         raw["targets"] = [AggregationTarget(AggregationFunction(t["func"]), t["attr"])
                           for t in raw.get("targets", [])]
         return QueryTemplate.build(ds, **raw)
@@ -264,8 +274,16 @@ def write_workload(
 
 
 def read_workload(path: str | Path) -> tuple[dict, list]:
-    """Read a workload file back into FlatQuery or LabeledQuery objects."""
+    """Read a workload file back into FlatQuery or LabeledQuery objects; a
+    record that does not parse raises CorruptArtifact naming its line."""
     header, rows = read_artifact(path, "workload", WORKLOAD_VERSION)
     with parsing(path, "workload"):
         parse = LabeledQuery.from_record if header["labeled"] else FlatQuery.from_record
-        return header, [parse(rec) for rec in rows]
+    records = []
+    try:
+        for rec in rows:
+            records.append(parse(rec))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptArtifact(f"{path} line {len(records) + 2} is not a workload record: "
+                              f"{type(exc).__name__} {exc}") from exc
+    return header, records

@@ -1,6 +1,7 @@
 """The options of each `aqplearn` subcommand, read from the CLI's parser.
 
-Run as a script, it prints each subcommand's option count and the total:
+Run as a script, it prints the number of subcommands, each one's option
+count and the total:
 
     PYTHONPATH=src python tests/cli_options.py
 """
@@ -21,5 +22,6 @@ def subcommand_options() -> dict[str, list[str]]:
 
 if __name__ == "__main__":
     counts = {name: len(opts) for name, opts in subcommand_options().items()}
-    print("CLI options: " + ", ".join(f"{name} {n}" for name, n in counts.items())
+    print(f"CLI: {len(counts)} subcommands; options "
+          + ", ".join(f"{name} {n}" for name, n in counts.items())
           + f"; total {sum(counts.values())}")

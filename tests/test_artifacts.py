@@ -15,13 +15,11 @@ from aqplearn import (
     LstmModel,
     ModelConfig,
     build_vocabulary,
-    encode_workload,
     load_schema,
     read_workload,
     write_workload,
 )
-from aqplearn.artifacts import atomic_open, save_npz
-from aqplearn.encoder import ENCODED_VERSION, load_encoded, save_encoded
+from aqplearn.artifacts import atomic_open
 from aqplearn.errors import CorruptArtifact, VersionMismatch
 from aqplearn.querygen import QueryTemplate
 from aqplearn.store import AttributeSchema, dump_csv, dump_schema, make_schema
@@ -119,48 +117,19 @@ class TestTruncatedArtifacts:
         with pytest.raises(CorruptArtifact):
             read_workload(truncated(path))
 
-    def test_encoded_workload(self, tmp_path):
-        ds = build_transactions()
-        template = QueryTemplate.build(
-            ds, targets=[AggregationTarget(AggregationFunction.AVG, "sales")],
-            cont_filter_attrs=["sales"], nom_filter_attrs=[], n_cont_samples=4, seed=1,
-        )
-        vocab = build_vocabulary(queries(), template)
-        X = encode_workload(queries(), vocab)
-        save_encoded(tmp_path / "e.npz", X, np.zeros(len(X)), np.ones(len(X), dtype=np.int64),
-                     meta={"vocab": vocab.to_record(), "vocab_hash": vocab.content_hash()})
-        with pytest.raises(CorruptArtifact):
-            load_encoded(truncated(tmp_path / "e.npz"))
-
-    def test_encoded_header_without_count(self, tmp_path):
-        path = tmp_path / "e.npz"
-        save_encoded(path, np.zeros((3, 2, 2), dtype=np.uint8), np.zeros(3), np.ones(3))
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        meta = json.loads(bytes(arrays["meta"]))
-        del meta["count"]
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        arrays["y"] = arrays["y"][:2]
-        np.savez(path, **arrays)
+    def test_workload_header_without_count(self, tmp_path):
+        path = tmp_path / "w.jsonl"
+        write_workload(path, queries())
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        del header["count"]
+        path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
         with pytest.raises(CorruptArtifact, match="count"):
-            load_encoded(path)
-
-    @pytest.mark.parametrize("label", [np.nan, np.inf, -np.inf])
-    def test_encoded_non_finite_label(self, tmp_path, label):
-        path = tmp_path / "e.npz"
-        save_encoded(path, np.zeros((3, 2, 2), dtype=np.uint8), np.zeros(3), np.ones(3))
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files if k != "meta"}
-            meta = json.loads(bytes(data["meta"]))
-        arrays["y"][1] = label
-        save_npz(path, "encoded", ENCODED_VERSION, arrays, meta)
-        with pytest.raises(CorruptArtifact, match="label 1 is"):
-            load_encoded(path)
+            read_workload(path)
 
 
 READERS = {
     "workload": read_workload,
-    "encoded": load_encoded,
     "checkpoint": LstmModel.load,
 }
 
@@ -174,11 +143,8 @@ def one_of_each(tmp_path_factory):
         cont_filter_attrs=["sales"], nom_filter_attrs=[], n_cont_samples=4, seed=1,
     )
     vocab = build_vocabulary(queries(), template)
-    X = encode_workload(queries(), vocab)
     paths = {kind: root / f"{kind}.art" for kind in READERS}
     write_workload(paths["workload"], queries())
-    save_encoded(paths["encoded"], X, np.zeros(len(X)), np.ones(len(X), dtype=np.int64),
-                 meta={"vocab": vocab.to_record(), "vocab_hash": vocab.content_hash()})
     LstmModel(ModelConfig(lstm_units=4, dense_units=4), vocab.sequence_length, vocab.row_width,
               vocabulary=vocab).save(paths["checkpoint"])
     return paths

@@ -15,7 +15,9 @@ import pytest
 from aqplearn import (
     BetweenFilter,
     Dataset,
+    InFilter,
     Kind,
+    ModelConfig,
     TokenVocabulary,
     build_vocabulary,
     cli,
@@ -32,7 +34,7 @@ from aqplearn import (
     synth,
     write_workload,
 )
-from aqplearn.encoder import load_encoded, row_token_ids, save_encoded
+from aqplearn.artifacts import save_npz
 from aqplearn.metrics import dataset_entropy
 from aqplearn.nnet import LstmModel
 from aqplearn.store import dump_csv, dump_schema
@@ -73,15 +75,13 @@ def pipeline(tmp_path_factory):
         ("label", ["label", "--data", root / "data.csv", "--schema", root / "schema.json",
                    "--workload", root / "workload.jsonl", "--out", root / "labeled.jsonl",
                    "--threads", 2]),
-        ("encode", ["encode", "--workload", root / "labeled.jsonl",
-                    "--out-encoded", root / "encoded.npz"]),
-        ("train", ["train", "--encoded", root / "encoded.npz",
+        ("train", ["train", "--workload", root / "labeled.jsonl",
                    "--out", root / "model.npz", "--lstm-units", 8, "--dense-units", 12,
                    "--max-epochs", 2, "--batch-size", 16]),
         ("predict", ["predict", "--checkpoint", root / "model.npz",
                      "--workload", root / "labeled.jsonl", "--out", root / "preds.jsonl",
                      "--workers", 2]),
-        ("eval", ["eval", "--checkpoint", root / "model.npz", "--encoded", root / "encoded.npz",
+        ("eval", ["eval", "--checkpoint", root / "model.npz", "--workload", root / "labeled.jsonl",
                   "--workers", 2, "--out", root / "eval.json"]),
     ]
     for name, argv in steps:
@@ -107,9 +107,9 @@ class TestPipeline:
 
     def test_all_artifacts_exist(self, pipeline):
         for name in ("workload.jsonl", "workload.jsonl.sql", "labeled.jsonl",
-                     "encoded.npz", "model.npz", "model.npz.report.json", "preds.jsonl",
-                     "eval.json"):
+                     "model.npz", "model.npz.report.json", "preds.jsonl", "eval.json"):
             assert (pipeline / name).exists(), name
+        assert [p.name for p in pipeline.glob("*.npz")] == ["model.npz"]  # no encoded file
 
     def test_sql_sidecar_is_valid_sql_text(self, pipeline):
         lines = (pipeline / "workload.jsonl.sql").read_text().splitlines()
@@ -149,7 +149,7 @@ class TestPipeline:
 
     def test_eval_report_weighs_the_model(self, pipeline):
         report = json.loads((pipeline / "eval.json").read_text())
-        vocab = encoded_vocabulary(pipeline / "encoded.npz")
+        vocab = library_vocabulary(pipeline, "labeled.jsonl")
         H, Dd = 8, 12  # the fixture's --lstm-units and --dense-units
         n_params = 4 * H * (vocab.row_width + H + 1) + H * Dd + Dd + Dd + 1
         assert report["param_bytes"] == 4 * n_params  # float32
@@ -196,6 +196,27 @@ class TestDeterminism:
         assert (tmp_path / "a.jsonl").read_bytes() != (tmp_path / "b.jsonl").read_bytes()
 
 
+# One change each that makes a valid template invalid: an unreadable target,
+# a value out of range, or a value of the wrong type that a loose reader
+# would coerce (12.9 to 12, true to 1, a string to its characters).
+BAD_TEMPLATE_CHANGES = [
+    pytest.param({"targets": [{"func": "foo", "attr": "sales"}]}, id="unknown-func"),
+    pytest.param({"targets": [{"func": "avg"}]}, id="target-without-attr"),
+    pytest.param({"n_cont_samples": 0}, id="no-samples"),
+    pytest.param({"numeric_scales": {"sales": 0}}, id="zero-scale"),
+    pytest.param({"seed": -1}, id="negative-seed"),
+    pytest.param({"numeric_scales": {"sales": float("nan")}}, id="nan-scale"),
+    pytest.param({"numeric_scales": {"sales": float("inf")}}, id="inf-scale"),
+    pytest.param({"numeric_scales": {"sales": float("-inf")}}, id="minus-inf-scale"),
+    pytest.param({"numeric_scales": {"sales": True}}, id="bool-scale"),
+    pytest.param({"n_cont_samples": 12.9}, id="fractional-samples"),
+    pytest.param({"seed": 2.5}, id="fractional-seed"),
+    pytest.param({"seed": True}, id="bool-seed"),
+    pytest.param({"numeric_scales": [["sales", 2.0]]}, id="scales-as-pairs"),
+    pytest.param({"cont_filter_attrs": "sales"}, id="attrs-as-a-string"),
+]
+
+
 class TestFailureModes:
     def test_usage_error_is_exit_2(self):
         assert run("generate") == 2  # missing required arguments
@@ -230,15 +251,15 @@ class TestFailureModes:
     def test_truncated_checkpoint_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys):
         data = (pipeline / "model.npz").read_bytes()
         (tmp_path / "model.npz").write_bytes(data[: len(data) // 2])
-        code = run("eval", "--checkpoint", tmp_path / "model.npz", "--encoded",
-                   pipeline / "encoded.npz")
+        code = run("eval", "--checkpoint", tmp_path / "model.npz", "--workload",
+                   pipeline / "labeled.jsonl")
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "CorruptArtifact"
 
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_learning_rate_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys, lr):
-        code = run("train", "--encoded", pipeline / "encoded.npz", "--out", tmp_path / "model.npz",
+        code = run("train", "--workload", pipeline / "labeled.jsonl", "--out", tmp_path / "model.npz",
                    "--lr", lr)
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
@@ -255,13 +276,7 @@ class TestFailureModes:
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "CorruptArtifact"
         assert not (tmp_path / "workload.jsonl").exists()
 
-    @pytest.mark.parametrize("change", [
-        {"targets": [{"func": "foo", "attr": "sales"}]},
-        {"targets": [{"func": "avg"}]},
-        {"n_cont_samples": 0},
-        {"numeric_scales": {"sales": 0}},
-        {"seed": -1},
-    ], ids=["unknown-func", "target-without-attr", "no-samples", "zero-scale", "negative-seed"])
+    @pytest.mark.parametrize("change", BAD_TEMPLATE_CHANGES)
     def test_bad_template_content_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys,
                                                             change):
         template = json.loads((pipeline / "template.json").read_text())
@@ -272,6 +287,8 @@ class TestFailureModes:
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "CorruptArtifact"
+        key = next(iter(change))  # a bad target is named by its function or missing key
+        assert key == "targets" or key in json.loads(lines[0])["message"]
         assert not (tmp_path / "workload.jsonl").exists()
 
     @pytest.mark.parametrize("command, flag, value", [
@@ -288,14 +305,14 @@ class TestFailureModes:
                                                   command, flag, value):
         data = ["--data", pipeline / "data.csv", "--schema", pipeline / "schema.json"]
         model = ["--checkpoint", pipeline / "model.npz"]
-        encoded = ["--encoded", pipeline / "encoded.npz"]
+        labeled = ["--workload", pipeline / "labeled.jsonl"]
         out = ["--out", tmp_path / "out"]
         argv = {
             "generate": [*data, "--template", pipeline / "template.json", *out],
             "label": [*data, "--workload", pipeline / "workload.jsonl", *out],
-            "train": [*encoded, *out],
-            "predict": [*model, "--workload", pipeline / "labeled.jsonl", *out],
-            "eval": [*model, *encoded, *out],
+            "train": [*labeled, *out],
+            "predict": [*model, *labeled, *out],
+            "eval": [*model, *labeled, *out],
         }[command]
         assert run(command, *argv, flag, value) == 2
         err = capsys.readouterr().err
@@ -303,8 +320,8 @@ class TestFailureModes:
         assert not (tmp_path / "out").exists()
 
     def test_bench_is_a_usage_error(self, pipeline, tmp_path, capsys):
-        assert run("bench", "--checkpoint", pipeline / "model.npz", "--encoded",
-                   pipeline / "encoded.npz",
+        assert run("bench", "--checkpoint", pipeline / "model.npz", "--workload",
+                   pipeline / "labeled.jsonl",
                    "--out", tmp_path / "bench.json") == 2
         err = capsys.readouterr().err
         assert "invalid choice: 'bench'" in err and "Traceback" not in err
@@ -318,24 +335,29 @@ class TestFailureModes:
         ("train", "--vocab", "vocab.json"),
         ("predict", "--vocab", "vocab.json"),
         ("eval", "--vocab", "vocab.json"),
+        ("encode", "--out-encoded", "encoded.npz"),
+        ("train", "--out-encoded", "encoded.npz"),
+        ("train", "--encoded", "encoded.npz"),
+        ("eval", "--encoded", "encoded.npz"),
     ])
     def test_removed_input_is_a_usage_error(self, pipeline, tmp_path, capsys, command, flag, value):
-        # The template's seed, the labeled header's schema, the train flags and
-        # the vocabulary that the encoded file and the checkpoint record are
-        # the one source of each.
+        # The template's seed, the train flags, the vocabulary that the
+        # checkpoint records and the labeled workload that train and eval
+        # encode are the one source of each; there is no encode stage.
         data = ["--data", pipeline / "data.csv", "--schema", pipeline / "schema.json"]
+        labeled = ["--workload", pipeline / "labeled.jsonl", "--out", tmp_path / "o"]
         argv = {
             "generate": [*data, "--template", pipeline / "template.json", "--out", tmp_path / "o"],
-            "encode": ["--workload", pipeline / "labeled.jsonl", "--out-encoded", tmp_path / "o"],
-            "train": ["--encoded", pipeline / "encoded.npz", "--out", tmp_path / "o"],
-            "predict": ["--checkpoint", pipeline / "model.npz",
-                        "--workload", pipeline / "labeled.jsonl", "--out", tmp_path / "o"],
-            "eval": ["--checkpoint", pipeline / "model.npz", "--encoded", pipeline / "encoded.npz",
-                     "--out", tmp_path / "o"],
+            "encode": labeled,
+            "train": labeled,
+            "predict": ["--checkpoint", pipeline / "model.npz", *labeled],
+            "eval": ["--checkpoint", pipeline / "model.npz", *labeled],
         }[command]
         assert run(command, *argv, flag, value) == 2
         err = capsys.readouterr().err
-        assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+        expected = ("invalid choice: 'encode'" if command == "encode"
+                    else f"unrecognized arguments: {flag}")
+        assert expected in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     def test_template_in_the_agg_funcs_form_is_exit_1_with_json_error(self, pipeline, tmp_path,
@@ -382,12 +404,15 @@ class TestFailureModes:
     def test_empty_split_is_exit_1_with_json_error(self, pipeline, tmp_path, capsys):
         # Five queries split 3/0/2, which leaves no validation set to train on,
         # score or time.
-        X, y, support, meta = load_encoded(pipeline / "encoded.npz")
-        save_encoded(tmp_path / "e.npz", X[:5], y[:5], support[:5],
-                     meta={"vocab": meta["vocab"], "vocab_hash": meta["vocab_hash"]})
-        common = ["--encoded", tmp_path / "e.npz"]
+        header, records = read_workload(pipeline / "labeled.jsonl")
+        write_labeled(tmp_path / "l.jsonl", header, records[:5])
+        # A checkpoint of the five queries' vocabulary, which train cannot write.
+        vocab = library_vocabulary(pipeline, tmp_path / "l.jsonl")
+        LstmModel(ModelConfig(lstm_units=4, dense_units=4), vocab.sequence_length, vocab.row_width,
+                  target="avg(sales)", split_seed=0, vocabulary=vocab).save(tmp_path / "five.npz")
+        common = ["--workload", tmp_path / "l.jsonl"]
         for argv, out in (
-            (["eval", *common, "--checkpoint", pipeline / "model.npz", "--split", "validation"],
+            (["eval", *common, "--checkpoint", tmp_path / "five.npz", "--split", "validation"],
              tmp_path / "eval.json"),
             (["train", *common, "--max-epochs", 1], tmp_path / "model.npz"),
         ):
@@ -396,7 +421,7 @@ class TestFailureModes:
             assert stdout == "" and len(err.splitlines()) == 1
             assert json.loads(err) == {
                 "error": "EmptyList",
-                "message": f"{tmp_path / 'e.npz'}: the validation split of the 5 avg(sales) "
+                "message": f"{tmp_path / 'l.jsonl'}: the validation split of the 5 avg(sales) "
                            "queries is empty (train/validation/test 3/0/2 with split seed 0)",
             }
             assert not out.exists()
@@ -428,24 +453,34 @@ class TestFailureModes:
         assert err["error"] == "HashMismatch" and "'dataset_sha256'" in err["message"]
         assert not (tmp_path / "labeled.jsonl").exists()
 
-    def test_encoded_with_missing_labels_is_exit_1_with_json_error(self, pipeline, tmp_path,
-                                                                   capsys):
-        X, y, support, meta = load_encoded(pipeline / "encoded.npz")
-        save_encoded(tmp_path / "encoded.npz", X, y[:-3], support,
-                     meta={"vocab": meta["vocab"], "vocab_hash": meta["vocab_hash"]})
-        code = run("train", "--encoded", tmp_path / "encoded.npz", "--out", tmp_path / "model.npz")
-        assert code == 1
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and json.loads(lines[0])["error"] == "CorruptArtifact"
-        assert not (tmp_path / "model.npz").exists()
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("label, message", [
+        ("NaN", "line 4: label nan is not a finite number"),
+        ("Infinity", "line 4: label inf is not a finite number"),
+        ("-Infinity", "line 4: label -inf is not a finite number"),
+        (None, "line 4 is not a workload record: KeyError 'label'"),
+    ], ids=["nan", "inf", "minus-inf", "missing"])
+    def test_labeled_record_without_a_finite_label_is_exit_1_with_json_error(
+            self, pipeline, tmp_path, capsys, command, label, message):
+        lines = (pipeline / "labeled.jsonl").read_text().splitlines()
+        lines[3] = re.sub(r'"label": [^,]+, ', "" if label is None else f'"label": {label}, ',
+                          lines[3])
+        (tmp_path / "l.jsonl").write_text("\n".join(lines) + "\n")
+        model = ["--checkpoint", pipeline / "model.npz"] if command == "eval" else []
+        assert run(command, "--workload", tmp_path / "l.jsonl", *model,
+                   "--out", tmp_path / "out") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "CorruptArtifact",
+                                   "message": f"{tmp_path / 'l.jsonl'} {message}"}
+        assert [p.name for p in tmp_path.iterdir()] == ["l.jsonl"]
 
     def test_too_few_queries_to_validate_is_exit_1_with_json_error(self, pipeline, tmp_path,
                                                                     capsys):
         # Five queries split 3/0/2, which leaves no validation set.
-        X, y, support, meta = load_encoded(pipeline / "encoded.npz")
-        save_encoded(tmp_path / "encoded.npz", X[:5], y[:5], support[:5],
-                     meta={"vocab": meta["vocab"], "vocab_hash": meta["vocab_hash"]})
-        code = run("train", "--encoded", tmp_path / "encoded.npz", "--out", tmp_path / "model.npz")
+        header, records = read_workload(pipeline / "labeled.jsonl")
+        write_labeled(tmp_path / "l.jsonl", header, records[:5])
+        code = run("train", "--workload", tmp_path / "l.jsonl", "--out", tmp_path / "model.npz")
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
@@ -479,7 +514,7 @@ class TestFailureModes:
         nowhere = (BetweenFilter("sales", 1e9, 2e9),)  # above every sales value
         write_workload(tmp_path / "w.jsonl",
                        [dataclasses.replace(q, between_filters=nowhere) for q in queries],
-                       {"dataset_sha256": header["dataset_sha256"]})
+                       {"dataset_sha256": header["dataset_sha256"], "template": header["template"]})
         label = ["label", "--data", pipeline / "data.csv", "--schema", pipeline / "schema.json",
                  "--workload", tmp_path / "w.jsonl", "--out", tmp_path / "l.jsonl"]
         assert run(*label) == 0
@@ -490,8 +525,9 @@ class TestFailureModes:
                    "--out", tmp_path / "again.jsonl") == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ShapeMismatch"
 
-    def test_encoding_a_labeled_workload_with_no_queries_fails_before_writing(
-            self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_a_labeled_workload_with_no_queries_fails_before_writing(
+            self, pipeline, tmp_path, capsys, command):
         header, queries = read_workload(pipeline / "workload.jsonl")
         nowhere = (BetweenFilter("sales", 1e9, 2e9),)  # above every sales value
         write_workload(tmp_path / "w.jsonl",
@@ -500,12 +536,14 @@ class TestFailureModes:
         assert run("label", "--data", pipeline / "data.csv", "--schema", pipeline / "schema.json",
                    "--workload", tmp_path / "w.jsonl", "--out", tmp_path / "l.jsonl") == 0
         capsys.readouterr()
-        code = run("encode", "--workload", tmp_path / "l.jsonl", "--out-encoded", tmp_path / "e.npz")
+        model = ["--checkpoint", pipeline / "model.npz"] if command == "eval" else []
+        code = run(command, "--workload", tmp_path / "l.jsonl", *model, "--out", tmp_path / "o")
         assert code == 1
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1
-        err = json.loads(err)
-        assert err["error"] == "EmptyList" and str(tmp_path / "l.jsonl") in err["message"]
+        assert json.loads(err) == {
+            "error": "EmptyList",
+            "message": f"{tmp_path / 'l.jsonl'} holds no labeled queries to train on or score"}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["l.jsonl", "w.jsonl"]
 
     def test_target_without_rows_is_invalid_target_in_train_and_eval(self, tmp_path, capsys):
@@ -518,16 +556,15 @@ class TestFailureModes:
         meta = {k: v for k, v in header.items() if k not in ("kind", "version", "count")}
         write_workload(tmp_path / "avg.jsonl",
                        [lq for lq in records if lq.query.target.token() != "min(sales)"], meta)
-        assert run_encode(tmp_path, tmp_path / "avg.jsonl") == 0
-        assert run("train", "--encoded", tmp_path / "e.npz",
+        assert run("train", "--workload", tmp_path / "avg.jsonl",
                    "--out", tmp_path / "m.npz", "--target", "avg(sales)", "--lstm-units", 8,
                    "--dense-units", 8, "--max-epochs", 1) == 0
         capsys.readouterr()
         answers_min = LstmModel.load(tmp_path / "m.npz")
         answers_min.target = "min(sales)"
         answers_min.save(tmp_path / "min.npz")
-        message = f"no queries for target 'min(sales)' in {tmp_path / 'e.npz'}"
-        model = ["--encoded", tmp_path / "e.npz"]
+        message = f"no queries for target 'min(sales)' in {tmp_path / 'avg.jsonl'}"
+        model = ["--workload", tmp_path / "avg.jsonl"]
         for argv in (
             ["train", *model, "--target", "min(sales)", "--out", tmp_path / "m2.npz"],
             ["eval", *model, "--checkpoint", tmp_path / "min.npz"],
@@ -544,8 +581,7 @@ class TestFailureModes:
             targets=[{"func": "avg", "attr": "sales"}, {"func": "count", "attr": "sales"}],
         )
         generate_and_label(tmp_path)
-        assert run_encode(tmp_path, tmp_path / "l.jsonl") == 0
-        train = ["train", "--encoded", tmp_path / "e.npz",
+        train = ["train", "--workload", tmp_path / "l.jsonl",
                  "--out", tmp_path / "m.npz", "--lstm-units", 8, "--dense-units", 8,
                  "--max-epochs", 1]
         assert run(*train) == 1
@@ -610,8 +646,7 @@ class TestCheckpointAnswersItsTarget:
         meta = {k: v for k, v in header.items() if k not in ("kind", "version", "count")}
         write_workload(root / "avg.jsonl",
                        [lq for lq in records if lq.query.target.token() == "avg(sales)"], meta)
-        assert run_encode(root, root / "l.jsonl") == 0
-        assert run("train", "--encoded", root / "e.npz",
+        assert run("train", "--workload", root / "l.jsonl",
                    "--out", root / "m.npz", "--target", "avg(sales)", "--split-seed", 3,
                    "--lstm-units", 8, "--dense-units", 8, "--max-epochs", 1) == 0
         return root
@@ -622,22 +657,21 @@ class TestCheckpointAnswersItsTarget:
 
     def test_the_recorded_target_and_split_pass(self, trained, tmp_path):
         model = ["--checkpoint", trained / "m.npz"]
-        evaluate = ["eval", *model, "--encoded", trained / "e.npz"]
+        evaluate = ["eval", *model, "--workload", trained / "l.jsonl"]
         assert run(*evaluate, "--out", tmp_path / "eval.json") == 0
         assert run(*evaluate, "--split", "all", "--out", tmp_path / "all.json") == 0
         assert run("predict", *model, "--workload", trained / "avg.jsonl",
                    "--out", tmp_path / "preds.jsonl") == 0
-        X, _, _, _ = load_encoded(trained / "e.npz")
-        vocab = encoded_vocabulary(trained / "e.npz")
-        n_avg = np.count_nonzero(row_token_ids(X) == vocab.token_id("avg(sales)"))
+        _, records = read_workload(trained / "l.jsonl")
+        n_avg = sum(lq.query.target.token() == "avg(sales)" for lq in records)
         for split, name in (("test", "eval.json"), ("all", "all.json")):
             report = json.loads((tmp_path / name).read_text())
             assert (report["target"], report["split_seed"]) == ("avg(sales)", 3)
-            expected = evaluate_on_the_table(trained, "e.npz", "m.npz", "avg(sales)", 3, split)
+            expected = evaluate_on_the_table(trained, "l.jsonl", "m.npz", "avg(sales)", 3, split)
             assert {k: report[k] for k in expected} == expected
             check_timing(report)  # the rows of the target's split, not the file's
-        assert json.loads((tmp_path / "all.json").read_text())["qt_queries"] == n_avg < len(X)
-        seed_0 = evaluate_on_the_table(trained, "e.npz", "m.npz", "avg(sales)", 0)
+        assert json.loads((tmp_path / "all.json").read_text())["qt_queries"] == n_avg < len(records)
+        seed_0 = evaluate_on_the_table(trained, "l.jsonl", "m.npz", "avg(sales)", 0)
         assert seed_0["rmse"] != json.loads((tmp_path / "eval.json").read_text())["rmse"]
 
     def test_checkpoint_without_target_is_invalid_target_on_two_targets(self, trained, tmp_path,
@@ -646,7 +680,7 @@ class TestCheckpointAnswersItsTarget:
         model.target = model.split_seed = None  # as the Python API saves it
         model.save(tmp_path / "api.npz")
         capsys.readouterr()
-        assert run("eval", "--checkpoint", tmp_path / "api.npz", "--encoded", trained / "e.npz",
+        assert run("eval", "--checkpoint", tmp_path / "api.npz", "--workload", trained / "l.jsonl",
                    "--out", tmp_path / "eval.json") == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
@@ -704,13 +738,12 @@ WELL_TYPED_VOCAB_EDITS = [
 
 
 class TestVocabularyTravelsInTheArtifacts:
-    """encode writes the vocabulary into the encoded file and train copies
-    it into the checkpoint; predict encodes under the checkpoint's, eval
-    checks the encoded file's against it, and no stage reads or writes a
-    vocabulary file."""
+    """train stores the vocabulary of the labeled workload in the
+    checkpoint; predict encodes under it, eval checks the workload's
+    against it, and no stage reads or writes a vocabulary or encoded file."""
 
-    def test_the_encoded_file_and_the_checkpoint_hold_one_vocabulary(self, pipeline):
-        vocab = encoded_vocabulary(pipeline / "encoded.npz")
+    def test_the_checkpoint_holds_the_vocabulary_of_the_labeled_workload(self, pipeline):
+        vocab = library_vocabulary(pipeline, "labeled.jsonl")
         model = LstmModel.load(pipeline / "model.npz")
         assert (model.vocabulary, model.vocab_hash) == (vocab, vocab.content_hash())
         assert list(pipeline.glob("*vocab*")) == []
@@ -721,74 +754,6 @@ class TestVocabularyTravelsInTheArtifacts:
         lines = (pipeline / "preds.jsonl").read_text().splitlines()[1:]
         expected = model.predict_batch(encode_workload(records, model.vocabulary), n_workers=2)
         assert [json.loads(line)["prediction"] for line in lines] == expected.tolist()
-
-    @pytest.mark.parametrize("command", ["train", "eval"])
-    @pytest.mark.parametrize("field, value", [
-        pytest.param(None, ..., id="removed"),
-        pytest.param(None, None, id="null"),
-        pytest.param(None, "vocab.json", id="a-path"),
-        *WELL_TYPED_VOCAB_EDITS,
-        *MISTYPED_VOCAB_FIELDS,
-        *BAD_SCALE_VOCAB_FIELDS,
-    ])
-    def test_edited_vocabulary_of_the_encoded_file_is_exit_1(self, pipeline, tmp_path, capsys,
-                                                             command, field, value):
-        record = load_encoded(pipeline / "encoded.npz")[3]["vocab"]
-        rewrite_npz_meta(pipeline / "encoded.npz", tmp_path / "e.npz",
-                         vocab=edited(record, field, value))
-        model = ["--checkpoint", pipeline / "model.npz"] if command == "eval" else []
-        assert run(command, "--encoded", tmp_path / "e.npz", *model,
-                   "--out", tmp_path / "out") == 1
-        out, err = capsys.readouterr()
-        assert out == "" and len(err.splitlines()) == 1
-        err = json.loads(err)
-        assert err["error"] == "CorruptArtifact"
-        assert err["message"].startswith(f"{tmp_path / 'e.npz'}: header 'vocab' ")
-        assert [p.name for p in tmp_path.iterdir()] == ["e.npz"]
-
-    @pytest.mark.parametrize("command", ["train", "eval"])
-    @pytest.mark.parametrize("vocab_hash", [
-        pytest.param(..., id="removed"),
-        pytest.param(None, id="null"),
-        pytest.param("0" * 64, id="another"),
-    ])
-    def test_encoded_file_without_its_vocab_hash_is_exit_1(self, pipeline, tmp_path, capsys,
-                                                           command, vocab_hash):
-        rewrite_npz_meta(pipeline / "encoded.npz", tmp_path / "e.npz", vocab_hash=vocab_hash)
-        model = ["--checkpoint", pipeline / "model.npz"] if command == "eval" else []
-        assert run(command, "--encoded", tmp_path / "e.npz", *model,
-                   "--out", tmp_path / "out") == 1
-        out, err = capsys.readouterr()
-        assert out == "" and len(err.splitlines()) == 1
-        assert json.loads(err) == {
-            "error": "CorruptArtifact",
-            "message": f"{tmp_path / 'e.npz'}: header 'vocab' is not a valid vocab: ValueError its "
-                       f"content hash is not {json.dumps(None if vocab_hash is ... else vocab_hash)}",
-        }
-        assert [p.name for p in tmp_path.iterdir()] == ["e.npz"]
-
-    def test_reordered_targets_of_the_encoded_file_are_exit_1(self, tmp_path, capsys):
-        # Reordered, the targets would give avg(sales)'s token ID to
-        # min(sales), so --target avg(sales) would select min(sales)'s rows.
-        make_inputs(tmp_path, targets=[{"func": "avg", "attr": "sales"},
-                                       {"func": "min", "attr": "sales"}])
-        generate_and_label(tmp_path)
-        assert run_encode(tmp_path, tmp_path / "l.jsonl") == 0
-        assert run("train", "--encoded", tmp_path / "e.npz", "--target", "avg(sales)",
-                   "--max-epochs", 1, "--out", tmp_path / "m.npz") == 0
-        record = load_encoded(tmp_path / "e.npz")[3]["vocab"]
-        assert record["targets"] == ["avg(sales)", "min(sales)"]
-        rewrite_npz_meta(tmp_path / "e.npz", tmp_path / "r.npz",
-                         vocab=edited(record, "targets", record["targets"][::-1]))
-        capsys.readouterr()
-        for argv in (["train", "--target", "avg(sales)"], ["eval", "--checkpoint", tmp_path / "m.npz"]):
-            assert run(*argv, "--encoded", tmp_path / "r.npz", "--out", tmp_path / "out") == 1
-            out, err = capsys.readouterr()
-            assert out == "" and len(err.splitlines()) == 1
-            err = json.loads(err)
-            assert err["error"] == "CorruptArtifact"
-            assert err["message"].startswith(f"{tmp_path / 'r.npz'}: header 'vocab' ")
-            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     @pytest.mark.parametrize("field, value", [
@@ -803,10 +768,8 @@ class TestVocabularyTravelsInTheArtifacts:
         record = LstmModel.load(pipeline / "model.npz").vocabulary.to_record()
         rewrite_npz_meta(pipeline / "model.npz", tmp_path / "m.npz",
                          vocab=edited(record, field, value))
-        data = {"predict": ["--workload", pipeline / "labeled.jsonl"],
-                "eval": ["--encoded", pipeline / "encoded.npz"]}[command]
-        assert run(command, "--checkpoint", tmp_path / "m.npz", *data,
-                   "--out", tmp_path / "out") == 1
+        assert run(command, "--checkpoint", tmp_path / "m.npz",
+                   "--workload", pipeline / "labeled.jsonl", "--out", tmp_path / "out") == 1
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1
         err = json.loads(err)
@@ -814,28 +777,32 @@ class TestVocabularyTravelsInTheArtifacts:
         assert err["message"].startswith(str(tmp_path / "m.npz"))
         assert [p.name for p in tmp_path.iterdir()] == ["m.npz"]
 
-    @pytest.mark.parametrize("how", ["one-member-changed-and-rehashed", "another-template"])
-    def test_encoded_file_of_another_vocabulary_is_hash_mismatch_at_eval(self, pipeline, tmp_path,
-                                                                         capsys, how):
+    @pytest.mark.parametrize("how", ["a-member-renamed", "scale-changed", "another-template"])
+    def test_workload_of_another_vocabulary_is_hash_mismatch_at_eval(self, pipeline, tmp_path,
+                                                                     capsys, how):
+        header, records = read_workload(pipeline / "labeled.jsonl")
         if how == "another-template":
             make_inputs(tmp_path, targets=[{"func": "avg", "attr": "sales"},
                                            {"func": "sum", "attr": "sales"}])
             generate_and_label(tmp_path)
-            assert run_encode(tmp_path, tmp_path / "l.jsonl") == 0
+        elif how == "a-member-renamed":
+            query = records[0].query
+            assert query.in_filters[0].attr == "region"
+            renamed = dataclasses.replace(query, in_filters=(InFilter("region", "nowhere"),
+                                                             *query.in_filters[1:]))
+            write_labeled(tmp_path / "l.jsonl", header,
+                          [dataclasses.replace(records[0], query=renamed), *records[1:]])
         else:
-            record = edited(load_encoded(pipeline / "encoded.npz")[3]["vocab"], "members",
-                            one_member_changed)
-            rewrite_npz_meta(pipeline / "encoded.npz", tmp_path / "e.npz", vocab=record,
-                             vocab_hash=hashlib.sha256(json.dumps(record, sort_keys=True)
-                                                       .encode()).hexdigest())
+            template = {**header["template"], "numeric_scales": {"sales": 2.0}}
+            write_labeled(tmp_path / "l.jsonl", {**header, "template": template}, records)
         capsys.readouterr()
-        assert run("eval", "--checkpoint", pipeline / "model.npz", "--encoded", tmp_path / "e.npz",
+        assert run("eval", "--checkpoint", pipeline / "model.npz", "--workload", tmp_path / "l.jsonl",
                    "--out", tmp_path / "eval.json") == 1
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1
         err = json.loads(err)
         assert err["error"] == "HashMismatch"
-        assert err["message"].startswith(f"the vocabulary of {tmp_path / 'e.npz'} (hash ")
+        assert err["message"].startswith(f"the vocabulary of {tmp_path / 'l.jsonl'} (hash ")
         assert not (tmp_path / "eval.json").exists()
 
 
@@ -871,6 +838,13 @@ def make_demo_06_inputs(root):
     }))
 
 
+def make_half_unit_inputs(root):
+    """The CLI tests' inputs with sales quantized to halves."""
+    make_inputs(root)
+    template = json.loads((root / "template.json").read_text())
+    (root / "template.json").write_text(json.dumps({**template, "numeric_scales": {"sales": 2.0}}))
+
+
 def generate_and_label(root):
     """Generate w.jsonl from the inputs under root and label it into l.jsonl."""
     data = ["--data", root / "data.csv", "--schema", root / "schema.json"]
@@ -879,78 +853,75 @@ def generate_and_label(root):
     assert run("label", *data, "--workload", root / "w.jsonl", "--out", root / "l.jsonl") == 0
 
 
-def encoded_vocabulary(path) -> TokenVocabulary:
-    """The vocabulary that the encoded file at `path` records."""
-    meta = load_encoded(path)[3]
-    return TokenVocabulary.from_record(meta["vocab"], meta["vocab_hash"])
+def write_labeled(path, header: dict, records) -> None:
+    """Write `records` as a labeled workload with the meta of `header`."""
+    write_workload(path, records,
+                   {k: v for k, v in header.items() if k not in ("kind", "version", "count")})
 
 
-def run_encode(root, workload):
-    return run("encode", "--workload", workload, "--out-encoded", root / "e.npz")
+def library_vocabulary(root, workload) -> TokenVocabulary:
+    """The vocabulary of the labeled workload root/workload (or the absolute
+    path `workload`) under the template and table under root, built through
+    the Python API."""
+    ds = load_csv(root / "data.csv", load_schema(root / "schema.json"))
+    _, records = read_workload(root / workload)
+    return build_vocabulary(records, load_template(root / "template.json", ds))
 
 
-def evaluate_on_the_table(root, encoded, checkpoint, target, split_seed, split="test"):
-    """The report fields eval wrote when it took --target, --split-seed,
-    --data and --schema: the split of `target`'s rows of root/encoded, and
-    the mean entropy of root/data.csv."""
-    X, y, _, _ = load_encoded(root / encoded)
-    vocab = encoded_vocabulary(root / encoded)
-    rows = np.flatnonzero(row_token_ids(X) == vocab.token_id(target))
-    X, y = X[rows], y[rows]
+def evaluate_on_the_table(root, workload, checkpoint, target, split_seed, split="test"):
+    """The report fields of eval computed through the Python API: the split
+    of `target`'s records of root/workload, encoded under the vocabulary of
+    root's template and table, and the mean entropy of root/data.csv."""
+    _, records = read_workload(root / workload)
+    records = [lq for lq in records if lq.query.target.token() == target]
     if split != "all":
-        tr, va, te = split_indices(len(X), seed=split_seed)
-        part = {"train": tr, "validation": va, "test": te}[split]
-        X, y = X[part], y[part]
+        tr, va, te = split_indices(len(records), seed=split_seed)
+        records = [records[i] for i in {"train": tr, "validation": va, "test": te}[split]]
+    X = encode_workload(records, library_vocabulary(root, workload))
+    y = np.array([lq.label for lq in records])
     report = evaluate_predictions(LstmModel.load(root / checkpoint).predict_batch(X), y)
     table = load_csv(root / "data.csv", load_schema(root / "schema.json"))
     return {**report.to_record(), "input_variance": input_tensor_variance(X),
             "mean_entropy_bits": dataset_entropy(table)["mean"]}
 
 
-class TestEncodeReadsItsTemplate:
-    """encode takes its template from the labeled workload's header, the
-    template the workload was generated and labeled under."""
+class TestTrainReadsTheLabeledWorkload:
+    """label reads the template that generate recorded against its table
+    and records it beside the table's schema; train builds the vocabulary
+    from both, encodes the records and fits, and reads no table, template
+    or schema file."""
 
-    @pytest.mark.parametrize("make", [make_inputs, make_demo_06_inputs],
-                             ids=["cli-tests", "demo-06"])
-    def test_artifacts_equal_those_of_the_template_file_without_the_table(self, tmp_path, make):
+    @pytest.mark.parametrize("make", [make_inputs, make_demo_06_inputs, make_half_unit_inputs],
+                             ids=["cli-tests", "demo-06", "half-unit-scale"])
+    def test_checkpoint_equals_the_library_path_without_the_table(self, tmp_path, make):
         make(tmp_path)
         generate_and_label(tmp_path)
-        # What encode wrote when it took --data and --template.
-        ds = load_csv(tmp_path / "data.csv", load_schema(tmp_path / "schema.json"))
         _, records = read_workload(tmp_path / "l.jsonl")
-        vocab = build_vocabulary(records, load_template(tmp_path / "template.json", ds))
-        workload_hash = hashlib.sha256((tmp_path / "l.jsonl").read_bytes()).hexdigest()
+        vocab = library_vocabulary(tmp_path, "l.jsonl")
+        X, y = encode_workload(records, vocab), np.array([lq.label for lq in records])
+        tr, va, _ = split_indices(len(records), seed=0)
+        config = ModelConfig(lstm_units=8, dense_units=8, batch_size=16, max_epochs=2)
+        model = LstmModel(config, vocab.sequence_length, vocab.row_width, target="avg(sales)",
+                          split_seed=0, vocabulary=vocab)
+        model.fit(X[tr], y[tr], X[va], y[va])
+        model.save(tmp_path / "library.npz")
         for name in ("data.csv", "schema.json", "template.json"):
             (tmp_path / name).unlink()
-        assert run_encode(tmp_path, tmp_path / "l.jsonl") == 0
-        X, y, support, meta = load_encoded(tmp_path / "e.npz")
-        assert meta["workload_sha256"] == workload_hash
-        assert (json.dumps(meta["vocab"], sort_keys=True)  # where 1.0 is not 1
-                == json.dumps(vocab.to_record(), sort_keys=True))
-        np.testing.assert_array_equal(X, encode_workload(records, vocab))
-        np.testing.assert_array_equal(y, [lq.label for lq in records])
-        np.testing.assert_array_equal(support, [lq.support for lq in records])
-
-    def test_encoded_queries_are_the_labeled_ones_under_a_non_unit_scale(self, tmp_path):
-        make_inputs(tmp_path)
-        template = json.loads((tmp_path / "template.json").read_text())
-        template["numeric_scales"] = {"sales": 2.0}
-        (tmp_path / "template.json").write_text(json.dumps(template))
-        generate_and_label(tmp_path)
-        assert run_encode(tmp_path, tmp_path / "l.jsonl") == 0
-        _, records = read_workload(tmp_path / "l.jsonl")
-        X, _, _, _ = load_encoded(tmp_path / "e.npz")
-        vocab = encoded_vocabulary(tmp_path / "e.npz")
-        assert any(f.upper % 1 for lq in records for f in lq.query.between_filters)
+        assert run("train", "--workload", tmp_path / "l.jsonl", "--out", tmp_path / "m.npz",
+                   "--lstm-units", 8, "--dense-units", 8, "--batch-size", 16,
+                   "--max-epochs", 2) == 0
+        with np.load(tmp_path / "m.npz") as cli_path, np.load(tmp_path / "library.npz") as api:
+            assert cli_path.files == api.files
+            for name in api.files:  # the JSON meta buffer included
+                np.testing.assert_array_equal(cli_path[name], api[name], err_msg=name)
         assert [decode(x, vocab) for x in X] == [lq.query for lq in records]
 
     @pytest.mark.parametrize("flag, name", [("--template", "template.json"),
                                             ("--data", "data.csv")])
     def test_template_or_data_option_is_a_usage_error(self, pipeline, tmp_path, capsys,
                                                      flag, name):
-        assert run("encode", "--workload", pipeline / "labeled.jsonl", flag, pipeline / name,
-                   "--out-encoded", tmp_path / "e.npz") == 2
+        assert run("train", "--workload", pipeline / "labeled.jsonl", flag, pipeline / name,
+                   "--out", tmp_path / "m.npz") == 2
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
@@ -963,23 +934,27 @@ class TestEncodeReadsItsTemplate:
     ], ids=["no-template", "null-template", "template-path", "target-without-attr"])
     def test_header_without_a_template_is_exit_1_with_json_error(self, pipeline, tmp_path,
                                                                 capsys, meta, reason):
-        header, records = read_workload(pipeline / "labeled.jsonl")
-        write_workload(tmp_path / "l.jsonl", records,
-                       {"dataset_sha256": header["dataset_sha256"], "schema": header["schema"],
-                        **meta})
-        assert run_encode(tmp_path, tmp_path / "l.jsonl") == 1
+        # label reads the template before it scans, so it never writes a
+        # labeled workload that train could not read.
+        header, queries = read_workload(pipeline / "workload.jsonl")
+        write_workload(tmp_path / "w.jsonl", queries,
+                       {"dataset_sha256": header["dataset_sha256"], **meta})
+        assert run("label", "--data", pipeline / "data.csv", "--schema", pipeline / "schema.json",
+                   "--workload", tmp_path / "w.jsonl", "--out", tmp_path / "l.jsonl") == 1
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1
         err = json.loads(err)
         assert err["error"] == "CorruptArtifact"
-        assert err["message"] == f"{tmp_path / 'l.jsonl'}: header 'template' {reason}"
-        assert [p.name for p in tmp_path.iterdir()] == ["l.jsonl"]
+        assert err["message"] == f"{tmp_path / 'w.jsonl'}: header 'template' {reason}"
+        assert [p.name for p in tmp_path.iterdir()] == ["w.jsonl"]
 
-    def test_label_records_the_schema_of_its_table(self, pipeline):
+    def test_label_records_the_template_and_the_schema_of_its_table(self, pipeline):
         header, _ = read_workload(pipeline / "labeled.jsonl")
         assert header["schema"] == json.loads((pipeline / "schema.json").read_text())
         assert "schema" not in read_workload(pipeline / "workload.jsonl")[0]
+        assert header["template"] == read_workload(pipeline / "workload.jsonl")[0]["template"]
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("schema, reason", [
         (..., "is missing"),
         (None, "is null, not a list"),
@@ -990,15 +965,17 @@ class TestEncodeReadsItsTemplate:
          "is not a valid schema: TypeError name ['sales'] is not a string"),
     ], ids=["no-schema", "null-schema", "schema-path", "unknown-kind", "name-not-a-string"])
     def test_header_without_a_valid_schema_is_exit_1_with_json_error(self, pipeline, tmp_path,
-                                                                    capsys, schema, reason):
+                                                                    capsys, command, schema,
+                                                                    reason):
         header, records = read_workload(pipeline / "labeled.jsonl")
-        meta = {k: v for k, v in header.items() if k not in ("kind", "version", "count")}
         if schema is ...:
-            del meta["schema"]
+            del header["schema"]
         else:
-            meta["schema"] = schema
-        write_workload(tmp_path / "l.jsonl", records, meta)
-        assert run_encode(tmp_path, tmp_path / "l.jsonl") == 1
+            header["schema"] = schema
+        write_labeled(tmp_path / "l.jsonl", header, records)
+        model = ["--checkpoint", pipeline / "model.npz"] if command == "eval" else []
+        assert run(command, "--workload", tmp_path / "l.jsonl", *model,
+                   "--out", tmp_path / "out") == 1
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1
         err = json.loads(err)
@@ -1006,28 +983,74 @@ class TestEncodeReadsItsTemplate:
         assert err["message"] == f"{tmp_path / 'l.jsonl'}: header 'schema' {reason}"
         assert [p.name for p in tmp_path.iterdir()] == ["l.jsonl"]
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("change", [
+        pytest.param(..., id="no-template"),
+        pytest.param(None, id="null-template"),
+        pytest.param("template.json", id="template-path"),
+        *BAD_TEMPLATE_CHANGES,
+    ])
+    def test_edited_template_of_the_labeled_workload_is_exit_1(self, pipeline, tmp_path, capsys,
+                                                              command, change):
+        # The header's template is where the vocabulary comes from, so an
+        # edit made after label must fail before train fits or eval scores.
+        header, records = read_workload(pipeline / "labeled.jsonl")
+        if change is ...:
+            del header["template"]
+        else:
+            header["template"] = ({**header["template"], **change} if isinstance(change, dict)
+                                  else change)
+        write_labeled(tmp_path / "l.jsonl", header, records)
+        model = ["--checkpoint", pipeline / "model.npz"] if command == "eval" else []
+        assert run(command, "--workload", tmp_path / "l.jsonl", *model,
+                   "--out", tmp_path / "out") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        err = json.loads(err)
+        assert err["error"] == "CorruptArtifact"
+        assert err["message"].startswith(f"{tmp_path / 'l.jsonl'}: header 'template' ")
+        if isinstance(change, dict):
+            key = next(iter(change))  # a bad target is named by its function or missing key
+            assert key == "targets" or key in err["message"]
+        assert [p.name for p in tmp_path.iterdir()] == ["l.jsonl"]
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_an_encoded_file_is_a_version_mismatch(self, pipeline, tmp_path, capsys, command):
+        # An encoded tensor file as the encode stage of earlier releases wrote it.
+        save_npz(tmp_path / "encoded.npz", "encoded", 2,
+                 {"X": np.zeros((3, 2, 2), dtype=np.uint8), "y": np.zeros(3),
+                  "support": np.ones(3, dtype=np.int64)}, {"count": 3})
+        model = ["--checkpoint", pipeline / "model.npz"] if command == "eval" else []
+        assert run(command, "--workload", tmp_path / "encoded.npz", *model,
+                   "--out", tmp_path / "out") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err) == {
+            "error": "VersionMismatch",
+            "message": f"{tmp_path / 'encoded.npz'} holds encoded version 2 where workload "
+                       "version 1 is expected"}
+        assert [p.name for p in tmp_path.iterdir()] == ["encoded.npz"]
+
 
 class TestEvalReadsItsArtifacts:
     """eval evaluates the checkpoint's target on the checkpoint's split, and
-    reports the table's entropy that label recorded and encode copied."""
+    reports the table's entropy that label recorded."""
 
     @pytest.mark.parametrize("make", [make_inputs, make_demo_06_inputs],
                              ids=["cli-tests", "demo-06"])
     def test_report_equals_the_one_computed_from_the_table(self, tmp_path, make, capsys):
         make(tmp_path)
         generate_and_label(tmp_path)
-        assert run_encode(tmp_path, tmp_path / "l.jsonl") == 0
-        assert run("train", "--encoded", tmp_path / "e.npz",
+        assert run("train", "--workload", tmp_path / "l.jsonl",
                    "--out", tmp_path / "m.npz", "--lstm-units", 8, "--dense-units", 8,
                    "--max-epochs", 1) == 0
-        expected = evaluate_on_the_table(tmp_path, "e.npz", "m.npz", "avg(sales)", 0)
+        expected = evaluate_on_the_table(tmp_path, "l.jsonl", "m.npz", "avg(sales)", 0)
         capsys.readouterr()
         assert run("profile", "--data", tmp_path / "data.csv",
                    "--schema", tmp_path / "schema.json", "--json") == 0
         profiled = json.loads(capsys.readouterr().out)["mean_entropy_bits"]
-        (tmp_path / "data.csv").unlink()
-        (tmp_path / "schema.json").unlink()
-        assert run("eval", "--checkpoint", tmp_path / "m.npz", "--encoded", tmp_path / "e.npz",
+        for name in ("data.csv", "schema.json", "template.json"):
+            (tmp_path / name).unlink()
+        assert run("eval", "--checkpoint", tmp_path / "m.npz", "--workload", tmp_path / "l.jsonl",
                    "--out", tmp_path / "eval.json") == 0
         out = capsys.readouterr().out
         assert f"{profiled:.4f} bits" in out
@@ -1047,22 +1070,21 @@ class TestEvalReadsItsArtifacts:
         ("--data", "data.csv"), ("--schema", "schema.json"),
     ])
     def test_removed_option_is_a_usage_error(self, pipeline, tmp_path, capsys, flag, value):
-        assert run("eval", "--checkpoint", pipeline / "model.npz", "--encoded",
-                   pipeline / "encoded.npz",
+        assert run("eval", "--checkpoint", pipeline / "model.npz", "--workload",
+                   pipeline / "labeled.jsonl",
                    "--out", tmp_path / "eval.json", flag, value) == 2
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     def run_eval_on_meta(self, pipeline, tmp_path, **meta):
-        X, y, support, recorded = load_encoded(pipeline / "encoded.npz")
-        kept = {k: v for k, v in recorded.items()
-                if k not in ("kind", "version", "count", "mean_entropy_bits")}
-        save_encoded(tmp_path / "e.npz", X, y, support, meta={**kept, **meta})
-        return run("eval", "--checkpoint", pipeline / "model.npz", "--encoded", tmp_path / "e.npz",
+        header, records = read_workload(pipeline / "labeled.jsonl")
+        del header["mean_entropy_bits"]
+        write_labeled(tmp_path / "l.jsonl", {**header, **meta}, records)
+        return run("eval", "--checkpoint", pipeline / "model.npz", "--workload", tmp_path / "l.jsonl",
                    "--workers", 2, "--out", tmp_path / "eval.json")
 
-    def test_encoded_file_without_entropy_reports_none(self, pipeline, tmp_path, capsys):
+    def test_workload_without_entropy_reports_none(self, pipeline, tmp_path, capsys):
         assert self.run_eval_on_meta(pipeline, tmp_path) == 0
         assert "entropy" not in capsys.readouterr().out
         report = json.loads((tmp_path / "eval.json").read_text())
@@ -1079,7 +1101,8 @@ class TestEvalReadsItsArtifacts:
         assert out == "" and len(err.splitlines()) == 1
         err = json.loads(err)
         assert err["error"] == "CorruptArtifact"
-        assert err["message"].startswith(f"{tmp_path / 'e.npz'}: meta 'mean_entropy_bits' is ")
+        assert err["message"].startswith(
+            f"{tmp_path / 'l.jsonl'}: header 'mean_entropy_bits' is ")
         assert not (tmp_path / "eval.json").exists()
 
     def test_checkpoint_without_target_or_split_seed_takes_the_defaults_of_train(self, pipeline,
@@ -1087,8 +1110,8 @@ class TestEvalReadsItsArtifacts:
         model = LstmModel.load(pipeline / "model.npz")
         model.target = model.split_seed = None  # as the Python API saves it
         model.save(tmp_path / "api.npz")
-        assert run("eval", "--checkpoint", tmp_path / "api.npz", "--encoded",
-                   pipeline / "encoded.npz", "--workers", 2,
+        assert run("eval", "--checkpoint", tmp_path / "api.npz", "--workload",
+                   pipeline / "labeled.jsonl", "--workers", 2,
                    "--out", tmp_path / "eval.json") == 0
         report = json.loads((tmp_path / "eval.json").read_text())
         expected = json.loads((pipeline / "eval.json").read_text())
@@ -1113,7 +1136,7 @@ def test_documented_command_lines_parse():
                                    ("demo 06", demo, demo)):
         lines = documented_command_lines(text)
         assert [argv[0] for argv in lines] == [
-            "profile", "generate", "label", "encode", "train", "predict", "eval",
+            "profile", "generate", "label", "train", "predict", "eval",
         ], source
         for argv in lines:
             try:

@@ -22,9 +22,8 @@ from aqplearn import (
     generate_workload,
     label_workload,
 )
-from aqplearn.artifacts import save_npz
-from aqplearn.encoder import load_encoded, member_token, row_token_ids, save_encoded
-from aqplearn.errors import MalformedMatrix, NumericOverflow, UnknownToken, VersionMismatch
+from aqplearn.encoder import check_scale, member_token
+from aqplearn.errors import MalformedMatrix, NumericOverflow, UnknownToken
 from aqplearn.queries import number_parts
 from conftest import BAD_SCALE_VOCAB_FIELDS, MISTYPED_VOCAB_FIELDS, build_transactions
 
@@ -579,42 +578,11 @@ class TestDecodeAcceptsExactlyEncodings:
 
 
 class TestTensorHelpers:
-    def test_row_token_ids_reads_targets(self):
-        v = small_vocab()
-        X = encode_workload(
-            [
-                FlatQuery(AggregationTarget(AVG, "sales")),
-                FlatQuery(AggregationTarget(AVG, "sales"), (BetweenFilter("sales", 1.0, 2.0),)),
-            ],
-            v,
-        )
-        np.testing.assert_array_equal(row_token_ids(X), [1, 1])
-
     def test_encode_workload_accepts_labeled_queries(self):
         v = small_vocab()
         q = FlatQuery(AggregationTarget(AVG, "sales"))
         X = encode_workload([LabeledQuery(q, 5.0, 3)], v)
         np.testing.assert_array_equal(X[0], encode(q, v))
-
-    def test_encoded_file_round_trip(self, tmp_path):
-        X = np.random.default_rng(0).integers(0, 2, size=(4, 6, 6)).astype(np.uint8)
-        y = np.array([1.0, 2.0, 3.0, 4.0])
-        s = np.array([1, 2, 3, 4])
-        path = tmp_path / "enc.npz"
-        save_encoded(path, X, y, s, meta={"note": "hello"})
-        X2, y2, s2, meta = load_encoded(path)
-        np.testing.assert_array_equal(X, X2)
-        np.testing.assert_array_equal(y, y2)
-        np.testing.assert_array_equal(s, s2)
-        assert meta["note"] == "hello"
-
-    @pytest.mark.parametrize("cell", [0.5, 2, -1])
-    def test_encoded_file_rejects_non_binary_cells(self, tmp_path, cell):
-        X = np.zeros((2, 6, 6))
-        X[1, 3, 4] = cell
-        with pytest.raises(MalformedMatrix):
-            save_encoded(tmp_path / "enc.npz", X, np.zeros(2), np.ones(2))
-        assert not (tmp_path / "enc.npz").exists()
 
 
 class TestVocabularyRecords:
@@ -648,16 +616,24 @@ class TestVocabularyRecords:
         with pytest.raises(ValueError, match=r"^numeric_scales\['sales'\]"):
             TokenVocabulary(("avg(sales)",), ("sales",), (), {}, value, 8)
 
+    @pytest.mark.parametrize("value, error", [
+        (0, ValueError), (-1.0, ValueError), (float("nan"), ValueError),
+        (float("inf"), ValueError), (float("-inf"), ValueError), (True, TypeError),
+        ("4", TypeError), (None, TypeError),
+    ])
+    def test_one_scale_rule_for_the_vocabulary_and_the_template(self, transactions, value, error):
+        check_scale("s", 0.25)
+        check_scale("s", 3)
+        with pytest.raises(error, match=r"^s is "):
+            check_scale("s", value)
+        with pytest.raises(error, match=r"^numeric_scales\['sales'\] is "):
+            TokenVocabulary(("avg(sales)",), ("sales",), (), {}, {"sales": value}, 8)
+        with pytest.raises(error, match=r"^numeric_scales\['sales'\] is "):
+            QueryTemplate.build(transactions, [AggregationTarget(AVG, "sales")],
+                                numeric_scales={"sales": value})
+
     def test_there_is_no_vocabulary_file(self):
         assert {"save_vocabulary", "load_vocabulary"} & set(aqplearn.__all__) == set()
-
-    def test_v1_encoded_file_rejected(self, tmp_path):
-        # Version 1 named a vocabulary file by its hash instead of holding one.
-        X = encode_workload([FlatQuery(AggregationTarget(AVG, "sales"))], small_vocab())
-        save_npz(tmp_path / "e.npz", "encoded", 1, {"X": X, "y": np.zeros(1), "support": np.ones(1)},
-                 {"count": 1, "vocab_content_hash": small_vocab().content_hash()})
-        with pytest.raises(VersionMismatch, match="version 1 "):
-            load_encoded(tmp_path / "e.npz")
 
     def test_missing_field_is_a_key_error(self):
         rec = small_vocab().to_record()

@@ -8,14 +8,17 @@ from aqplearn import (
     AggregationFunction,
     AggregationTarget,
     BetweenFilter,
+    Dataset,
     FlatQuery,
     GroupByQuery,
     InFilter,
+    Kind,
     LabeledQuery,
     QueryTemplate,
     execute_groupby,
     generate_workload,
     load_template,
+    make_schema,
     read_workload,
     split_indices,
     write_workload,
@@ -88,6 +91,24 @@ class TestTemplate:
         assert t == QueryTemplate.build(transactions, [AggregationTarget(AVG, "sales")])
         with pytest.raises(InvalidTarget, match="at least one aggregation target"):
             load_template({"cont_filter_attrs": ["sales"]}, transactions)
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("n_cont_samples", 12.9, "an int"),
+        ("n_cont_samples", "12", "an int"),
+        ("seed", 2.5, "an int"),
+        ("seed", True, "an int"),
+        ("numeric_scales", [["x", 2.0]], "an object"),
+        ("cont_filter_attrs", "x", "a list of strings"),
+        ("nom_filter_attrs", ["g", 1], "a list of strings"),
+    ])
+    def test_mistyped_key_is_corrupt_naming_it(self, key, value, kind):
+        # On a table whose attribute is named "x", a loose read would take the
+        # string "x" as its one character, 12.9 as 12 and true as 1.
+        ds = Dataset.from_columns(make_schema([("g", Kind.NOMINAL), ("x", Kind.CONTINUOUS)]),
+                                  {"g": ["a", "b"], "x": [1.0, 2.0]})
+        config = {"targets": [{"func": "avg", "attr": "x"}], key: value}
+        with pytest.raises(CorruptArtifact, match=f": {key} is .*, not {kind}$"):
+            load_template(config, ds)
 
     def test_record_round_trip(self, transactions):
         t = QueryTemplate.build(
@@ -325,6 +346,20 @@ class TestWorkloadFiles:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(CorruptArtifact):
+            read_workload(path)
+
+    @pytest.mark.parametrize("edit, error", [
+        ('"label": 2.0, ', "KeyError 'label'"),
+        ('"support": 2, ', "KeyError 'support'"),
+    ])
+    def test_unreadable_record_is_named_by_its_line(self, tmp_path, edit, error):
+        path = tmp_path / "l.jsonl"
+        write_workload(path, labeled_workload(4))
+        lines = path.read_text().splitlines()
+        assert edit in lines[3]
+        lines[3] = lines[3].replace(edit, "")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptArtifact, match=f"^{path} line 4 is not a workload record: {error}$"):
             read_workload(path)
 
     def test_alien_file_rejected(self, tmp_path):
