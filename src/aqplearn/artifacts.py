@@ -9,12 +9,14 @@ number of records.
 Failure rule: another kind or version raises VersionMismatch; a file that
 does not parse, a field that cannot be typed, or content that disagrees
 with its header raises CorruptArtifact. Fields are read strictly, through
-strings, an_int and an_object, where a loose read would change them (a
-string into its characters, 12.9 into 12). Writers go through atomic_open.
+strings, an_int, a_string, a_number, a_list and an_object, where a loose
+read would change them (a string into its characters, 12.9 into 12, true
+into 1). Writers go through atomic_open.
 """
 
 import json
 import os
+import sys
 import uuid
 import zipfile
 from contextlib import contextmanager
@@ -66,8 +68,10 @@ def check_header(path, header, kind: str, version: int) -> None:
 
 
 def read_artifact(path, kind: str, version: int) -> tuple[dict, dict | list]:
-    """Checked header and body (.npz arrays, JSON-lines records, none for a JSON
-    document) of `path`. Any container is read, so another kind is named."""
+    """Checked header and body (.npz arrays, the unparsed record lines of a
+    JSON-lines file, none for a JSON document) of `path`. Any container is
+    read, so another kind is named; the caller parses each record line and
+    so can name the one that fails."""
     with open(path, "rb") as fh, parsing(path, kind):
         if fh.read(4) == b"PK\x03\x04":  # an .npz archive
             fh.seek(0)  # read through fh, which closes also when the archive is cut short
@@ -78,7 +82,7 @@ def read_artifact(path, kind: str, version: int) -> tuple[dict, dict | list]:
             fh.seek(0)
             first, rest = fh.readline(), fh.read()
             try:
-                header, body = json.loads(first), [json.loads(line) for line in rest.splitlines()]
+                header, body = json.loads(first), rest.splitlines()
             except ValueError:  # a JSON document over several lines
                 header, body = json.loads(first + rest), []
         check_header(path, header, kind, version)
@@ -98,6 +102,30 @@ def an_int(name: str, value) -> int:
     """`value`, a JSON integer and not a bool; else TypeError naming `name`."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} is {value!r}, not an int")
+    return value
+
+
+def a_string(name: str, value) -> str:
+    """`value`, a JSON string; else TypeError naming `name`."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} is {value!r}, not a string")
+    return value
+
+
+def a_number(name: str, value) -> float:
+    """`value`, a finite JSON number and not a bool, as a float; else
+    TypeError or ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} is {value!r}, not a number")
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN, and ints beyond a float
+        raise ValueError(f"{name} is {value!r}, not a finite number")
+    return float(value)
+
+
+def a_list(name: str, value) -> list:
+    """`value`, a JSON list; else TypeError naming `name`."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} is {value!r}, not a list")
     return value
 
 

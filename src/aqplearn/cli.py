@@ -47,6 +47,7 @@ from .errors import (
     InvalidTarget,
     ShapeMismatch,
 )
+from .queries import number_parts
 
 
 def _sha256_file(path) -> str:
@@ -178,8 +179,7 @@ def cmd_label(args) -> int:
 
 def _read_labeled(path) -> tuple[dict, list, encoder.TokenVocabulary]:
     """The header and records of the labeled workload at `path`, and their
-    vocabulary under the template and schema the header records. Every
-    label must be a finite number (else CorruptArtifact naming its line)."""
+    vocabulary under the template and schema the header records."""
     header, records = querygen.read_workload(path)
     if not header.get("labeled"):
         raise ShapeMismatch(f"{path} is not labeled; run the label stage first")
@@ -189,10 +189,6 @@ def _read_labeled(path) -> tuple[dict, list, encoder.TokenVocabulary]:
                             lambda raw: querygen.load_template(raw, ds))
     if not records:
         raise EmptyList(f"{path} holds no labeled queries to train on or score")
-    y = np.fromiter((lq.label for lq in records), np.float64, len(records))
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        raise CorruptArtifact(f"{path} line {bad[0] + 2}: label {y[bad[0]]} is not a finite number")
     return header, records, encoder.build_vocabulary(records, template)
 
 
@@ -274,13 +270,14 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = _load_model(args.checkpoint)
     header, records = querygen.read_workload(args.workload)
-    queries = [getattr(rec, "query", rec) for rec in records]
-    others = sorted({q.target.token() for q in queries} - {model.target})
+    targets = {part.token() for c, part in number_parts(records)[0] if c == 0}
+    others = sorted(targets - {model.target})
     if model.target is not None and others:  # a model that records no target is not checked
         raise CheckpointMismatch(f"{args.checkpoint} answers {model.target!r}, not {others[0]!r}")
     X = encoder.encode_workload(records, model.vocabulary)
     preds = model.predict_batch(X, n_workers=args.workers)
-    rows = [{"query": q.to_record(), "prediction": float(p)} for q, p in zip(queries, preds)]
+    rows = [{"query": q, "prediction": float(p)}
+            for q, p in zip(querygen.query_records(records), preds)]
     write_jsonl(args.out, "predictions", 1, rows,
                 {"checkpoint_sha256": _sha256_file(args.checkpoint),
                  "workload_sha256": _sha256_file(args.workload)})

@@ -4,7 +4,9 @@ A FlatQuery is the atomic unit of the whole pipeline: one aggregation
 target plus BETWEEN filters on continuous attributes and IN filters
 binding nominal attributes to single members. It returns one scalar by
 construction. SQL text rendering is for display only; queries are always
-built and evaluated structurally.
+built and evaluated structurally. These types hold no file format: the
+JSON record of a query in a workload or predictions file is written and
+read in querygen's workload section only.
 """
 
 from __future__ import annotations
@@ -136,29 +138,6 @@ class FlatQuery:
             + _where_sql(self.between_filters, self.in_filters)
         )
 
-    def to_record(self) -> dict:
-        return {
-            "target": {"func": self.target.func.value, "attr": self.target.attr},
-            "between": [
-                {"attr": f.attr, "lower": f.lower, "upper": f.upper}
-                for f in self.between_filters
-            ],
-            "in": [{"attr": f.attr, "member": f.member} for f in self.in_filters],
-        }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "FlatQuery":
-        return cls(
-            target=AggregationTarget(
-                AggregationFunction(rec["target"]["func"]), rec["target"]["attr"]
-            ),
-            between_filters=tuple(
-                BetweenFilter(f["attr"], float(f["lower"]), float(f["upper"]))
-                for f in rec["between"]
-            ),
-            in_filters=tuple(InFilter(f["attr"], f["member"]) for f in rec["in"]),
-        )
-
 
 @dataclass(frozen=True)
 class GroupByQuery:
@@ -195,20 +174,6 @@ class LabeledQuery:
     query: FlatQuery
     label: float
     support: int
-
-    def to_record(self) -> dict:
-        rec = self.query.to_record()
-        rec["label"] = self.label
-        rec["support"] = self.support
-        return rec
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "LabeledQuery":
-        return cls(
-            query=FlatQuery.from_record(rec),
-            label=float(rec["label"]),
-            support=int(rec["support"]),
-        )
 
 
 def number_parts(queries: Iterable) -> tuple[list, np.ndarray]:

@@ -14,6 +14,10 @@ that gets executed is bit-identical to the query the model sees.
 
 Everything here is a pure function of (Dataset, QueryTemplate): the same
 seed reproduces the same workload byte for byte.
+
+The workload section at the end is the one codec of the JSON record of a
+query, in workload and predictions files and a template's targets. It
+writes each part object once and reads each distinct part once, strictly.
 """
 
 from __future__ import annotations
@@ -21,12 +25,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import executor
-from .artifacts import an_int, an_object, parsing, read_artifact, strings, write_jsonl
+from .artifacts import (a_list, a_number, a_string, an_int, an_object, parsing, read_artifact,
+                        strings, write_jsonl)
 from .encoder import check_scale
 from .errors import CorruptArtifact, EmptyCombos, InvalidTarget, NumericOverflow, TooFewQueries, WrongKind
 from .queries import (
@@ -107,7 +113,7 @@ class QueryTemplate:
 
     def to_record(self) -> dict:
         return {
-            "targets": [{"func": t.func.value, "attr": t.attr} for t in self.targets],
+            "targets": [_target_record(t) for t in self.targets],
             "cont_filter_attrs": list(self.cont_filter_attrs),
             "nom_filter_attrs": list(self.nom_filter_attrs),
             "n_cont_samples": self.n_cont_samples,
@@ -116,8 +122,11 @@ class QueryTemplate:
         }
 
 
-_TEMPLATE_FIELDS = {"cont_filter_attrs": strings, "nom_filter_attrs": strings,
-                    "n_cont_samples": an_int, "seed": an_int, "numeric_scales": an_object}
+_TEMPLATE_FIELDS = {
+    "targets": lambda name, raw: _read_list(name, raw, AggregationTarget, _TARGET),
+    "cont_filter_attrs": strings, "nom_filter_attrs": strings,
+    "n_cont_samples": an_int, "seed": an_int, "numeric_scales": an_object,
+}
 
 
 def load_template(source: str | Path | dict, ds: Dataset) -> QueryTemplate:
@@ -141,10 +150,9 @@ def load_template(source: str | Path | dict, ds: Dataset) -> QueryTemplate:
         unknown = sorted(set(raw) - set(known))
         if unknown:
             raise ValueError(f"unknown keys {unknown}; a template holds only {known}")
+        raw = {"targets": [], **raw}
         raw.update({key: read(key, raw[key]) for key, read in _TEMPLATE_FIELDS.items()
                     if key in raw})
-        raw["targets"] = [AggregationTarget(AggregationFunction(t["func"]), t["attr"])
-                          for t in raw.get("targets", [])]
         return QueryTemplate.build(ds, **raw)
 
 
@@ -260,7 +268,80 @@ def split_indices(
     return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
 
 
-# -- workload files ---------------------------------------------------------
+# -- workload files: the one codec of a query record --------------------------
+# Each part's JSON object holds the fields of the dataclass it stands for,
+# in order, each with the reader that types it.
+
+_FUNCS = {f.value: f for f in AggregationFunction}
+
+
+def _a_func(name: str, value) -> AggregationFunction:
+    if a_string(name, value) not in _FUNCS:
+        raise ValueError(f"{name} is {value!r}, not one of {sorted(_FUNCS)}")
+    return _FUNCS[value]
+
+
+_TARGET = {"func": _a_func, "attr": a_string}
+_BETWEEN = {"attr": a_string, "lower": a_number, "upper": a_number}
+_IN = {"attr": a_string, "member": a_string}
+_RECORD_KEYS = frozenset({"target", "between", "in", "label", "support"})
+
+
+def _object(name: str, raw, keys) -> dict:
+    """`raw`, a JSON object with exactly `keys`; else TypeError, or KeyError
+    or ValueError naming the first key missing or unknown, under `name`."""
+    if an_object(name or "record", raw).keys() != keys:
+        key = min(keys - raw.keys() or raw.keys() - keys)
+        field = f"{name}.{key}" if name else key
+        if key in keys:
+            raise KeyError(field)
+        raise ValueError(f"unknown key {field!r}")
+    return raw
+
+
+def _read_part(name: str, raw, cls, layout: dict):
+    raw = _object(name, raw, layout.keys())
+    return cls(*[read(f"{name}.{key}", raw[key]) for key, read in layout.items()])
+
+
+def _read_list(name: str, raw, cls, layout: dict) -> tuple:
+    return tuple(_read_part(f"{name}[{k}]", part, cls, layout)
+                 for k, part in enumerate(a_list(name, raw)))
+
+
+def _target_record(target: AggregationTarget) -> dict:
+    return {"func": target.func.value, "attr": target.attr}
+
+
+def _filter_records(filters: tuple, layout: dict) -> list[dict]:
+    return [{key: getattr(f, key) for key in layout} for f in filters]
+
+
+# Each part of a record: its key, reader and writer, in FlatQuery's field order.
+_PARTS = (
+    ("target", partial(_read_part, cls=AggregationTarget, layout=_TARGET), _target_record),
+    ("between", partial(_read_list, cls=BetweenFilter, layout=_BETWEEN),
+     partial(_filter_records, layout=_BETWEEN)),
+    ("in", partial(_read_list, cls=InFilter, layout=_IN), partial(_filter_records, layout=_IN)),
+)
+
+
+def query_records(queries: list) -> list[dict]:
+    """The record of each query (a FlatQuery or a LabeledQuery's) without
+    label and support. Records share the JSON of each part object they
+    share; equal parts that are separate objects keep their own (0 and 0.0)."""
+    built = {}  # id of a part object -> its JSON; `queries` keeps the ids alive
+    records = []
+    for q in queries:
+        fq = q.query if isinstance(q, LabeledQuery) else q
+        rec = {}
+        for (key, _, write), part in zip(_PARTS, (fq.target, fq.between_filters, fq.in_filters)):
+            if id(part) not in built:
+                built[id(part)] = write(part)
+            rec[key] = built[id(part)]
+        records.append(rec)
+    return records
+
 
 def write_workload(
     path: str | Path,
@@ -269,20 +350,45 @@ def write_workload(
 ) -> None:
     """Write a workload file: one JSON header line, then one query per line."""
     labeled = bool(records) and isinstance(records[0], LabeledQuery)
-    rows = [{"label": None, "support": None, **r.to_record()} for r in records]
+    rows = query_records(records)
+    for row, r in zip(rows, records):
+        row["label"], row["support"] = (r.label, r.support) if labeled else (None, None)
     write_jsonl(path, "workload", WORKLOAD_VERSION, rows, {"labeled": labeled, **(meta or {})})
 
 
 def read_workload(path: str | Path) -> tuple[dict, list]:
-    """Read a workload file back into FlatQuery or LabeledQuery objects; a
-    record that does not parse raises CorruptArtifact naming its line."""
-    header, rows = read_artifact(path, "workload", WORKLOAD_VERSION)
-    with parsing(path, "workload"):
-        parse = LabeledQuery.from_record if header["labeled"] else FlatQuery.from_record
+    """Read a workload file back into FlatQuery or LabeledQuery objects.
+
+    Records are read strictly (README, File formats), each distinct part
+    once, and equal parts come back as one object, so number_parts takes
+    its identity path on them. A record that does not parse or type raises
+    CorruptArtifact naming its line and the field.
+    """
+    header, lines = read_artifact(path, "workload", WORKLOAD_VERSION)
+    labeled = header.get("labeled")
+    if not isinstance(labeled, bool):
+        raise CorruptArtifact(f"{path}: header 'labeled' is {json.dumps(labeled)}, not a bool")
+    built = {}  # (key, repr of the part's JSON) -> part; the repr tells true from 1
     records = []
     try:
-        for rec in rows:
-            records.append(parse(rec))
+        for line in lines:
+            rec = _object("", json.loads(line), _RECORD_KEYS)
+            parts = []
+            for key, read, _ in _PARTS:
+                part = built.get(k := (key, repr(rec[key])))
+                if part is None:
+                    part = built[k] = read(key, rec[key])
+                parts.append(part)
+            query = FlatQuery(*parts)
+            if not labeled:
+                if (rec["label"], rec["support"]) != (None, None):
+                    raise ValueError(f"label and support are {rec['label']!r} and "
+                                     f"{rec['support']!r}, not null in an unlabeled workload")
+                records.append(query)
+            elif an_int("support", rec["support"]) < 0:
+                raise ValueError(f"support is {rec['support']}, not a count")
+            else:
+                records.append(LabeledQuery(query, a_number("label", rec["label"]), rec["support"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptArtifact(f"{path} line {len(records) + 2} is not a workload record: "
                               f"{type(exc).__name__} {exc}") from exc

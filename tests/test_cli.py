@@ -13,18 +13,24 @@ import numpy as np
 import pytest
 
 from aqplearn import (
+    AggregationFunction,
+    AggregationTarget,
     BetweenFilter,
     Dataset,
+    FlatQuery,
     InFilter,
     Kind,
     ModelConfig,
+    QueryTemplate,
     TokenVocabulary,
     build_vocabulary,
     cli,
     decode,
     encode_workload,
     evaluate_predictions,
+    generate_workload,
     input_tensor_variance,
+    label_workload,
     load_csv,
     load_schema,
     load_template,
@@ -39,7 +45,7 @@ from aqplearn.metrics import dataset_entropy
 from aqplearn.nnet import LstmModel
 from aqplearn.store import dump_csv, dump_schema
 from cli_options import subcommand_options
-from conftest import BAD_SCALE_VOCAB_FIELDS, MISTYPED_VOCAB_FIELDS
+from conftest import BAD_SCALE_VOCAB_FIELDS, MISTYPED_VOCAB_FIELDS, build_transactions
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -214,6 +220,10 @@ BAD_TEMPLATE_CHANGES = [
     pytest.param({"seed": True}, id="bool-seed"),
     pytest.param({"numeric_scales": [["sales", 2.0]]}, id="scales-as-pairs"),
     pytest.param({"cont_filter_attrs": "sales"}, id="attrs-as-a-string"),
+    pytest.param({"targets": [{"func": "avg", "attr": "sales", "extra": 1}]},
+                 id="target-with-an-extra-key"),
+    pytest.param({"targets": "avg(sales)"}, id="targets-as-a-string"),
+    pytest.param({"targets": {"func": "avg", "attr": "sales"}}, id="targets-as-one-object"),
 ]
 
 
@@ -287,8 +297,7 @@ class TestFailureModes:
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "CorruptArtifact"
-        key = next(iter(change))  # a bad target is named by its function or missing key
-        assert key == "targets" or key in json.loads(lines[0])["message"]
+        assert next(iter(change)) in json.loads(lines[0])["message"]
         assert not (tmp_path / "workload.jsonl").exists()
 
     @pytest.mark.parametrize("command, flag, value", [
@@ -455,9 +464,11 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("label, message", [
-        ("NaN", "line 4: label nan is not a finite number"),
-        ("Infinity", "line 4: label inf is not a finite number"),
-        ("-Infinity", "line 4: label -inf is not a finite number"),
+        ("NaN", "line 4 is not a workload record: ValueError label is nan, not a finite number"),
+        ("Infinity",
+         "line 4 is not a workload record: ValueError label is inf, not a finite number"),
+        ("-Infinity",
+         "line 4 is not a workload record: ValueError label is -inf, not a finite number"),
         (None, "line 4 is not a workload record: KeyError 'label'"),
     ], ids=["nan", "inf", "minus-inf", "missing"])
     def test_labeled_record_without_a_finite_label_is_exit_1_with_json_error(
@@ -930,7 +941,8 @@ class TestTrainReadsTheLabeledWorkload:
         ({}, "is missing"),
         ({"template": None}, "is null, not an object"),
         ({"template": "template.json"}, 'is "template.json", not an object'),
-        ({"template": {"targets": [{"func": "avg"}]}}, "is not a valid template: KeyError 'attr'"),
+        ({"template": {"targets": [{"func": "avg"}]}},
+         "is not a valid template: KeyError 'targets[0].attr'"),
     ], ids=["no-template", "null-template", "template-path", "target-without-attr"])
     def test_header_without_a_template_is_exit_1_with_json_error(self, pipeline, tmp_path,
                                                                 capsys, meta, reason):
@@ -1117,6 +1129,71 @@ class TestEvalReadsItsArtifacts:
         expected = json.loads((pipeline / "eval.json").read_text())
         assert untimed(report) == {**untimed(expected),
                                    "checkpoint_bytes": (tmp_path / "api.npz").stat().st_size}
+
+
+# SHA-256s of the files write_byte_fixture makes and of the predictions for
+# them, so that a change to how records are written that moves one byte
+# fails here. The predictions one is of the lines after the header, which
+# holds the checkpoint's hash.
+GENERATED_SHA256 = "347e00230d40d9a0ede9dfe9e502605a1c85c1e5302fc777a109c6771c5f1247"
+LABELED_SHA256 = "ce49c34237c716d9f61786ee0a70f5e72f30f87a6afbc5dbb5f6729c57a37f9c"
+PREDICTION_RECORDS_SHA256 = "0f057e73efe4e1bbf3806ab401c2c7d6f19717dccb6b0fc3ede7a04e380251d8"
+
+
+def write_byte_fixture(root, api_bounds):
+    """Write w.jsonl, a generated workload, and l.jsonl, its labels with
+    those of queries made through the API over windows `api_bounds`, under
+    root; return the template. Count and max targets keep every label exact."""
+    ds = build_transactions()
+    count, top = AggregationTarget(AggregationFunction.COUNT, "region"), \
+        AggregationTarget(AggregationFunction.MAX, "sales")
+    template = QueryTemplate.build(ds, targets=[count, top], cont_filter_attrs=["sales"],
+                                   nom_filter_attrs=["region"], n_cont_samples=3, seed=5)
+    queries, _ = generate_workload(ds, template)
+    made = [FlatQuery(target, (BetweenFilter("sales", lo, hi),), ins)
+            for lo, hi in api_bounds for target in (count, top)
+            for ins in ((), (InFilter("region", "east"),))]
+    labeled, report = label_workload(ds, queries + made)
+    assert report.zero_filled > 0
+    meta = {"template": template.to_record()}
+    write_workload(root / "w.jsonl", queries, meta)
+    write_workload(root / "l.jsonl", labeled, meta)
+    return template
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestFileBytes:
+    def test_workload_and_prediction_files_keep_their_bytes(self, tmp_path):
+        # Integer bounds beside equal float ones and a -0.0, each written as given.
+        template = write_byte_fixture(tmp_path, [(0, 1), (0.0, 1.0), (-0.0, 1.0), (60, 100),
+                                                 (60.0, 100.0)])
+        _, labeled = read_workload(tmp_path / "l.jsonl")
+        vocab = build_vocabulary(labeled, template)
+        model = LstmModel(ModelConfig(lstm_units=2, dense_units=2), vocab.sequence_length,
+                          vocab.row_width, vocabulary=vocab)
+        for array in model.params.values():
+            array[...] = 0  # every prediction is the output bias, on any BLAS
+        model.params["b_y"][...] = 0.25
+        model.save(tmp_path / "m.npz")
+        assert run("predict", "--checkpoint", tmp_path / "m.npz", "--workload",
+                   tmp_path / "l.jsonl", "--out", tmp_path / "p.jsonl") == 0
+        header, *records = (tmp_path / "p.jsonl").read_bytes().splitlines(keepends=True)
+        assert json.loads(header)["workload_sha256"] == sha256((tmp_path / "l.jsonl").read_bytes())
+        assert {json.loads(line)["prediction"] for line in records} == {0.25}
+        assert [sha256((tmp_path / name).read_bytes()) for name in ("w.jsonl", "l.jsonl")] + \
+            [sha256(b"".join(records))] == [GENERATED_SHA256, LABELED_SHA256,
+                                             PREDICTION_RECORDS_SHA256]
+
+    def test_write_read_write_keeps_the_bytes(self, tmp_path):
+        # A file holds no integer bound after a read, which gives floats.
+        write_byte_fixture(tmp_path, [(0.0, 1.0), (-0.0, 1.0), (60.0, 100.0)])
+        for name in ("w.jsonl", "l.jsonl"):
+            header, records = read_workload(tmp_path / name)
+            write_workload(tmp_path / "again.jsonl", records, header)
+            assert (tmp_path / "again.jsonl").read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 def documented_command_lines(text: str) -> list[list[str]]:

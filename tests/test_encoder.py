@@ -1,5 +1,6 @@
 """Binary query encoding: exact bit patterns, round trips, malformed input."""
 
+import copy
 import json
 
 import numpy as np
@@ -318,7 +319,7 @@ class TestSharedParts:
 
     def test_equal_parts_that_are_separate_objects(self, workload):
         queries, vocab, alone = workload
-        rebuilt = [FlatQuery.from_record(q.to_record()) for q in queries]
+        rebuilt = [copy.deepcopy(q) for q in queries]
         assert len({id(q.between_filters) for q in rebuilt}) == len(rebuilt)
         assert len(number_parts(rebuilt)[0]) == len(number_parts(queries)[0]) < len(rebuilt)
         np.testing.assert_array_equal(encode_workload(rebuilt, vocab), alone)
@@ -328,7 +329,7 @@ class TestSharedParts:
 
         def fresh():
             for q in queries:
-                yield FlatQuery.from_record(q.to_record())  # referenced by no one else
+                yield copy.deepcopy(q)  # referenced by no one else
 
         np.testing.assert_array_equal(encode_workload(fresh(), vocab), alone)
 

@@ -1,5 +1,6 @@
 """Exact execution engine, checked against a naive pure-Python reference."""
 
+import copy
 import gc
 import hashlib
 import math
@@ -544,7 +545,7 @@ class TestGroupIndexExactness:
         # separate objects.
         picked = rng.choice(len(queries), 200, replace=False).tolist()
         queries += [queries[k] for k in picked[:100]]
-        queries += [FlatQuery.from_record(queries[k].to_record()) for k in picked[100:]]
+        queries += [copy.deepcopy(queries[k]) for k in picked[100:]]
         rng.shuffle(queries)
 
         # A short switch interval interleaves the scan threads often, also

@@ -1,5 +1,7 @@
 """Workload generation: templates, filter sampling, flattening, splits, IO."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -308,12 +310,51 @@ class TestSplit:
 def labeled_workload(n):
     return [
         LabeledQuery(
-            FlatQuery(AggregationTarget(COUNT, "sales"), (BetweenFilter("sales", 0.0, float(i)),)),
+            FlatQuery(AggregationTarget(COUNT, "sales"), (BetweenFilter("sales", 0.0, float(i)),),
+                      (InFilter("region", "north"),)),
             float(i),
             i,
         )
         for i in range(n)
     ]
+
+
+# One edit each of the third line of a workload file (its second record),
+# and the field the error must name: a loose reader would take "2.5" or
+# true as a number, NaN as a label, 2.7 as a support of 2.
+RECORD_EDITS = [
+    pytest.param(True, '"label": 1.0', '"label": "2.5"', "label", id="string-label"),
+    pytest.param(True, '"label": 1.0', '"label": true', "label", id="bool-label"),
+    pytest.param(True, '"label": 1.0', '"label": NaN', "label", id="nan-label"),
+    pytest.param(True, '"label": 1.0', '"label": Infinity', "label", id="inf-label"),
+    pytest.param(True, '"label": 1.0', '"label": -Infinity', "label", id="minus-inf-label"),
+    pytest.param(True, '"support": 1', '"support": 2.7', "support", id="fractional-support"),
+    pytest.param(True, '"support": 1', '"support": true', "support", id="bool-support"),
+    pytest.param(True, '"support": 1', '"support": -1', "support", id="negative-support"),
+    pytest.param(True, '"upper": 1.0', '"upper": "1"', "between[0].upper", id="string-bound"),
+    pytest.param(True, '"upper": 1.0', '"upper": true', "between[0].upper", id="bool-bound"),
+    pytest.param(True, '"upper": 1.0', '"upper": Infinity', "between[0].upper", id="inf-bound"),
+    pytest.param(True, '"lower": 0.0', '"lower": -Infinity', "between[0].lower",
+                 id="minus-inf-bound"),
+    pytest.param(True, '"lower": ', '"lower": null, "was": ', "between[0].was",
+                 id="renamed-bound"),
+    pytest.param(True, '"member": "north"', '"member": 5', "in[0].member", id="int-member"),
+    pytest.param(True, '"attr": "region"', '"attr": null', "in[0].attr", id="null-in-attr"),
+    pytest.param(True, '"attr": "sales", "lower"', '"attr": ["sales"], "lower"',
+                 "between[0].attr", id="list-between-attr"),
+    pytest.param(True, '"attr": "sales", "func"', '"attr": 1, "func"', "target.attr",
+                 id="int-target-attr"),
+    pytest.param(True, '"func": "count"', '"func": "total"', "target.func", id="unknown-func"),
+    pytest.param(True, '"label": ', '"extra": 1, "label": ', "extra", id="record-extra-key"),
+    pytest.param(True, '"in": [', '"in": 5, "was": [', "was", id="record-renamed-key"),
+    pytest.param(True, '"lower": ', '"note": 0, "lower": ', "between[0].note",
+                 id="between-extra-key"),
+    pytest.param(True, '"member": ', '"note": 0, "member": ', "in[0].note", id="in-extra-key"),
+    pytest.param(True, '"func": ', '"note": 0, "func": ', "target.note", id="target-extra-key"),
+    pytest.param(False, '"label": null', '"label": 0.0', "label", id="label-when-unlabeled"),
+    pytest.param(False, '"support": null', '"support": 0', "support",
+                 id="support-when-unlabeled"),
+]
 
 
 class TestWorkloadFiles:
@@ -351,7 +392,9 @@ class TestWorkloadFiles:
     @pytest.mark.parametrize("edit, error", [
         ('"label": 2.0, ', "KeyError 'label'"),
         ('"support": 2, ', "KeyError 'support'"),
-    ])
+        ('"func": "count"}}', "JSONDecodeError Expecting property name enclosed in double quotes: "
+                              r"line 1 column \d+ \(char \d+\)"),
+    ], ids=["missing-label", "missing-support", "cut-short"])
     def test_unreadable_record_is_named_by_its_line(self, tmp_path, edit, error):
         path = tmp_path / "l.jsonl"
         write_workload(path, labeled_workload(4))
@@ -368,16 +411,56 @@ class TestWorkloadFiles:
         with pytest.raises(VersionMismatch):
             read_workload(path)
 
-    @pytest.mark.parametrize("edit", [
-        ('"lower": ', '"lower": null, "was": '),
-        ('"in": [', '"in": 5, "was": ['),
-    ])
-    def test_wrong_typed_field_rejected(self, tmp_path, edit):
+    @pytest.mark.parametrize("labeled, old, new, field", RECORD_EDITS)
+    def test_wrong_typed_field_rejected(self, tmp_path, labeled, old, new, field):
+        path = tmp_path / "w.jsonl"
+        records = labeled_workload(3)
+        write_workload(path, records if labeled else [lq.query for lq in records])
+        lines = path.read_text().splitlines()
+        assert old in lines[2]
+        lines[2] = lines[2].replace(old, new)
+        path.write_text("\n".join(lines) + "\n")
+        record = re.escape(f"{path} line 3 is not a workload record: ")
+        with pytest.raises(CorruptArtifact, match=f"^{record}.*{re.escape(field)}\\b"):
+            read_workload(path)
+
+    @pytest.mark.parametrize("value", ["1", '"true"', "null"])
+    def test_header_labeled_that_is_not_a_bool_rejected(self, tmp_path, value):
         path = tmp_path / "l.jsonl"
         write_workload(path, labeled_workload(3))
         lines = path.read_text().splitlines()
-        assert edit[0] in lines[2]
-        lines[2] = lines[2].replace(*edit)
+        lines[0] = lines[0].replace('"labeled": true', f'"labeled": {value}')
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorruptArtifact):
+        header = re.escape(f"{path}: header 'labeled' is {value}, not a bool")
+        with pytest.raises(CorruptArtifact, match=f"^{header}$"):
             read_workload(path)
+
+    def test_a_part_read_once_does_not_take_true_for_1(self, tmp_path):
+        # The second record's window equals the first's but for true in
+        # place of 1, which compares and hashes as 1.
+        query = FlatQuery(AggregationTarget(COUNT, "sales"), (BetweenFilter("sales", 0, 1),))
+        path = tmp_path / "l.jsonl"
+        write_workload(path, [LabeledQuery(query, 1.0, 1)] * 2)
+        lines = path.read_text().splitlines()
+        assert lines[1] == lines[2] and '"upper": 1}' in lines[2]
+        lines[2] = lines[2].replace('"upper": 1}', '"upper": true}')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptArtifact, match=re.escape(
+                f"{path} line 3 is not a workload record: TypeError between[0].upper is True")):
+            read_workload(path)
+
+    def test_records_that_share_a_part_share_one_object(self, transactions, tmp_path):
+        template = QueryTemplate.build(
+            transactions,
+            targets=[AggregationTarget(AVG, "sales"), AggregationTarget(COUNT, "region")],
+            cont_filter_attrs=["sales"],
+            nom_filter_attrs=["region"],
+            n_cont_samples=3,
+        )
+        queries, _ = generate_workload(transactions, template)
+        path = tmp_path / "w.jsonl"
+        write_workload(path, queries)
+        _, back = read_workload(path)
+        for part in ("target", "between_filters", "in_filters"):
+            objects = {id(getattr(q, part)) for q in back}
+            assert len(objects) == len({getattr(q, part) for q in back}) < len(back), part
